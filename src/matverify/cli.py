@@ -71,10 +71,6 @@ def _resolve_seed(args) -> int:
     return int.from_bytes(os.urandom(8), "little")
 
 
-def _load(path: str) -> IntMatrix:
-    return read_matrix(path)
-
-
 def build_parser() -> _Parser:
     p = _Parser(prog="matverify", description=__doc__.splitlines()[0])
     p.add_argument("--seed", type=int, default=None,
@@ -164,7 +160,7 @@ def cmd_gen(args, rep: _Report) -> int:
 
 
 def cmd_verify(args, rep: _Report) -> int:
-    a, b, c = _load(args.a), _load(args.b), _load(args.c)
+    a, b, c = read_matrix(args.a), read_matrix(args.b), read_matrix(args.c)
     rep.emit("command", "verify")
     rep.emit("mode", args.mode)
     rep.emit("t", args.t)
@@ -193,14 +189,14 @@ def cmd_verify(args, rep: _Report) -> int:
 
 
 def _run_correction(args, rep: _Report, osmm: bool) -> int:
-    a, b = _load(args.a), _load(args.b)
+    a, b = read_matrix(args.a), read_matrix(args.b)
     trace_file = open(args.trace, "w") if args.trace else None
     try:
         t0 = time.perf_counter()
         if osmm:
             result = multiply_output_sensitive(a, b, args.t, trace=trace_file)
         else:
-            c = _load(args.c)
+            c = read_matrix(args.c)
             result = correct_product(a, b, c, args.t, trace=trace_file)
         wall = time.perf_counter() - t0
     finally:
@@ -225,7 +221,7 @@ def cmd_reduce(args, rep: _Report) -> int:
     if args.to == "3sum":
         if len(args.inputs) != 3:
             raise UsageError("3sum reduction needs A B C")
-        a, b, c = (_load(pth) for pth in args.inputs)
+        a, b, c = (read_matrix(pth) for pth in args.inputs)
         inst = bmm_zeroes_to_3sum(a, b, c)
         out = args.out or "instance.3sum"
         with open(out, "w") as fh:
@@ -251,7 +247,7 @@ def cmd_reduce(args, rep: _Report) -> int:
     else:
         if len(args.inputs) != 2:
             raise UsageError("upit reduction needs A B")
-        a, b = (_load(pth) for pth in args.inputs)
+        a, b = (read_matrix(pth) for pth in args.inputs)
         n = a.rows
         bound = max(n * a.max_abs * b.max_abs, 1)
         ctx = build_crt_basis(n, bound).fields[0]

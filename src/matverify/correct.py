@@ -6,13 +6,22 @@ integer inner product, written into C, and all caches are patched
 incrementally along the containing chain rather than recomputed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InternalCheckError, PromiseViolationError, UsageError
-from .field import CrtBasis, FieldCtx, build_crt_basis, power_sequence, reduce_mod
-from .matrix import IntMatrix, SubmatrixId, as_matrix, pad_to_pow2
+from .field import FieldCtx, build_crt_basis, power_sequence
+from .matrix import (
+    AugmentedPair,
+    IntMatrix,
+    SubmatrixId,
+    as_matrix,
+    augment,
+    exact_dot,
+    pad_to_pow2,
+    square_matrices,
+)
 from .verify import (
     eval_fingerprint_progression,
     fingerprint_rep,
@@ -43,31 +52,23 @@ class CorrectionEngine:
 
     def __init__(
         self,
-        a2: IntMatrix,
-        b2: IntMatrix,
-        c2: IntMatrix,
+        pair: AugmentedPair,
         t: int,
         ctx: FieldCtx,
         stats: dict,
         trace=None,
         trace_prefix: str = "",
     ):
-        m = a2.rows
+        m = pair.side
         self.m = m
-        self.a2 = a2
-        self.b2 = b2
-        self.c2 = c2
+        self.pair = pair
         self.t = t
         self.ctx = ctx
         self.stats = stats
         self.trace = trace
         self.trace_prefix = trace_prefix
 
-        p = ctx.p
-        self.ap = np.hstack([reduce_mod(a2.data, p), reduce_mod(c2.data, p)])
-        self.bp = np.vstack(
-            [reduce_mod(b2.data, p), (p - 1) * np.eye(m, dtype=np.int64)]
-        )
+        self.ap, self.bp = pair.reduced(ctx)
         self.root = SubmatrixId(0, 0, m)
         self.t_eff = min(t, m * m)
 
@@ -75,13 +76,6 @@ class CorrectionEngine:
         self.alpha: dict[SubmatrixId, int] = {}
         self.vals: dict[SubmatrixId, list[tuple[int, int]]] = {}
         self.queue: list[SubmatrixId] = []
-
-        # exact integer inner products stay in int64 when they cannot overflow
-        self._i64_inner = (
-            a2.cols * a2.max_abs * b2.max_abs < 1 << 62
-            and a2.data.dtype != object
-            and b2.data.dtype != object
-        )
 
     # -- evaluation ------------------------------------------------------
 
@@ -175,9 +169,8 @@ class CorrectionEngine:
     # -- integer side ----------------------------------------------------
 
     def exact_inner(self, i: int, j: int) -> int:
-        if self._i64_inner:
-            return int(self.a2.data[i] @ self.b2.data[:, j])
-        return sum(int(x) * int(y) for x, y in zip(self.a2.data[i], self.b2.data[:, j]))
+        a, b = self.pair.a, self.pair.b
+        return int(exact_dot(a.data[i], b.data[:, j], a.max_abs, b.max_abs))
 
     # -- driver ----------------------------------------------------------
 
@@ -190,7 +183,7 @@ class CorrectionEngine:
             s = self.queue[-1]
             i, j, info = self.find_nonzero(s)
             new = self.exact_inner(i, j)
-            old = self.c2.get(i, j)
+            old = self.pair.c.get(i, j)
             if new == old:
                 raise InternalCheckError(
                     f"field-level witness at ({i},{j}) has zero integer value"
@@ -205,7 +198,7 @@ class CorrectionEngine:
             if pre_write is not None:
                 pre_write(self, i, j, old, new)
             corrections.append((i, j, old, new))
-            self.c2.set(i, j, new)
+            self.pair.c.set(i, j, new)
             self.apply_write(i, j, old, new)
             if post_update is not None:
                 post_update(self, i, j)
@@ -223,28 +216,20 @@ class CorrectionEngine:
 def _run_engine(
     a, b, c_seed, t: int, trace=None, pre_write=None, post_update=None
 ) -> CorrectionResult:
-    a, b = as_matrix(a), as_matrix(b)
-    n = a.rows
-    if a.cols != n or b.rows != n or b.cols != n:
-        raise UsageError("factors must be square and same size")
-    if c_seed.rows != n or c_seed.cols != n:
-        raise UsageError("C must match the factor size")
+    a, b, c_seed, n = square_matrices(a, b, c_seed)
     if t < 0:
         raise UsageError("t must be >= 0")
-
     a2, b2, c2, m = pad_to_pow2(a, b, c_seed)
-    prod = m * a2.max_abs * b2.max_abs
-    bound = max(prod + max(c2.max_abs, prod), 1)
-    basis = build_crt_basis(m, bound)
+    pair = augment(a2, b2, c2)
+    basis = build_crt_basis(m, pair.magnitude_bound())
 
     corrections: list[tuple[int, int, int, int]] = []
     stats = {"evaluations": 0}
     granularity: dict[SubmatrixId, int] = {}
     passes = 0
-    clean = False
-    for idx, ctx in enumerate(basis.fields):
+    for ctx in basis.fields:
         engine = CorrectionEngine(
-            a2, b2, c2, t, ctx, stats, trace=trace,
+            pair, t, ctx, stats, trace=trace,
             trace_prefix=f"prime={ctx.p} " if trace is not None else "",
         )
         passes += 1
@@ -255,9 +240,8 @@ def _run_engine(
         # integer-level sweep over the full basis; catches nonzeroes that
         # vanish mod this pass's prime
         if verify_product(a2, b2, c2, max(t, 1), basis=basis, stats=stats):
-            clean = True
             break
-    if not clean:
+    else:
         raise PromiseViolationError(
             "residual differences remain after all primes; "
             "the <= t promise cannot hold",
@@ -292,7 +276,6 @@ def correct_product(
 ) -> CorrectionResult:
     """Recover AB from a candidate C differing from it in at most t entries.
     c_in is not mutated; the corrected matrix is returned."""
-    c_seed = as_matrix(c_in).copy()
     return _run_engine(
-        a, b, c_seed, t, trace=trace, pre_write=pre_write, post_update=post_update
+        a, b, c_in, t, trace=trace, pre_write=pre_write, post_update=post_update
     )

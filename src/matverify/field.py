@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ResourceLimitError, UsageError
 
 _SIEVE_BUDGET = 1 << 27      # flags per segmented-sieve call (~128 MiB)
-_GROUP_TABLE_BUDGET = 1 << 31  # boolean table for the generator search
+_GENERATOR_LIMIT = 1 << 31   # trial division to sqrt(p) stays below 2^15 steps
 
 
 def sieve_primes_in_range(lo: int, hi: int) -> list[int]:
@@ -42,18 +42,19 @@ def sieve_primes_in_range(lo: int, hi: int) -> list[int]:
     return [int(lo + i) for i in np.nonzero(flags)[0]]
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in (2, 3):
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1, ascending, by trial division."""
+    out = []
+    q = 2
+    while q * q <= n:
         if n % q == 0:
-            return n == q
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
-            return False
-        f += 6
-    return True
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1 if q == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _cyclic_subgroup(a: int, p: int) -> np.ndarray:
@@ -80,30 +81,17 @@ def _cyclic_subgroup(a: int, p: int) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def find_generator(p: int) -> int:
-    """Deterministic generator of the full multiplicative group mod p.
-
-    Scans candidates in ascending order, skipping anything already covered
-    by a previously picked candidate's cyclic subgroup; once every group
-    element is covered, the last candidate picked generates the whole group.
-    """
-    if p < 3 or not _is_prime(p):
+    """The least generator of the multiplicative group mod p: the least g
+    with g^((p-1)/q) != 1 for every prime q dividing p - 1."""
+    if p > _GENERATOR_LIMIT:
+        raise ResourceLimitError(f"trial division of {p} exceeds the word-size bound")
+    if p < 3 or _prime_factors(p) != [p]:
         raise UsageError(f"{p} is not a prime >= 3")
-    if p > _GROUP_TABLE_BUDGET:
-        raise ResourceLimitError("generator lookup table would exceed budget")
-    seen = np.zeros(p, dtype=bool)
-    seen[0] = True
-    last = 1
-    pos = 1
-    while pos < p:
-        off = int(np.argmax(~seen[pos:]))
-        cand = pos + off
-        if seen[cand]:
-            break
-        last = cand
-        sub = _cyclic_subgroup(cand, p)
-        seen[sub.astype(np.int64)] = True
-        pos = cand + 1
-    return last
+    cofactors = [(p - 1) // q for q in _prime_factors(p - 1)]
+    g = 2
+    while any(pow(g, e, p) == 1 for e in cofactors):
+        g += 1
+    return g
 
 
 def multiplicative_order(x: int, p: int) -> int:
@@ -125,7 +113,16 @@ def reduce_mod(data, p: int) -> np.ndarray:
     return data.astype(np.int64, copy=False) % p
 
 
-_POWER_CACHE: dict[tuple[int, int], np.ndarray] = {}
+def geometric_fill(out: np.ndarray, ratio, p: int) -> np.ndarray:
+    """Fill out[..., u] = out[..., 0] * ratio^u mod p along the last axis, by
+    doubling; ratio is an int or an array that broadcasts against out."""
+    filled, step = 1, ratio
+    while filled < out.shape[-1]:
+        take = min(filled, out.shape[-1] - filled)
+        out[..., filled : filled + take] = out[..., :take] * step % p
+        step = step * step % p      # ratio^(2 * filled)
+        filled += take
+    return out
 
 
 def power_sequence(base: int, count: int, p: int) -> np.ndarray:
@@ -140,27 +137,9 @@ def power_sequence(base: int, count: int, p: int) -> np.ndarray:
             out[i] = acc
             acc = acc * base % p
         return out
-    out = np.zeros(count, dtype=np.int64)
-    if count == 0:
-        return out
-    out[0] = 1 % p
-    filled = 1
-    while filled < count:
-        take = min(filled, count - filled)
-        step = int(out[filled - 1]) * base % p   # base^filled
-        out[filled : filled + take] = out[:take] * step % p
-        filled += take
-    return out
-
-
-def _cached_powers(p: int, base: int, count: int) -> np.ndarray:
-    key = (p, base)
-    cur = _POWER_CACHE.get(key)
-    if cur is None or len(cur) < count:
-        grown = max(count, 16 if cur is None else 2 * len(cur))
-        cur = power_sequence(base, grown, p)
-        _POWER_CACHE[key] = cur
-    return cur[:count]
+    out = np.empty(count, dtype=np.int64)
+    out[:1] = 1 % p
+    return geometric_fill(out, base, p)
 
 
 @dataclass(frozen=True)
@@ -177,8 +156,8 @@ class FieldCtx:
             raise UsageError("omega must be a nonzero residue")
 
     def powers(self, count: int) -> np.ndarray:
-        """omega^0..omega^(count-1); cached and grown on demand."""
-        return _cached_powers(self.p, self.omega, count)
+        """omega^0..omega^(count-1)."""
+        return power_sequence(self.omega, count, self.p)
 
 
 @dataclass(frozen=True)
@@ -227,24 +206,3 @@ def build_crt_basis(n: int, bound: int) -> CrtBasis:
     )
     return CrtBasis(fields=fields, bound=bound)
 
-
-def mod_add(x: int, y: int, ctx: FieldCtx) -> int:
-    return (x + y) % ctx.p
-
-
-def mod_sub(x: int, y: int, ctx: FieldCtx) -> int:
-    return (x - y) % ctx.p
-
-
-def mod_mul(x: int, y: int, ctx: FieldCtx) -> int:
-    return x * y % ctx.p
-
-
-def mod_pow(x: int, e: int, ctx: FieldCtx) -> int:
-    return pow(x % ctx.p, e, ctx.p)
-
-
-def mod_inv(x: int, ctx: FieldCtx) -> int:
-    if x % ctx.p == 0:
-        raise ZeroDivisionError("0 has no multiplicative inverse")
-    return pow(x, -1, ctx.p)

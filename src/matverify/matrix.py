@@ -126,34 +126,47 @@ def write_matrix(path, m: IntMatrix) -> None:
         fh.write("\n".join(out) + "\n")
 
 
+def exact_dot(x: np.ndarray, y: np.ndarray, x_max: int, y_max: int):
+    """x @ y over the integers, for entries bounded by x_max and y_max: in
+    int64 when no partial sum can reach 2^62, in Python ints otherwise."""
+    if (x.shape[-1] * x_max * y_max < _I64_SAFE
+            and x.dtype != object and y.dtype != object):
+        return x @ y
+    return np.dot(x.astype(object), y.astype(object))
+
+
 def naive_multiply(a, b) -> IntMatrix:
     """Exact integer product; the cubic ground-truth oracle."""
     a, b = as_matrix(a), as_matrix(b)
     if a.cols != b.rows:
         raise UsageError(f"inner dimensions differ: {a.cols} vs {b.rows}")
-    bound = a.cols * a.max_abs * b.max_abs
-    if bound >= _ACC_CAP:
+    if a.cols * a.max_abs * b.max_abs >= _ACC_CAP:
         raise ResourceLimitError("product would overflow the 128-bit budget")
-    if bound < _I64_SAFE and a.data.dtype != object and b.data.dtype != object:
-        return IntMatrix(a.data @ b.data)
-    return IntMatrix(np.dot(a.data.astype(object), b.data.astype(object)))
+    return IntMatrix(exact_dot(a.data, b.data, a.max_abs, b.max_abs))
 
 
 def next_pow2(n: int) -> int:
     return 1 if n <= 1 else 1 << (n - 1).bit_length()
 
 
+def square_matrices(*mats):
+    """The arguments as IntMatrix, checked to be n x n for one n, followed
+    by n. Error messages name them A, B, C in order."""
+    mats = [as_matrix(m) for m in mats]
+    n = mats[0].rows
+    for m, name in zip(mats, "ABC"):
+        if m.rows != n or m.cols != n:
+            raise UsageError(f"{name} must be {n}x{n}")
+    return (*mats, n)
+
+
 def pad_to_pow2(a, b, c) -> tuple[IntMatrix, IntMatrix, IntMatrix, int]:
     """Zero-pad square same-size A, B, C to the next power of two. Padding
     adds no nonzeroes to AB - C."""
-    a, b, c = as_matrix(a), as_matrix(b), as_matrix(c)
-    n = a.rows
-    for m, name in ((a, "A"), (b, "B"), (c, "C")):
-        if m.rows != n or m.cols != n:
-            raise UsageError(f"{name} must be {n}x{n}")
+    *mats, n = square_matrices(a, b, c)
     m = next_pow2(n)
     out = []
-    for src in (a, b, c):
+    for src in mats:
         buf = np.zeros((m, m), dtype=src.data.dtype)
         buf[:n, :n] = src.data
         out.append(IntMatrix(buf, max_abs=src.max_abs))

@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InternalCheckError, ResourceLimitError, UsageError
-from .field import FieldCtx, power_sequence, reduce_mod
+from .field import FieldCtx, geometric_fill, power_sequence, reduce_mod
 from .matrix import next_pow2
 
 _TREE_THRESHOLD = 64   # below this, per-point Horner beats the subproduct tree
@@ -307,19 +307,6 @@ def _chirp_tables(p: int, ratio: int) -> _ChirpTables:
     return tbl
 
 
-def _geometric_rows(base: np.ndarray, scale: np.ndarray, count: int, p: int):
-    """Row k holds scale[k] * base[k]^u for u = 0..count-1, by doubling."""
-    out = np.empty((len(base), count), dtype=np.int64)
-    out[:, 0] = scale
-    filled, step = 1, base
-    while filled < count:
-        take = min(filled, count - filled)
-        out[:, filled : filled + take] = out[:, :take] * step[:, None] % p
-        step = step * step % p      # base^(2 * filled)
-        filled += take
-    return out
-
-
 def _segment(n: int, count: int) -> tuple[int, int]:
     """Progression points per transform and the transform length for rows
     of n coefficients. A cyclic length of at least n + seg - 1 leaves the
@@ -381,8 +368,9 @@ def progression_eval(coeffs, first: int, ratio: int, count: int, p: int) -> np.n
         cnt = min(seg, count - u0)
         fpow = power_sequence(first * pow(ratio, u0, p), n, p)
         if mono.size:
-            start = lone * fpow[exps] % p
-            out[mono, u0 : u0 + cnt] = _geometric_rows(base, start, cnt, p)
+            geo = np.empty((mono.size, cnt), dtype=np.int64)
+            geo[:, 0] = lone * fpow[exps] % p
+            out[mono, u0 : u0 + cnt] = geometric_fill(geo, base[:, None], p)
         if not dense.size:
             continue
         kernel = tbl.spectrum(length)

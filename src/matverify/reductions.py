@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ResourceLimitError, UsageError
 from .field import FieldCtx, reduce_mod
-from .matrix import as_matrix
+from .matrix import as_matrix, square_matrices
 
 _PAIR_BUDGET = 10**7
 
@@ -69,10 +69,8 @@ def bmm_zeroes_to_3sum(a, b, c) -> ThreeSumInstance:
     positive and decodings are unique: A-ones become iW^2 + k, B-ones
     become jW - k, and each zero of C becomes the target iW^2 + jW.
     """
+    a, b, c, n = square_matrices(a, b, c)
     av, bv, cv = _boolean(a, "A"), _boolean(b, "B"), _boolean(c, "C")
-    n = av.shape[0]
-    if av.shape != (n, n) or bv.shape != (n, n) or cv.shape != (n, n):
-        raise UsageError("all three matrices must be square and same size")
     w = 2 * (n + 1)
     s1 = {
         (i + 1) * w * w + (k + 1)
@@ -174,10 +172,7 @@ def emit_upit_circuit(a, b, ctx: FieldCtx) -> Circuit:
     """Arithmetic circuit computing the product fingerprint of AB:
     sum_k q_k(X) * r_k(X^n), with Horner chains per inner index and one
     shared repeated-squaring chain for X^n."""
-    a, b = as_matrix(a), as_matrix(b)
-    n = a.rows
-    if a.cols != n or b.rows != n or b.cols != n:
-        raise UsageError("factors must be square and same size")
+    a, b, n = square_matrices(a, b)
     p = ctx.p
     av = reduce_mod(a.data, p)
     bv = reduce_mod(b.data, p)

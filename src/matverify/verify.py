@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import UsageError
 from .field import CrtBasis, FieldCtx, build_crt_basis, reduce_mod
-from .matrix import IntMatrix, as_matrix, augment
+from .matrix import IntMatrix, augment, exact_dot, square_matrices
 from .poly import horner_many, progression_eval, rows_per_block
 
 
@@ -136,15 +136,6 @@ def all_zeroes_test(
     return ZeroVerdict(all_zero=True, witness=None, checked=t_eff)
 
 
-def _square_triple(a, b, c) -> tuple[IntMatrix, IntMatrix, IntMatrix, int]:
-    a, b, c = as_matrix(a), as_matrix(b), as_matrix(c)
-    n = a.rows
-    for m, name in ((a, "A"), (b, "B"), (c, "C")):
-        if m.rows != n or m.cols != n:
-            raise UsageError(f"{name} must be {n}x{n}")
-    return a, b, c, n
-
-
 def verify_product(
     a, b, c, t: int, basis: CrtBasis | None = None, stats: dict | None = None
 ) -> bool:
@@ -155,7 +146,7 @@ def verify_product(
     magnitude bound, and requires the all-zeroes test to pass mod every
     prime.
     """
-    a, b, c, n = _square_triple(a, b, c)
+    a, b, c, n = square_matrices(a, b, c)
     if t < 1:
         raise UsageError("t must be >= 1")
     pair = augment(a, b, c)
@@ -173,24 +164,18 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _exact_matvec(mat: np.ndarray, vec: np.ndarray, bound: int) -> np.ndarray:
-    if bound < 1 << 62 and mat.dtype != object and vec.dtype != object:
-        return mat @ vec
-    return np.dot(mat.astype(object), vec.astype(object))
-
-
 def freivalds_verify(a, b, c, reps: int = 20, seed: int = 0) -> bool:
     """Classic randomized check: random 0/1 vector v, compare Cv to A(Bv).
     False positives have probability at most 2^-reps over the seed stream."""
-    a, b, c, n = _square_triple(a, b, c)
+    a, b, c, n = square_matrices(a, b, c)
     if reps < 1:
         raise UsageError("reps must be >= 1")
     rng = seeded_rng(seed)
     for _ in range(reps):
         v = rng.integers(0, 2, size=n).astype(np.int64)
-        bv = _exact_matvec(b.data, v, n * b.max_abs)
-        abv = _exact_matvec(a.data, bv, n * a.max_abs * n * b.max_abs)
-        cv = _exact_matvec(c.data, v, n * c.max_abs)
+        bv = exact_dot(b.data, v, b.max_abs, 1)
+        abv = exact_dot(a.data, bv, a.max_abs, n * b.max_abs)
+        cv = exact_dot(c.data, v, c.max_abs, 1)
         if not np.array_equal(abv, cv):
             return False
     return True
@@ -200,14 +185,14 @@ def sampling_verify(a, b, c, seed: int = 0) -> bool:
     """Deterministic test at budget t = n, then 4n seeded random entries
     checked by exact inner products. Deterministically correct up to n
     errors; constant-probability correct beyond."""
-    a, b, c, n = _square_triple(a, b, c)
+    a, b, c, n = square_matrices(a, b, c)
     if not verify_product(a, b, c, t=n):
         return False
     rng = seeded_rng(seed)
     for _ in range(4 * n):
         i = int(rng.integers(0, n))
         j = int(rng.integers(0, n))
-        inner = sum(int(x) * int(y) for x, y in zip(a.data[i], b.data[:, j]))
+        inner = exact_dot(a.data[i], b.data[:, j], a.max_abs, b.max_abs)
         if inner != int(c.data[i, j]):
             return False
     return True
@@ -220,7 +205,7 @@ def flawed_bilinear_test(a, b, c, points) -> list[int]:
     Antisymmetric differences make this vanish identically even when
     AB != C, which is exactly what the real test must not do.
     """
-    a, b, c, n = _square_triple(a, b, c)
+    a, b, c, n = square_matrices(a, b, c)
     out = []
     for r in points:
         r = int(r)

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -214,3 +216,65 @@ def test_input_validation():
     sq = rng.integers(-9, 10, (4, 4))
     with pytest.raises(UsageError):
         correct_product(a, sq, naive_multiply(a, sq), -1)
+
+
+def test_correction_golden_counts_and_trace():
+    # n = 12 pads to 16; the delta 257 vanishes mod the first prime, so the
+    # integer sweep forces a second pass that finds it mod 263
+    rng = seeded_rng(47)
+    a = rng.integers(-9, 10, (12, 12))
+    b = rng.integers(-9, 10, (12, 12))
+    bad = naive_multiply(a, b).data.copy()
+    for i, j, d in ((0, 0, 3), (0, 1, -2), (1, 0, 5), (1, 1, 1), (2, 3, -4),
+                    (10, 11, 257)):
+        bad[i, j] += d
+    trace = io.StringIO()
+    res = correct_product(a, b, bad, 6, trace=trace)
+    assert (res.evaluations, res.max_granularity, res.prime_passes) == (4532, 16, 2)
+    assert res.corrections == [
+        (0, 0, 262, 259), (0, 1, 29, 31), (1, 0, -82, -87), (1, 1, 57, 56),
+        (2, 3, 19, 23), (10, 11, 296, 39),
+    ]
+    assert trace.getvalue() == (
+        "prime=257 iter=0 sub=(0,0,16) tau=16 nu=0 pos=(0,0)\n"
+        "prime=257 iter=1 sub=(0,0,2) tau=2 nu=0 pos=(0,1)\n"
+        "prime=257 iter=2 sub=(0,0,2) tau=2 nu=0 pos=(1,0)\n"
+        "prime=257 iter=3 sub=(0,0,2) tau=2 nu=0 pos=(1,1)\n"
+        "prime=257 iter=4 sub=(0,0,4) tau=4 nu=0 pos=(2,3)\n"
+        "prime=263 iter=0 sub=(0,0,16) tau=16 nu=0 pos=(10,11)\n"
+    )
+
+
+def test_osmm_golden_counts_and_trace():
+    # two nonzero columns of B: AB has 16 nonzeroes in columns 1 and 6
+    rng = seeded_rng(48)
+    a = rng.integers(-9, 10, (8, 8))
+    b = np.zeros((8, 8), dtype=np.int64)
+    b[:, [1, 6]] = rng.integers(-2, 3, (8, 2))
+    trace = io.StringIO()
+    res = multiply_output_sensitive(a, b, 16, trace=trace)
+    assert (res.evaluations, res.max_granularity, res.prime_passes) == (1066, 8, 1)
+    assert res.corrections == [
+        (0, 1, 0, -12), (1, 1, 0, -27), (2, 1, 0, 8), (3, 1, 0, -30),
+        (0, 6, 0, -18), (1, 6, 0, -8), (2, 6, 0, -5), (3, 6, 0, -7),
+        (4, 1, 0, 18), (5, 1, 0, -34), (6, 1, 0, 8), (7, 1, 0, 21),
+        (4, 6, 0, 14), (5, 6, 0, -33), (6, 6, 0, -2), (7, 6, 0, 27),
+    ]
+    assert trace.getvalue() == (
+        "prime=67 iter=0 sub=(0,0,8) tau=8 nu=0 pos=(0,1)\n"
+        "prime=67 iter=1 sub=(0,0,2) tau=2 nu=0 pos=(1,1)\n"
+        "prime=67 iter=2 sub=(0,0,4) tau=4 nu=0 pos=(2,1)\n"
+        "prime=67 iter=3 sub=(2,0,2) tau=2 nu=0 pos=(3,1)\n"
+        "prime=67 iter=4 sub=(0,0,8) tau=8 nu=0 pos=(0,6)\n"
+        "prime=67 iter=5 sub=(0,6,2) tau=2 nu=0 pos=(1,6)\n"
+        "prime=67 iter=6 sub=(0,4,4) tau=4 nu=0 pos=(2,6)\n"
+        "prime=67 iter=7 sub=(2,6,2) tau=2 nu=0 pos=(3,6)\n"
+        "prime=67 iter=8 sub=(0,0,8) tau=8 nu=0 pos=(4,1)\n"
+        "prime=67 iter=9 sub=(4,0,2) tau=2 nu=0 pos=(5,1)\n"
+        "prime=67 iter=10 sub=(4,0,4) tau=4 nu=0 pos=(6,1)\n"
+        "prime=67 iter=11 sub=(6,0,2) tau=2 nu=0 pos=(7,1)\n"
+        "prime=67 iter=12 sub=(0,0,8) tau=8 nu=0 pos=(4,6)\n"
+        "prime=67 iter=13 sub=(4,6,2) tau=2 nu=0 pos=(5,6)\n"
+        "prime=67 iter=14 sub=(4,4,4) tau=4 nu=0 pos=(6,6)\n"
+        "prime=67 iter=15 sub=(6,6,2) tau=2 nu=0 pos=(7,6)\n"
+    )

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from matverify import (
@@ -44,9 +46,27 @@ def test_find_generator_golden():
 
 
 def test_find_generator_is_full_order():
-    for p in [3, 5, 7, 11, 13, 17, 101, 257, 1009]:
-        g = find_generator(p)
-        assert oracle_order(g, p) == p - 1
+    # the least element of full order, for every odd prime below 2000
+    for p in oracle_primes(3, 2000):
+        least = next(g for g in range(2, p) if oracle_order(g, p) == p - 1)
+        assert find_generator(p) == least
+
+
+def test_find_generator_largest_word_prime_in_bounded_memory():
+    tracemalloc.start()
+    try:
+        g = find_generator.__wrapped__((1 << 31) - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == 7
+    assert peak < 1 << 20
+
+
+def test_find_generator_rejects_huge_prime_quickly():
+    # checked before any trial division, which would run for minutes
+    with pytest.raises(ResourceLimitError):
+        find_generator((1 << 61) - 1)
 
 
 def test_multiplicative_order_matches_oracle():
