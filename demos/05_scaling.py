@@ -4,13 +4,17 @@ Verification work grows near-quadratically with n (t = n test values,
 each a polynomial evaluation), while recomputing the product grows
 cubically. The crossover on this machine typically lands around a few
 hundred; run with larger sizes to push the gap further.
+
+The second table times correction with t = n planted errors at n = 128
+and 256: each granularity step of the quadtree search evaluates the four
+children of a block together.
 """
 
 import time
 
 import numpy as np
 
-from matverify import naive_multiply, seeded_rng, verify_product
+from matverify import correct_product, naive_multiply, seeded_rng, verify_product
 
 
 def median_of(fn, reps=3):
@@ -32,3 +36,17 @@ for n in (64, 128, 256, 512):
     tv = median_of(lambda: verify_product(a, b, c, n))
     tn = median_of(lambda: naive_multiply(a, b))
     print(f"{n:>5} {tv:>12.4f} {tn:>14.4f} {tn / tv:>7.2f}")
+
+print(f"\n{'n':>5} {'t':>5} {'correct_product (s)':>20} {'evaluations':>12}")
+for n in (128, 256):
+    a = rng.integers(-9, 10, (n, n))
+    b = rng.integers(-9, 10, (n, n))
+    c = naive_multiply(a, b).data
+    bad = c.copy()
+    pos = rng.choice(n * n, size=n, replace=False)
+    bad.flat[pos] += rng.integers(1, 10, size=n) * rng.choice((-1, 1), size=n)
+    s = time.perf_counter()
+    res = correct_product(a, b, bad, n)
+    elapsed = time.perf_counter() - s
+    assert np.array_equal(res.product.data, c) and res.correction_count == n
+    print(f"{n:>5} {n:>5} {elapsed:>20.3f} {res.evaluations:>12}")

@@ -23,8 +23,8 @@ from .matrix import (
     square_matrices,
 )
 from .verify import (
+    FingerprintRep,
     eval_fingerprint_progression,
-    fingerprint_rep,
     verify_product,
 )
 
@@ -79,24 +79,34 @@ class CorrectionEngine:
 
     # -- evaluation ------------------------------------------------------
 
-    def scratch_values(self, s: SubmatrixId, lo: int, hi: int) -> np.ndarray:
-        """Block test values recomputed from the current factors; the oracle
-        the caches must agree with."""
-        rep = fingerprint_rep(
-            self.ap, self.bp, self.ctx, s.i_start, s.j_start, s.side
+    def scratch_values(
+        self, s: SubmatrixId, lo: int, hi: int, grid: int = 1
+    ) -> np.ndarray:
+        """Block test values at exponents lo..hi-1 recomputed from the
+        current factors; the oracle the caches must agree with. With grid=2
+        they are the values of the four children of s, shape (2, 2, hi-lo).
+        The factors are already reduced, so their slices go to the kernel
+        as they are."""
+        i0, j0, side = s.i_start, s.j_start, s.side
+        rep = FingerprintRep(
+            self.ctx, side, self.ap[i0 : i0 + side].T, self.bp[:, j0 : j0 + side]
         )
-        return eval_fingerprint_progression(rep, lo, hi - lo, self.stats)
+        return eval_fingerprint_progression(rep, lo, hi - lo, self.stats, grid=grid)
 
-    def _extend_values(self, s: SubmatrixId, target: int) -> None:
-        have = self.alpha.get(s, 0)
+    def _extend_values(self, s: SubmatrixId, target: int, grid: int = 1) -> None:
+        """Extend the stored values of s (grid=1), or of its four children
+        (grid=2), to the prefix 0..target-1. Siblings are always extended
+        together, so they share one prefix."""
+        blocks = s.split() if grid == 2 else (s,)
+        have = self.alpha.get(blocks[0], 0)
         if have >= target:
             return
-        fresh = self.scratch_values(s, have, target)
-        if fresh.size:
-            stored = self.vals.setdefault(s, [])
-            for off in np.nonzero(fresh)[0]:
-                stored.append((have + int(off), int(fresh[off])))
-        self.alpha[s] = target
+        fresh = self.scratch_values(s, have, target, grid).reshape(len(blocks), -1)
+        for block, row in zip(blocks, fresh):
+            nz = np.flatnonzero(row)
+            stored = self.vals.setdefault(block, [])
+            stored.extend(zip((nz + have).tolist(), row[nz].tolist()))
+            self.alpha[block] = target
 
     # -- search ----------------------------------------------------------
 
@@ -112,8 +122,7 @@ class CorrectionEngine:
             kids = s.split()
             while True:
                 target = self.tau[s]
-                for child in kids:
-                    self._extend_values(child, target)
+                self._extend_values(s, target, grid=2)
                 best = None
                 for idx, child in enumerate(kids):
                     lst = self.vals.get(child)
@@ -161,10 +170,13 @@ class CorrectionEngine:
         e = (i - s.i_start) + s.side * (j - s.j_start)
         seq = power_sequence(pow(self.ctx.omega, e, p), prefix, p)
         dense = np.zeros(prefix, dtype=np.int64)
-        for nu, gamma in self.vals.get(s, ()):
-            dense[nu] = gamma
+        stored = self.vals.get(s)
+        if stored:
+            nus, gammas = zip(*stored)
+            dense[list(nus)] = gammas
         dense = (dense + (p - delta) * seq) % p
-        self.vals[s] = [(int(nu), int(dense[nu])) for nu in np.nonzero(dense)[0]]
+        nz = np.flatnonzero(dense)
+        self.vals[s] = list(zip(nz.tolist(), dense[nz].tolist()))
 
     # -- integer side ----------------------------------------------------
 

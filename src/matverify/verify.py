@@ -79,27 +79,50 @@ def eval_fingerprint(rep: FingerprintRep, points) -> list[int]:
 
 
 def eval_fingerprint_progression(
-    rep: FingerprintRep, start_exp: int, count: int, stats: dict | None = None
+    rep: FingerprintRep,
+    start_exp: int,
+    count: int,
+    stats: dict | None = None,
+    grid: int = 1,
 ) -> np.ndarray:
-    """Fingerprint values at omega^(start_exp + u) for u = 0..count-1."""
+    """Fingerprint values at omega^(start_exp + u) for u = 0..count-1.
+
+    With grid = g > 1 the block is read as a g x g grid of sub-blocks of
+    side h = side // g, and each sub-block's own fingerprint is evaluated:
+    entry [a, b] of the (g, g, count) result belongs to the sub-block at
+    rows a*h.. and columns b*h.. of the block. Sub-blocks in one grid row
+    share their left polynomials (ratio omega), those in one grid column
+    share their right ones (ratio omega^h), and all share the progression,
+    so each side goes through the kernel once for the whole grid.
+    """
     ctx = rep.ctx
     p = ctx.p
+    if grid < 1 or rep.side % grid:
+        raise UsageError("grid must divide the block side")
+    side = rep.side // grid
+    acc = np.zeros((grid, grid, max(count, 0)), dtype=np.int64)
+    out = acc[0, 0] if grid == 1 else acc   # a view: acc is updated in place
     if count <= 0:
-        return np.zeros(max(count, 0), dtype=np.int64)
+        return out
     first_q = pow(ctx.omega, start_exp, p)
-    ratio_r = pow(ctx.omega, rep.side, p)
+    ratio_r = pow(ctx.omega, side, p)
     first_r = pow(ratio_r, start_exp, p)
-    acc = np.zeros(count, dtype=np.int64)
-    active = _active_rows(rep)
-    step = rows_per_block(rep.side, count)
+    left = rep.left_polys.reshape(-1, grid, side)
+    right = rep.right_polys.reshape(-1, grid, side)
+    # inner index k feeds sub-block (a, b) when both of its halves are nonzero
+    live = left.any(axis=2)[:, :, None] & right.any(axis=2)[:, None, :]
+    active = np.nonzero(live.any(axis=(1, 2)))[0]
+    step = max(1, rows_per_block(side, count) // grid)
     for r0 in range(0, len(active), step):
         rows = active[r0 : r0 + step]
-        qv = progression_eval(rep.left_polys[rows], first_q, ctx.omega, count, p)
-        rv = progression_eval(rep.right_polys[rows], first_r, ratio_r, count, p)
-        acc = (acc + (qv * rv % p).sum(axis=0)) % p
+        qv = progression_eval(left[rows].reshape(-1, side), first_q, ctx.omega, count, p)
+        rv = progression_eval(right[rows].reshape(-1, side), first_r, ratio_r, count, p)
+        prod = qv.reshape(-1, grid, 1, count) * rv.reshape(-1, 1, grid, count) % p
+        acc += prod.sum(axis=0)
+        acc %= p
     if stats is not None:
-        stats["evaluations"] = stats.get("evaluations", 0) + count * len(active)
-    return acc
+        stats["evaluations"] = stats.get("evaluations", 0) + count * int(live.sum())
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from matverify import (
     naive_multiply,
     seeded_rng,
 )
+from matverify import poly
+from matverify.correct import CorrectionEngine
 from matverify.matrix import augment
 
 from helpers import plant_errors
@@ -278,3 +281,114 @@ def test_osmm_golden_counts_and_trace():
         "prime=67 iter=14 sub=(4,4,4) tau=4 nu=0 pos=(6,6)\n"
         "prime=67 iter=15 sub=(6,6,2) tau=2 nu=0 pos=(7,6)\n"
     )
+
+
+def _check_each_search(monkeypatch) -> dict:
+    """Wrap CorrectionEngine.find_nonzero: after every search, each block
+    whose prefix grew holds exactly the values the per-block oracle
+    recomputes, and the evaluation counter grew by count * (active inner
+    indices) summed over those blocks."""
+    seen = {"searches": 0, "one_half": 0}
+    original = CorrectionEngine.find_nonzero
+
+    def checked(engine, s):
+        alpha_before = dict(engine.alpha)
+        evals_before = engine.stats["evaluations"]
+        out = original(engine, s)
+        grown = {blk: a - alpha_before.get(blk, 0) for blk, a in engine.alpha.items()}
+        want = 0
+        half = engine.bp.shape[0] // 2
+        for blk, count in grown.items():
+            if not count:
+                continue
+            i0, j0, side = blk.i_start, blk.j_start, blk.side
+            rows = engine.ap[i0 : i0 + side].any(axis=0)
+            cols = engine.bp[:, j0 : j0 + side].any(axis=1)
+            want += count * int(np.count_nonzero(rows & cols))
+            # live -I rows reach one column of the block, so one column half
+            # of its parent
+            seen["one_half"] += int(np.count_nonzero((rows & cols)[half:]))
+        assert engine.stats["evaluations"] - evals_before == want
+        for blk, count in grown.items():
+            if count:
+                scratch = engine.scratch_values(blk, 0, engine.alpha[blk])
+                expect = [(nu, int(v)) for nu, v in enumerate(scratch) if v]
+                assert list(engine.vals.get(blk, [])) == expect, blk
+        seen["searches"] += 1
+        return out
+
+    monkeypatch.setattr(CorrectionEngine, "find_nonzero", checked)
+    return seen
+
+
+@pytest.mark.parametrize("n, z, chunk_points", [
+    (3, 3, None), (33, 12, None), (96, 6, None), (33, 12, 64),
+])
+def test_batched_children_match_per_block_oracle(monkeypatch, n, z, chunk_points):
+    # n = 3, 33 and 96 pad to 4, 64 and 128; a tiny _CHUNK_POINTS splits
+    # every batched step into several row blocks
+    if chunk_points is not None:
+        monkeypatch.setattr(poly, "_CHUNK_POINTS", chunk_points)
+    seen = _check_each_search(monkeypatch)
+    rng = seeded_rng(49 + n)
+    a = rng.integers(-9, 10, (n, n))
+    b = rng.integers(-9, 10, (n, n))
+    c = naive_multiply(a, b).data
+    res = correct_product(a, b, plant_errors(c, z, rng), z)
+    assert np.array_equal(res.product.data, c)
+    assert res.correction_count == z
+    assert seen["searches"] == z and seen["one_half"] > 0
+
+
+def test_batched_children_output_sensitive(monkeypatch):
+    # C = 0: the C columns of (A | C) vanish until entries are written
+    seen = _check_each_search(monkeypatch)
+    rng = seeded_rng(50)
+    a = rng.integers(-9, 10, (16, 16))
+    b = np.zeros((16, 16), dtype=np.int64)
+    b[:, [3, 12]] = rng.integers(-2, 3, (16, 2))
+    truth = naive_multiply(a, b).data
+    t = int(np.count_nonzero(truth))
+    res = multiply_output_sensitive(a, b, t)
+    assert np.array_equal(res.product.data, truth)
+    assert seen["searches"] == t
+
+
+def test_batched_children_second_prime_pass(monkeypatch):
+    # a delta equal to the first basis prime vanishes in the first pass
+    seen = _check_each_search(monkeypatch)
+    rng = seeded_rng(51)
+    a = rng.integers(-9, 10, (12, 12))
+    b = rng.integers(-9, 10, (12, 12))
+    c = naive_multiply(a, b).data
+    p1 = build_crt_basis(16, augment(a, b, c).magnitude_bound()).fields[0].p
+    bad = c.copy()
+    bad[3, 4] += 2
+    bad[9, 10] += p1
+    res = correct_product(a, b, bad, 2)
+    assert np.array_equal(res.product.data, c)
+    assert res.prime_passes == 2 and seen["searches"] == 2
+
+
+def test_batched_step_memory_is_bounded():
+    # one step at full granularity for the side-64 children of a 128 x 128
+    # instance, K = 256 inner indices: the (2K x count) kernel output alone
+    # would be about 33 MiB unblocked
+    rng = seeded_rng(52)
+    n = 128
+    a = rng.integers(-9, 10, (n, n))
+    b = rng.integers(-9, 10, (n, n))
+    c = rng.integers(-99, 100, (n, n))
+    pair = augment(a, b, c)
+    ctx = build_crt_basis(n, pair.magnitude_bound()).fields[0]
+    engine = CorrectionEngine(pair, n, ctx, {"evaluations": 0})
+    count = 64 * 64
+    tracemalloc.start()
+    try:
+        vals = engine.scratch_values(engine.root, 0, count, grid=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == (2, 2, count)
+    assert engine.stats["evaluations"] == 4 * count * (n + 64)
+    assert peak < 16 << 20, peak

@@ -80,6 +80,37 @@ def test_fingerprint_progression_in_row_blocks(monkeypatch, segment, chunk_point
     assert [int(v) for v in vals] == eval_fingerprint(rep, pts)
 
 
+def test_fingerprint_progression_grid_matches_sub_blocks():
+    # a 2 x 2 grid evaluates the four sub-blocks of a side-32 block of the
+    # augmented pair; -I rows reach only one column half of it
+    rng = seeded_rng(25)
+    n, side, count = 41, 32, 300
+    a = rng.integers(-9, 10, (n, n))
+    b = rng.integers(-9, 10, (n, n))
+    c = rng.integers(-999, 1000, (n, n))
+    left, right = augment(a, b, c).materialize()
+    ctx = build_crt_basis(n, 10**6).fields[0]
+    rep = fingerprint_rep(left, right, ctx, i_start=4, j_start=8, side=side)
+    stats = {}
+    vals = eval_fingerprint_progression(rep, 7, count, stats, grid=2)
+    assert vals.shape == (2, 2, count)
+    h = side // 2
+    pts = [pow(ctx.omega, 7 + k, ctx.p) for k in range(count)]
+    sub_stats = {}
+    for ai in range(2):
+        for bi in range(2):
+            sub = fingerprint_rep(left, right, ctx, 4 + ai * h, 8 + bi * h, h)
+            assert [int(v) for v in vals[ai, bi]] == eval_fingerprint(sub, pts)
+            one = eval_fingerprint_progression(sub, 7, count, sub_stats)
+            assert np.array_equal(one, vals[ai, bi])
+    assert stats["evaluations"] == sub_stats["evaluations"]
+    whole = eval_fingerprint_progression(rep, 7, count, grid=1)
+    assert [int(v) for v in whole] == eval_fingerprint(rep, pts)
+    assert eval_fingerprint_progression(rep, 7, 0, grid=2).shape == (2, 2, 0)
+    with pytest.raises(UsageError):
+        eval_fingerprint_progression(rep, 7, count, grid=3)
+
+
 def test_fingerprint_block_slicing():
     rng = seeded_rng(23)
     left = rng.integers(0, 17, (8, 8))
