@@ -3,7 +3,9 @@
 Verification work grows near-quadratically with n (t = n test values,
 each a polynomial evaluation), while recomputing the product grows
 cubically. The crossover on this machine typically lands around a few
-hundred; run with larger sizes to push the gap further.
+hundred; run with larger sizes to push the gap further. The limbs column
+gives, per CRT prime, how many float64 limbs the chirp kernel splits each
+residue into: one limb serves t = n up to n = 426.
 
 The second table times correction with t = n planted errors at n = 128
 and 256: each granularity step of the quadtree search evaluates the four
@@ -14,7 +16,16 @@ import time
 
 import numpy as np
 
-from matverify import correct_product, naive_multiply, seeded_rng, verify_product
+from matverify import (
+    augment,
+    build_crt_basis,
+    correct_product,
+    naive_multiply,
+    seeded_rng,
+    verify_product,
+)
+from matverify.matrix import next_pow2
+from matverify.poly import _limb_plan
 
 
 def median_of(fn, reps=3):
@@ -27,15 +38,19 @@ def median_of(fn, reps=3):
 
 
 rng = seeded_rng(12)
-print(f"{'n':>5} {'verify (s)':>12} {'recompute (s)':>14} {'ratio':>7}")
-for n in (64, 128, 256, 512):
+print(f"{'n':>5} {'verify (s)':>12} {'recompute (s)':>14} {'ratio':>7} {'limbs':>7}")
+for n in (64, 128, 256, 384, 512):
     a = rng.integers(-9, 10, (n, n))
     b = rng.integers(-9, 10, (n, n))
     c = naive_multiply(a, b).data
     verify_product(a, b, c, n)  # warm caches before timing
     tv = median_of(lambda: verify_product(a, b, c, n))
     tn = median_of(lambda: naive_multiply(a, b))
-    print(f"{n:>5} {tv:>12.4f} {tn:>14.4f} {tn / tv:>7.2f}")
+    basis = build_crt_basis(n, augment(a, b, c).magnitude_bound())
+    # t = n points against n coefficients: transforms of length 2n - 1
+    length = next_pow2(2 * n - 1)
+    limbs = ",".join(str(_limb_plan(f.p, length)[0]) for f in basis.fields)
+    print(f"{n:>5} {tv:>12.4f} {tn:>14.4f} {tn / tv:>7.2f} {limbs:>7}")
 
 print(f"\n{'n':>5} {'t':>5} {'correct_product (s)':>20} {'evaluations':>12}")
 for n in (128, 256):

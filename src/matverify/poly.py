@@ -1,14 +1,16 @@
 """Univariate polynomials over F_p: multiplication, long division,
 multipoint evaluation, and batch evaluation along geometric progressions via
 a chirp factorization of the exponents. Both fast paths run on one exact
-float64 FFT convolution of small-width limbs."""
+float64 FFT convolution of small-width limbs: one operand holds residues in
+[0, p), the other balanced residues in [-p/2, p/2], and the limb count
+follows from a rounding bound on those true magnitudes."""
 
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import InternalCheckError, ResourceLimitError, UsageError
-from .field import FieldCtx, geometric_fill, power_sequence, reduce_mod
+from .field import FieldCtx, geometric_fill, power_sequence
 from .matrix import next_pow2
 
 _TREE_THRESHOLD = 64   # below this, per-point Horner beats the subproduct tree
@@ -76,31 +78,48 @@ def _check_length(length: int) -> None:
 @lru_cache(maxsize=256)
 def _limb_plan(p: int, length: int) -> tuple[int, int]:
     """Fewest limbs, and their bit width, that make a float64 FFT
-    convolution of length `length` over limbs of residues mod p exact.
+    convolution of length `length` exact when one operand holds residues in
+    [0, p) and the other balanced residues in [-p/2, p/2].
 
     Percival's bound for an FFT convolution of length L = 2^m whose inputs
     are bounded by A and B is about L*A*B*eps*(13m + 3) to first order, for
-    eps = 2^-53 and twiddle factors correct to eps. One output weight sums
-    up to `limbs` limb products, which multiplies A*B by that factor. The
-    plan keeps the bound below 1/4: rounding is then exact, the exact sums
-    stay below 2^47 where a residual shows, and the check in
-    _spectral_product does not fire on a correct transform.
+    eps = 2^-53 and twiddle factors correct to eps. A and B are the largest
+    limb magnitudes: p - 1 and p // 2 for a single limb, 2^width each for
+    several (the top limb of a balanced residue is an arithmetic shift, so
+    it stays within 2^width too). One output weight sums up to `limbs` limb
+    products, which multiplies A*B by that factor. The plan keeps the bound
+    below 1/4: rounding is then exact, the exact sums stay below 2^47 where
+    a residual shows, and the check in _spectral_product does not fire on a
+    correct transform.
     """
     bits = (p - 1).bit_length()
     m = max(length.bit_length() - 1, 1)
     for limbs in range(1, bits + 1):
         width = -(-bits // limbs)
-        if limbs * length * 4.0**width * (13 * m + 3) * 2.0**-53 < 0.25:
+        mags = (p - 1) * (p // 2) if limbs == 1 else 4**width
+        if limbs * length * mags * (13 * m + 3) * 2.0**-53 < 0.25:
             return limbs, width
     raise ResourceLimitError(f"no exact limb split at transform length {length}")
 
 
+def _balanced(x: np.ndarray, p: int) -> np.ndarray:
+    """Residues in [0, p) mapped to their representatives in [-p/2, p/2]."""
+    return np.where(x > p // 2, x - p, x)
+
+
+def _limbs(x: np.ndarray, limbs: int, width: int) -> list[np.ndarray]:
+    """Limbs of x, low first, with sum_j limb_j * 2^(width*j) = x. The low
+    limbs are masked into [0, 2^width); the top limb is an arithmetic shift,
+    so it carries the sign of a balanced residue."""
+    mask = (1 << width) - 1
+    low = [(x >> (width * j)) & mask for j in range(limbs - 1)]
+    return low + [x >> (width * (limbs - 1))]
+
+
 def _limb_spectra(x: np.ndarray, length: int, p: int) -> list[np.ndarray]:
     """rfft, zero-padded to `length`, of each limb of the residues x (taken
-    along the last axis)."""
-    limbs, width = _limb_plan(p, length)
-    mask = (1 << width) - 1
-    return [np.fft.rfft((x >> (width * j)) & mask, length) for j in range(limbs)]
+    along the last axis); x may hold balanced residues."""
+    return [np.fft.rfft(part, length) for part in _limbs(x, *_limb_plan(p, length))]
 
 
 def _spectral_product(xs, ys, length: int, lo: int, hi: int, p: int) -> np.ndarray:
@@ -153,7 +172,7 @@ def poly_mul(f: Poly, g: Poly) -> Poly:
     length = next_pow2(total)
     _check_length(length)
     xs = _limb_spectra(f.coeffs, length, p)
-    ys = _limb_spectra(g.coeffs, length, p)
+    ys = _limb_spectra(_balanced(g.coeffs, p), length, p)
     return Poly(_spectral_product(xs, ys, length, 0, total, p), f.ctx)
 
 
@@ -256,8 +275,8 @@ def multipoint_eval(f: Poly, points) -> list[int]:
 
 class _ChirpTables:
     """Cached powers ratio^(+-T(k)) for triangular numbers T(k) = k(k+1)/2,
-    plus the limb spectra of the kernel ratio^T(0..L-1) per transform
-    length L, keyed per (p, ratio)."""
+    plus the limb spectra of the kernel ratio^T(0..L-1), as balanced
+    residues, per transform length L, keyed per (p, ratio)."""
 
     __slots__ = ("p", "ratio", "ratio_inv", "fwd", "inv", "_spectra")
 
@@ -286,7 +305,8 @@ class _ChirpTables:
         spec = self._spectra.get(length)
         if spec is None:
             self.ensure(length)
-            spec = _limb_spectra(self.fwd[:length], length, self.p)
+            kernel = _balanced(self.fwd[:length], self.p)
+            spec = _limb_spectra(kernel, length, self.p)
             if len(self._spectra) >= 8:
                 self._spectra.pop(next(iter(self._spectra)))
             self._spectra[length] = spec
@@ -326,7 +346,9 @@ def rows_per_block(n: int, count: int) -> int:
 def progression_eval(coeffs, first: int, ratio: int, count: int, p: int) -> np.ndarray:
     """Values sum_i c[i] * (first * ratio^u)^i for u = 0..count-1, for one
     coefficient vector (shape (count,)) or for every row of a 2-d array
-    (shape (rows, count)).
+    (shape (rows, count)). Coefficients are residues in [0, p): Poly and
+    fingerprint_rep reduce once at the public entry, so the row blocks that
+    callers feed through here are not scanned again.
 
     Word-size moduli with a nonzero ratio take the chirp transform: the
     identity i*u = T(i+u) - T(i) - T(u) turns every row into a correlation
@@ -346,11 +368,11 @@ def progression_eval(coeffs, first: int, ratio: int, count: int, p: int) -> np.n
     if p >= _WORD or ratio == 0:
         pts = power_sequence(ratio, count, p) * first % p
         out = np.empty((len(rows), count), dtype=pts.dtype)
-        for k, row in enumerate(rows if p >= _WORD else reduce_mod(rows, p)):
+        for k, row in enumerate(rows):
             out[k] = horner_many(row, pts, p)
         return out.reshape(coeffs.shape[:-1] + (count,))
 
-    rows = reduce_mod(rows, p)
+    rows = rows.astype(np.int64, copy=False)
     out = np.zeros((len(rows), count), dtype=np.int64)
     nnz = np.count_nonzero(rows, axis=1)
     mono = np.nonzero(nnz == 1)[0]

@@ -6,6 +6,7 @@ from matverify import (
     InternalCheckError,
     Poly,
     ResourceLimitError,
+    build_crt_basis,
     eval_on_progression,
     horner_eval,
     multipoint_eval,
@@ -187,3 +188,108 @@ def test_kernel_rejects_inexact_rounding(monkeypatch):
         eval_on_progression(f, 1, 3, 50)
     with pytest.raises(InternalCheckError):
         poly_mul(f, f)
+
+
+def test_limb_plan_pins():
+    # one limb serves t = n up to 426 at L = 1024; wider primes and the
+    # largest word prime at L = 4096 keep their split
+    assert poly._limb_plan(147457, 1024) == (1, 18)      # n = 384
+    assert poly._limb_plan(181499, 1024) == (1, 18)      # n = 426
+    assert poly._limb_plan(182333, 1024)[0] == 2         # n = 427
+    assert poly._limb_plan(262147, 1024)[0] == 2         # n = 512
+    assert poly._limb_plan((1 << 31) - 1, 4096)[0] == 3
+
+
+def _assumed_magnitudes(p, limbs, width):
+    # largest limb of a residue in [0, p) and of a balanced residue
+    return (p - 1, p // 2) if limbs == 1 else (1 << width, 1 << width)
+
+
+def _bound(limbs, length, a, b):
+    m = length.bit_length() - 1
+    return limbs * length * a * b * (13 * m + 3) * 2.0**-53
+
+
+def test_limb_plans_meet_the_bound_on_the_magnitudes_they_assume():
+    primes = {(1 << 31) - 1}
+    for n in (96, 128, 256, 320, 384, 426, 427, 512, 1024):
+        primes.update(f.p for f in build_crt_basis(n, 10**30).fields)
+    for p in sorted(primes):
+        bits = (p - 1).bit_length()
+        extremes = np.array([0, p - 1])
+        balanced = np.array([-(p // 2), p // 2])
+        edges = poly._balanced(np.array([0, p // 2, p // 2 + 1, p - 1]), p)
+        assert np.array_equal(edges, [0, p // 2, -(p // 2), -1])
+        for length in (1 << m for m in range(4, 23)):
+            limbs, width = poly._limb_plan(p, length)
+            a, b = _assumed_magnitudes(p, limbs, width)
+            assert _bound(limbs, length, a, b) < 0.25, (p, length)
+            for x, bound in ((extremes, a), (balanced, b)):
+                parts = poly._limbs(x, limbs, width)
+                assert max(int(np.abs(part).max()) for part in parts) <= bound
+                weights = [1 << (width * j) for j in range(limbs)]
+                assert np.array_equal(sum(w * q for w, q in zip(weights, parts)), x)
+            if limbs > 1:   # and no fewer limbs would do
+                fewer = -(-bits // (limbs - 1))
+                a, b = _assumed_magnitudes(p, limbs - 1, fewer)
+                assert _bound(limbs - 1, length, a, b) >= 0.25, (p, length)
+
+
+def _cyclic(x, y):
+    full = np.convolve(x, y)
+    out = full[: len(x)].copy()
+    out[: len(full) - len(x)] += full[len(x) :]
+    return out
+
+
+def test_spectral_product_exact_at_worst_case_magnitudes():
+    # every row residue p - 1 against a kernel of all -(p - 1)/2: each
+    # output sums L products of the largest magnitudes the one-limb plan
+    # allows; the second kernel scrambles the signs
+    p, length = 147457, 1024
+    assert poly._limb_plan(p, length)[0] == 1
+    rng = seeded_rng(35)
+    rows = np.full((2, length), p - 1, dtype=np.int64)
+    rows[1, rng.random(length) < 0.5] = 0
+    for kernel in (np.full(length, -(p // 2)),
+                   rng.choice([-(p // 2), p // 2], length)):
+        xs = poly._limb_spectra(rows, length, p)
+        ys = poly._limb_spectra(kernel, length, p)
+        got = poly._spectral_product(xs, ys, length, 0, length, p)
+        for row, vals in zip(rows, got):
+            assert np.array_equal(vals, _cyclic(row, kernel) % p)
+
+
+def test_poly_mul_worst_case_in_one_limb():
+    # 500 x 500 coefficients fill a transform of length 1024, which took two
+    # limbs before the plan used true magnitudes
+    p = 147457
+    ctx = FieldCtx(p, 10, order_lb=2)
+    f = [p - 1] * 500
+    assert poly._limb_plan(p, 1024)[0] == 1
+    got = poly_mul(Poly(f, ctx), Poly(f, ctx))
+    assert np.array_equal(got.coeffs, poly._convolve_object(f, f, p))
+
+
+def test_convolution_operands_have_the_planned_magnitudes(monkeypatch):
+    # every caller of the convolution feeds one operand of residues in
+    # [0, p) and one of balanced residues, as _limb_plan assumes
+    seen = []
+    limb_spectra = poly._limb_spectra
+
+    def record(x, length, p):
+        seen.append((int(np.min(x)), int(np.max(x))))
+        return limb_spectra(x, length, p)
+
+    monkeypatch.setattr(poly, "_limb_spectra", record)
+    monkeypatch.setattr(poly, "_CHIRP_CACHE", {})   # the kernel spectrum too
+    p = 147457
+    rows = np.full((3, 300), p - 1)
+    rows[1, ::2] = 0
+    progression_eval(rows, 5, 10, 300, p)
+    f = Poly([p - 1] * 100 + [p // 2 + 1] * 100, FieldCtx(p, 10, order_lb=2))
+    poly_mul(f, f)
+    assert len(seen) == 4       # kernel and rows, then both factors
+    for pair in (seen[:2], seen[2:]):
+        assert all(-(p // 2) <= lo and hi < p for lo, hi in pair)
+        assert min(max(-lo, hi) for lo, hi in pair) <= p // 2
