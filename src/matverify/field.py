@@ -10,7 +10,15 @@ import numpy as np
 from .errors import ResourceLimitError, UsageError
 
 _SIEVE_BUDGET = 1 << 27      # flags per segmented-sieve call (~128 MiB)
-_GENERATOR_LIMIT = 1 << 31   # trial division to sqrt(p) stays below 2^15 steps
+WORD = 1 << 31               # every modulus is below this: residue products fit
+                             # in int64, trial division stays below 2^15 steps
+
+
+def check_word(p: int) -> None:
+    """Refuse a modulus below 2, which has no residues to work with, or of
+    WORD or more, whose residue products would overflow int64."""
+    if not 2 <= p < WORD:
+        raise UsageError(f"modulus {p} is outside [2, 2^31)")
 
 
 def sieve_primes_in_range(lo: int, hi: int) -> list[int]:
@@ -60,30 +68,23 @@ def _prime_factors(n: int) -> list[int]:
 def _cyclic_subgroup(a: int, p: int) -> np.ndarray:
     """All distinct powers of a modulo p, starting at a^0 = 1."""
     a %= p
+    arr = np.array([1], dtype=np.int64)
     if a == 1:
-        return np.array([1], dtype=np.int64)
-    if p < 1 << 31:
-        arr = np.array([1], dtype=np.int64)
-        while True:
-            step = int(arr[-1]) * a % p       # a^len(arr)
-            block = arr * step % p
-            hits = np.nonzero(block == 1)[0]
-            if hits.size:
-                return np.concatenate([arr, block[: hits[0]]])
-            arr = np.concatenate([arr, block])
-    powers = [1]
-    x = a
-    while x != 1:
-        powers.append(x)
-        x = x * a % p
-    return np.array(powers, dtype=object)
+        return arr
+    while True:
+        step = int(arr[-1]) * a % p       # a^len(arr)
+        block = arr * step % p
+        hits = np.nonzero(block == 1)[0]
+        if hits.size:
+            return np.concatenate([arr, block[: hits[0]]])
+        arr = np.concatenate([arr, block])
 
 
 @lru_cache(maxsize=256)
 def find_generator(p: int) -> int:
     """The least generator of the multiplicative group mod p: the least g
     with g^((p-1)/q) != 1 for every prime q dividing p - 1."""
-    if p > _GENERATOR_LIMIT:
+    if p >= WORD:
         raise ResourceLimitError(f"trial division of {p} exceeds the word-size bound")
     if p < 3 or _prime_factors(p) != [p]:
         raise UsageError(f"{p} is not a prime >= 3")
@@ -96,6 +97,7 @@ def find_generator(p: int) -> int:
 
 def multiplicative_order(x: int, p: int) -> int:
     """Exhaustively computed order of x in the multiplicative group mod p."""
+    check_word(p)
     if x % p == 0:
         raise UsageError("0 is not a group element")
     return len(_cyclic_subgroup(x, p))
@@ -129,14 +131,8 @@ def power_sequence(base: int, count: int, p: int) -> np.ndarray:
     """[base^0, base^1, ..., base^(count-1)] mod p."""
     if count < 0:
         raise UsageError("count must be >= 0")
+    check_word(p)
     base %= p
-    if p >= 1 << 31:
-        out = np.empty(count, dtype=object)
-        acc = 1 % p
-        for i in range(count):
-            out[i] = acc
-            acc = acc * base % p
-        return out
     out = np.empty(count, dtype=np.int64)
     out[:1] = 1 % p
     return geometric_fill(out, base, p)
@@ -152,6 +148,7 @@ class FieldCtx:
     order_lb: int = 1
 
     def __post_init__(self):
+        check_word(self.p)
         if not 0 < self.omega < self.p:
             raise UsageError("omega must be a nonzero residue")
 

@@ -245,10 +245,6 @@ class AugmentedPair:
     def side(self) -> int:
         return self.a.rows
 
-    @property
-    def inner_dim(self) -> int:
-        return 2 * self.a.cols
-
     def magnitude_bound(self) -> int:
         """Upper bound on |entry| of the augmented product, valid even after
         C is overwritten with true inner products during correction."""

@@ -3,7 +3,9 @@ multipoint evaluation, and batch evaluation along geometric progressions via
 a chirp factorization of the exponents. Both fast paths run on one exact
 float64 FFT convolution of small-width limbs: one operand holds residues in
 [0, p), the other balanced residues in [-p/2, p/2], and the limb count
-follows from a rounding bound on those true magnitudes."""
+follows from a rounding bound on those true magnitudes. FieldCtx refuses
+moduli of field.WORD = 2^31 and up, so the product of two residues fits in
+int64 and all arithmetic here runs on int64 arrays."""
 
 from functools import lru_cache
 
@@ -15,8 +17,6 @@ from .matrix import next_pow2
 
 _TREE_THRESHOLD = 64   # below this, per-point Horner beats the subproduct tree
 _SCHOOLBOOK_DEG = 32   # below this, plain convolution beats the FFT
-
-_WORD = 1 << 31        # moduli above this take the slow exact paths
 _SEGMENT = 1 << 15     # progression points per transform, unless rows are longer
 _FFT_LIMIT = 1 << 22   # longest transform the kernel allocates
 _CHUNK_POINTS = 1 << 14  # rows x transform length per batch: bounds the workspace
@@ -145,18 +145,6 @@ def _spectral_product(xs, ys, length: int, lo: int, hi: int, p: int) -> np.ndarr
     return out
 
 
-def _convolve_object(a, b, p: int) -> np.ndarray:
-    av = [int(x) for x in a]
-    bv = [int(x) for x in b]
-    out = [0] * (len(av) + len(bv) - 1)
-    for i, ai in enumerate(av):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(bv):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return np.array(out, dtype=np.int64)
-
-
 def poly_mul(f: Poly, g: Poly) -> Poly:
     """Exact product over F_p."""
     _same_ctx(f, g)
@@ -164,8 +152,6 @@ def poly_mul(f: Poly, g: Poly) -> Poly:
     if f.is_zero or g.is_zero:
         return Poly([0], f.ctx)
     la, lb = len(f.coeffs), len(g.coeffs)
-    if p >= _WORD:
-        return Poly(_convolve_object(f.coeffs, g.coeffs, p), f.ctx)
     if min(la, lb) <= _SCHOOLBOOK_DEG and min(la, lb) * (p - 1) ** 2 < 1 << 63:
         return Poly(np.convolve(f.coeffs, g.coeffs) % p, f.ctx)
     total = la + lb - 1
@@ -186,25 +172,14 @@ def poly_divrem(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     if f.is_zero or f.degree < dg:
         return Poly([0], f.ctx), f
     lead_inv = pow(int(g.coeffs[-1]), -1, p)
-    if p < _WORD:
-        rem = f.coeffs.copy()
-        div = g.coeffs
-        q = np.zeros(f.degree - dg + 1, dtype=np.int64)
-        for i in range(f.degree, dg - 1, -1):
-            c = int(rem[i]) * lead_inv % p
-            if c:
-                q[i - dg] = c
-                rem[i - dg : i + 1] = (rem[i - dg : i + 1] - c * div) % p
-        return Poly(q, f.ctx), Poly(rem[:dg] if dg else [0], f.ctx)
-    rem = [int(x) for x in f.coeffs]
-    div = [int(x) for x in g.coeffs]
-    q = [0] * (f.degree - dg + 1)
+    rem = f.coeffs.copy()
+    div = g.coeffs
+    q = np.zeros(f.degree - dg + 1, dtype=np.int64)
     for i in range(f.degree, dg - 1, -1):
-        c = rem[i] * lead_inv % p
+        c = int(rem[i]) * lead_inv % p
         if c:
             q[i - dg] = c
-            for s, dv in enumerate(div):
-                rem[i - dg + s] = (rem[i - dg + s] - c * dv) % p
+            rem[i - dg : i + 1] = (rem[i - dg : i + 1] - c * div) % p
     return Poly(q, f.ctx), Poly(rem[:dg] if dg else [0], f.ctx)
 
 
@@ -220,16 +195,6 @@ def horner_eval(f: Poly, x: int) -> int:
 
 def horner_many(coeffs, pts: np.ndarray, p: int) -> np.ndarray:
     """Horner's scheme run across a whole vector of points at once."""
-    if p >= _WORD:
-        out = np.empty(len(pts), dtype=object)
-        rev = [int(c) for c in coeffs][::-1]
-        for m, x in enumerate(pts):
-            acc = 0
-            x = int(x)
-            for c in rev:
-                acc = (acc * x + c) % p
-            out[m] = acc
-        return out
     acc = np.zeros(len(pts), dtype=np.int64)
     for c in coeffs[::-1]:
         acc = (acc * pts + int(c)) % p
@@ -268,7 +233,7 @@ def multipoint_eval(f: Poly, points) -> list[int]:
     pts = np.array([int(x) % p for x in points], dtype=np.int64)
     if pts.size == 0:
         return []
-    if pts.size < _TREE_THRESHOLD or f.degree < _TREE_THRESHOLD or p >= _WORD:
+    if pts.size < _TREE_THRESHOLD or f.degree < _TREE_THRESHOLD:
         return [int(v) for v in horner_many(f.coeffs, pts, p)]
     return [int(v) for v in _tree_descend(_subproduct_tree(pts, f.ctx), f)]
 
@@ -350,12 +315,12 @@ def progression_eval(coeffs, first: int, ratio: int, count: int, p: int) -> np.n
     fingerprint_rep reduce once at the public entry, so the row blocks that
     callers feed through here are not scanned again.
 
-    Word-size moduli with a nonzero ratio take the chirp transform: the
-    identity i*u = T(i+u) - T(i) - T(u) turns every row into a correlation
-    against the one cached kernel ratio^T(0..), run as batched float64 FFTs
-    in blocks of rows and of points so the workspace stays bounded. Rows
-    with a single nonzero coefficient are plain geometric sequences. Other
-    moduli, and ratio 0, use Horner's scheme with exact integers.
+    A nonzero ratio takes the chirp transform: the identity i*u = T(i+u) -
+    T(i) - T(u) turns every row into a correlation against the one cached
+    kernel ratio^T(0..), run as batched float64 FFTs in blocks of rows and
+    of points so the workspace stays bounded. Rows with a single nonzero
+    coefficient are plain geometric sequences. Ratio 0 leaves at most two
+    distinct points, which Horner's scheme evaluates in int64.
     """
     if count < 0:
         raise UsageError("count must be >= 0")
@@ -365,9 +330,9 @@ def progression_eval(coeffs, first: int, ratio: int, count: int, p: int) -> np.n
     rows = np.atleast_2d(coeffs)
     first = int(first) % p
     ratio = int(ratio) % p
-    if p >= _WORD or ratio == 0:
+    if ratio == 0:
         pts = power_sequence(ratio, count, p) * first % p
-        out = np.empty((len(rows), count), dtype=pts.dtype)
+        out = np.empty((len(rows), count), dtype=np.int64)
         for k, row in enumerate(rows):
             out[k] = horner_many(row, pts, p)
         return out.reshape(coeffs.shape[:-1] + (count,))

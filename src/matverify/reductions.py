@@ -9,16 +9,16 @@ import numpy as np
 
 from .errors import ResourceLimitError, UsageError
 from .field import FieldCtx, reduce_mod
-from .matrix import as_matrix, square_matrices
+from .matrix import IntMatrix, square_matrices
 
 _PAIR_BUDGET = 10**7
 
 
-def _boolean(m, name: str) -> np.ndarray:
-    m = as_matrix(m)
-    if m.data.dtype == object or not np.isin(m.data, (0, 1)).all():
+def _boolean(m: IntMatrix, name: str) -> np.ndarray:
+    d = m.data
+    if not ((d == 0) | (d == 1)).all():
         raise UsageError(f"{name} must be a 0/1 matrix")
-    return m.data
+    return d
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,11 @@ class OnesCertificate:
 
 def bmm_ones_certificate(a, b, c) -> OnesCertificate:
     """Check every C[i,j] = 1 by exhibiting a product witness."""
+    a, b, c, n = square_matrices(a, b, c)
     av, bv, cv = _boolean(a, "A"), _boolean(b, "B"), _boolean(c, "C")
-    n = av.shape[0]
     witnesses: dict[tuple[int, int], int] = {}
     for i in range(n):
-        for j in range(cv.shape[1]):
+        for j in range(n):
             if cv[i, j] != 1:
                 continue
             hit = np.nonzero(av[i] & bv[:, j])[0]

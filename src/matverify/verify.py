@@ -97,12 +97,14 @@ def eval_fingerprint_progression(
     """
     ctx = rep.ctx
     p = ctx.p
+    if count < 0:
+        raise UsageError("count must be >= 0")
     if grid < 1 or rep.side % grid:
         raise UsageError("grid must divide the block side")
     side = rep.side // grid
-    acc = np.zeros((grid, grid, max(count, 0)), dtype=np.int64)
+    acc = np.zeros((grid, grid, count), dtype=np.int64)
     out = acc[0, 0] if grid == 1 else acc   # a view: acc is updated in place
-    if count <= 0:
+    if count == 0:
         return out
     first_q = pow(ctx.omega, start_exp, p)
     ratio_r = pow(ctx.omega, side, p)

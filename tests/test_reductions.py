@@ -60,6 +60,17 @@ def test_rejects_non_boolean():
         bmm_zeroes_to_3sum(eye, bad, eye)
 
 
+def test_ones_certificate_checks_shapes():
+    eye2, eye3 = np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int64)
+    tall = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int64)
+    with pytest.raises(UsageError):
+        bmm_ones_certificate(eye2, eye2, tall)      # C 3x2 against 2x2 factors
+    with pytest.raises(UsageError):
+        bmm_ones_certificate(np.ones((2, 3), dtype=np.int64), eye2, eye2)
+    with pytest.raises(UsageError):
+        bmm_ones_certificate(eye3, eye3, eye2)      # C smaller than A
+
+
 def test_three_sum_golden_n1():
     inst = bmm_zeroes_to_3sum([[1]], [[1]], [[0]])
     assert inst.base == 4

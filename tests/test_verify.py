@@ -107,6 +107,9 @@ def test_fingerprint_progression_grid_matches_sub_blocks():
     whole = eval_fingerprint_progression(rep, 7, count, grid=1)
     assert [int(v) for v in whole] == eval_fingerprint(rep, pts)
     assert eval_fingerprint_progression(rep, 7, 0, grid=2).shape == (2, 2, 0)
+    for grid in (1, 2):
+        with pytest.raises(UsageError):
+            eval_fingerprint_progression(rep, 7, -1, grid=grid)
     with pytest.raises(UsageError):
         eval_fingerprint_progression(rep, 7, count, grid=3)
 
