@@ -14,6 +14,14 @@ _ACC_CAP = 1 << 127    # accumulator cap for exact integer products
 _I64_SAFE = 1 << 62
 
 
+def exact_ints(arr: np.ndarray, what: str) -> list[int]:
+    """Entries of arr as Python ints; a non-integer raises, not truncates."""
+    flat = arr.ravel().tolist()
+    if not all(isinstance(v, (int, np.integer)) for v in flat):
+        raise UsageError(f"{what} must be integers")
+    return [int(v) for v in flat]
+
+
 class IntMatrix:
     """Row-major signed integer matrix; max_abs upper-bounds every |entry|
     and is maintained on every write."""
@@ -24,14 +32,14 @@ class IntMatrix:
         arr = np.asarray(data)
         if arr.ndim != 2 or arr.size == 0:
             raise UsageError("matrix must be 2-dimensional and nonempty")
-        if arr.dtype == object:
-            arr = arr.copy()
-            actual = max(abs(int(v)) for v in arr.flat)
-            if actual < _I64_SAFE:
-                arr = arr.astype(np.int64)
-        else:
+        if arr.dtype.kind in "bi":
             arr = arr.astype(np.int64, copy=True)
             actual = max(int(arr.max()), -int(arr.min()), 0) if arr.size else 0
+        else:   # exact Python ints, so unsigned values do not wrap
+            flat = exact_ints(arr, "matrix entries")
+            actual = max(abs(v) for v in flat)
+            dtype = np.int64 if actual < _I64_SAFE else object
+            arr = np.array(flat, dtype=dtype).reshape(arr.shape)
         self.data = arr
         self.max_abs = int(max_abs) if max_abs is not None else actual
         if self.max_abs < actual:

@@ -1,11 +1,11 @@
 """Univariate polynomials over F_p: multiplication, long division,
-multipoint evaluation, and batch evaluation along geometric progressions via
-a chirp factorization of the exponents. Both fast paths run on one exact
-float64 FFT convolution of small-width limbs: one operand holds residues in
-[0, p), the other balanced residues in [-p/2, p/2], and the limb count
-follows from a rounding bound on those true magnitudes. FieldCtx refuses
-moduli of field.WORD = 2^31 and up, so the product of two residues fits in
-int64 and all arithmetic here runs on int64 arrays."""
+multipoint evaluation, and batch evaluation along geometric progressions by
+the chirp transform, whose tables are cached per (p, ratio, transform
+length) in one bounded LRU. Both fast paths run on one exact float64 FFT
+convolution of small-width limbs: one operand holds residues in [0, p), the
+other balanced residues in [-p/2, p/2], and the limb count follows from a
+rounding bound on those true magnitudes. Moduli are below field.WORD = 2^31,
+so residue products fit in int64 and all arithmetic runs on int64 arrays."""
 
 from functools import lru_cache
 
@@ -13,10 +13,9 @@ import numpy as np
 
 from .errors import InternalCheckError, ResourceLimitError, UsageError
 from .field import FieldCtx, geometric_fill, power_sequence
-from .matrix import next_pow2
+from .matrix import exact_ints, next_pow2
 
 _TREE_THRESHOLD = 64   # below this, per-point Horner beats the subproduct tree
-_SCHOOLBOOK_DEG = 32   # below this, plain convolution beats the FFT
 _SEGMENT = 1 << 15     # progression points per transform, unless rows are longer
 _FFT_LIMIT = 1 << 22   # longest transform the kernel allocates
 _CHUNK_POINTS = 1 << 14  # rows x transform length per batch: bounds the workspace
@@ -38,7 +37,7 @@ class Poly:
         if arr.size and arr.dtype.kind == "i":
             arr = arr.astype(np.int64) % ctx.p
         else:
-            arr = np.array([int(c) % ctx.p for c in coeffs], dtype=np.int64)
+            arr = np.array([c % ctx.p for c in exact_ints(arr, "coefficients")], np.int64)
         nz = np.nonzero(arr)[0]
         self.coeffs = arr[: int(nz[-1]) + 1] if nz.size else np.zeros(1, np.int64)
         self.ctx = ctx
@@ -149,12 +148,7 @@ def poly_mul(f: Poly, g: Poly) -> Poly:
     """Exact product over F_p."""
     _same_ctx(f, g)
     p = f.ctx.p
-    if f.is_zero or g.is_zero:
-        return Poly([0], f.ctx)
-    la, lb = len(f.coeffs), len(g.coeffs)
-    if min(la, lb) <= _SCHOOLBOOK_DEG and min(la, lb) * (p - 1) ** 2 < 1 << 63:
-        return Poly(np.convolve(f.coeffs, g.coeffs) % p, f.ctx)
-    total = la + lb - 1
+    total = len(f.coeffs) + len(g.coeffs) - 1
     length = next_pow2(total)
     _check_length(length)
     xs = _limb_spectra(f.coeffs, length, p)
@@ -231,65 +225,30 @@ def multipoint_eval(f: Poly, points) -> list[int]:
     threshold, per-point Horner below it. Identical values either way."""
     p = f.ctx.p
     pts = np.array([int(x) % p for x in points], dtype=np.int64)
-    if pts.size == 0:
-        return []
     if pts.size < _TREE_THRESHOLD or f.degree < _TREE_THRESHOLD:
         return [int(v) for v in horner_many(f.coeffs, pts, p)]
     return [int(v) for v in _tree_descend(_subproduct_tree(pts, f.ctx), f)]
 
 
-class _ChirpTables:
-    """Cached powers ratio^(+-T(k)) for triangular numbers T(k) = k(k+1)/2,
-    plus the limb spectra of the kernel ratio^T(0..L-1), as balanced
-    residues, per transform length L, keyed per (p, ratio)."""
-
-    __slots__ = ("p", "ratio", "ratio_inv", "fwd", "inv", "_spectra")
-
-    def __init__(self, p: int, ratio: int):
-        self.p = p
-        self.ratio = ratio % p
-        self.ratio_inv = pow(self.ratio, -1, p)
-        self.fwd = np.array([1], dtype=np.int64)
-        self.inv = np.array([1], dtype=np.int64)
-        self._spectra: dict[int, list[np.ndarray]] = {}
-
-    def ensure(self, length: int) -> None:
-        # grow by doubling using T(k+j) = T(k) + T(j) + k*j
-        p = self.p
-        while len(self.fwd) < length:
-            k = len(self.fwd)
-            tk = (k * (k + 1) // 2) % (p - 1)
-            fk = pow(self.ratio, tk, p)
-            ik = pow(fk, -1, p)
-            geo_f = power_sequence(pow(self.ratio, k, p), k, p)
-            geo_i = power_sequence(pow(self.ratio_inv, k, p), k, p)
-            self.fwd = np.concatenate([self.fwd, self.fwd * fk % p * geo_f % p])
-            self.inv = np.concatenate([self.inv, self.inv * ik % p * geo_i % p])
-
-    def spectrum(self, length: int) -> list[np.ndarray]:
-        spec = self._spectra.get(length)
-        if spec is None:
-            self.ensure(length)
-            kernel = _balanced(self.fwd[:length], self.p)
-            spec = _limb_spectra(kernel, length, self.p)
-            if len(self._spectra) >= 8:
-                self._spectra.pop(next(iter(self._spectra)))
-            self._spectra[length] = spec
-        return spec
+@lru_cache(maxsize=64)
+def _chirp(p: int, ratio: int, length: int):
+    """Chirp table of a nonzero ratio at one transform length: the limb
+    spectra of the kernel ratio^T(k) as balanced residues, the inverse chirp
+    ratio^-T(k) and the powers ratio^k, for k < length."""
+    kernel = _balanced(_triangular_powers(ratio, length, p), p)
+    inv = _triangular_powers(pow(ratio, -1, p), length, p)
+    return _limb_spectra(kernel, length, p), inv, power_sequence(ratio, length, p)
 
 
-_CHIRP_CACHE: dict[tuple[int, int], _ChirpTables] = {}
-
-
-def _chirp_tables(p: int, ratio: int) -> _ChirpTables:
-    key = (p, ratio)
-    tbl = _CHIRP_CACHE.get(key)
-    if tbl is None:
-        if len(_CHIRP_CACHE) >= 64:
-            _CHIRP_CACHE.pop(next(iter(_CHIRP_CACHE)))
-        tbl = _ChirpTables(p, ratio)
-        _CHIRP_CACHE[key] = tbl
-    return tbl
+def _triangular_powers(base: int, length: int, p: int) -> np.ndarray:
+    """base^T(k) mod p for k < length, T(k) = k(k+1)/2, grown by doubling."""
+    out = np.ones(1, dtype=np.int64)
+    while len(out) < length:
+        k = len(out)
+        # base^T(k + j) = base^T(j) * base^T(k) * (base^k)^j
+        cross = power_sequence(pow(base, k, p), k, p) * pow(base, k * (k + 1) // 2, p) % p
+        out = np.concatenate([out, out * cross % p])
+    return out[:length]
 
 
 def _segment(n: int, count: int) -> tuple[int, int]:
@@ -316,11 +275,12 @@ def progression_eval(coeffs, first: int, ratio: int, count: int, p: int) -> np.n
     callers feed through here are not scanned again.
 
     A nonzero ratio takes the chirp transform: the identity i*u = T(i+u) -
-    T(i) - T(u) turns every row into a correlation against the one cached
-    kernel ratio^T(0..), run as batched float64 FFTs in blocks of rows and
-    of points so the workspace stays bounded. Rows with a single nonzero
-    coefficient are plain geometric sequences. Ratio 0 leaves at most two
-    distinct points, which Horner's scheme evaluates in int64.
+    T(i) - T(u) turns every row into a correlation against the kernel
+    ratio^T(0..) of the one cached table per (p, ratio, transform length),
+    run as batched float64 FFTs in blocks of rows and of points so the
+    workspace stays bounded. Rows with a single nonzero coefficient are
+    geometric sequences whose ratios come from the same table. Ratio 0
+    leaves at most two distinct points, which Horner evaluates in int64.
     """
     if count < 0:
         raise UsageError("count must be >= 0")
@@ -346,10 +306,9 @@ def progression_eval(coeffs, first: int, ratio: int, count: int, p: int) -> np.n
         return out.reshape(coeffs.shape[:-1] + (count,))
     n = int(np.nonzero(rows.any(axis=0))[0][-1]) + 1
     seg, length = _segment(n, count)
+    kernel, inv, pows = _chirp(p, ratio, length)
     exps = np.argmax(rows[mono] != 0, axis=1)
     lone = rows[mono, exps]
-    base = power_sequence(ratio, n, p)[exps] if mono.size else None
-    tbl = _chirp_tables(p, ratio)
     step = rows_per_block(n, count)
     for u0 in range(0, count, seg):
         cnt = min(seg, count - u0)
@@ -357,17 +316,14 @@ def progression_eval(coeffs, first: int, ratio: int, count: int, p: int) -> np.n
         if mono.size:
             geo = np.empty((mono.size, cnt), dtype=np.int64)
             geo[:, 0] = lone * fpow[exps] % p
-            out[mono, u0 : u0 + cnt] = geometric_fill(geo, base[:, None], p)
-        if not dense.size:
-            continue
-        kernel = tbl.spectrum(length)
-        scale = fpow * tbl.inv[:n] % p
+            out[mono, u0 : u0 + cnt] = geometric_fill(geo, pows[exps][:, None], p)
+        scale = fpow * inv[:n] % p
         for r0 in range(0, dense.size, step):
             idx = dense[r0 : r0 + step]
             b = rows[idx, :n] * scale % p
             xs = _limb_spectra(b[:, ::-1], length, p)
             vals = _spectral_product(xs, kernel, length, n - 1, n - 1 + cnt, p)
-            out[idx, u0 : u0 + cnt] = vals * tbl.inv[:cnt] % p
+            out[idx, u0 : u0 + cnt] = vals * inv[:cnt] % p
     return out.reshape(coeffs.shape[:-1] + (count,))
 
 

@@ -13,6 +13,7 @@ from matverify import (
     pad_to_pow2,
     read_matrix,
     seeded_rng,
+    verify_product,
     write_matrix,
 )
 
@@ -94,6 +95,32 @@ def test_parse_error_carries_line_number(tmp_path):
     with pytest.raises(MatrixParseError) as err:
         read_matrix(path)
     assert err.value.line_no == 4
+
+
+def test_matrix_refuses_non_integers_and_keeps_unsigned_exact():
+    # floats used to be truncated and large unsigned values wrapped, so a
+    # C off by 0.5, or one of 2^64 - 1 read as -1, passed verification
+    for bad in (np.array([[1.5]]), np.array([[1 + 0j]]), np.array([["1"]]),
+                np.array([[1, 2.5]], dtype=object), np.array([[1, "2"]], dtype=object)):
+        with pytest.raises(UsageError):
+            IntMatrix(bad)
+    a = np.array([[1, 2], [3, 4]])
+    b = np.array([[5, 6], [7, 8]])
+    c = (a @ b).astype(np.float64)
+    c[0, 0] += 0.5
+    with pytest.raises(UsageError):
+        verify_product(a, b, c, 4)
+    # unsigned entries keep their value, in object dtype from 2^62 on
+    assert not verify_product([[1]], [[-1]], np.array([[2**64 - 1]], dtype=np.uint64), 1)
+    m = IntMatrix(np.array([[2**64 - 1, 2**62], [7, 0]], dtype=np.uint64))
+    assert m.data.dtype == object and m.get(0, 0) == 2**64 - 1
+    assert m.max_abs == 2**64 - 1 and type(m.get(0, 1)) is int
+    small = IntMatrix(np.array([[2**62 - 1, 7]], dtype=np.uint64))
+    assert small.data.dtype == np.int64 and small.get(0, 0) == 2**62 - 1
+    # integer objects of numpy type become Python ints
+    mixed = IntMatrix(np.array([[np.int64(3), 2**70]], dtype=object))
+    assert [type(v) for v in mixed.data.flat] == [int, int]
+    assert IntMatrix(np.array([[True, False]])).data.tolist() == [[1, 0]]
 
 
 def test_pad_to_pow2():

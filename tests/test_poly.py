@@ -35,6 +35,17 @@ def test_poly_normalization():
     assert Poly([17], F17).is_zero
 
 
+def test_poly_refuses_non_integer_coefficients():
+    # floats used to be truncated: Poly([1.5, 2.9]) read as [1, 2]
+    for bad in ([1.5, 2.9], np.array([1.0, 2.0]), ["1"], [1, 2j], [3, None]):
+        with pytest.raises(UsageError):
+            Poly(bad, F17)
+    exact = Poly(np.array([2**64 - 1, 2**70], dtype=object), F17)
+    assert list(exact.coeffs) == [(2**64 - 1) % 17, 2**70 % 17]
+    assert list(Poly(np.array([18], dtype=np.uint64), F17).coeffs) == [1]
+    assert Poly([], F17).is_zero
+
+
 def test_mul_goldens():
     assert list(poly_mul(Poly([1, 1], F17), Poly([1, 16], F17)).coeffs) == [1, 0, 16]
     assert list(poly_mul(Poly([1, 1, 1], F5), Poly([1, 1], F5)).coeffs) == [1, 2, 2, 1]
@@ -49,7 +60,7 @@ def test_divrem_goldens():
 
 def test_mul_matches_schoolbook_across_sizes():
     rng = seeded_rng(101)
-    for ctx in (F17, F5, BIG):
+    for ctx in (F17, F5, BIG, FieldCtx(2, 1), FieldCtx(3, 2)):
         for da, db in [(0, 0), (1, 3), (31, 31), (33, 40), (64, 200), (511, 512)]:
             f = [int(x) for x in rng.integers(0, ctx.p, da + 1)]
             g = [int(x) for x in rng.integers(0, ctx.p, db + 1)]
@@ -285,7 +296,7 @@ def test_convolution_operands_have_the_planned_magnitudes(monkeypatch):
         return limb_spectra(x, length, p)
 
     monkeypatch.setattr(poly, "_limb_spectra", record)
-    monkeypatch.setattr(poly, "_CHIRP_CACHE", {})   # the kernel spectrum too
+    poly._chirp.cache_clear()   # the kernel spectrum too
     p = 147457
     rows = np.full((3, 300), p - 1)
     rows[1, ::2] = 0
@@ -296,3 +307,45 @@ def test_convolution_operands_have_the_planned_magnitudes(monkeypatch):
     for pair in (seen[:2], seen[2:]):
         assert all(-(p // 2) <= lo and hi < p for lo, hi in pair)
         assert min(max(-lo, hi) for lo, hi in pair) <= p // 2
+
+
+def test_one_cached_chirp_table_per_transform(monkeypatch):
+    p, first, ratio, count = 147457, 5, 10, 50
+    rng = seeded_rng(36)
+    rows = rng.integers(0, p, (4, 10))
+    rows[1:] = 0
+    rows[1, 3], rows[2, 9], rows[3, 0] = 7, p - 1, 2      # monomial rows
+    pts = [first * pow(ratio, u, p) % p for u in range(count)]
+
+    def oracle(block):
+        return [[oracle_eval(row.tolist(), x, p) for x in pts] for row in block]
+
+    monkeypatch.setattr(poly, "_SEGMENT", 16)       # four segments of points
+    poly._chirp.cache_clear()
+    assert progression_eval(rows, first, ratio, count, p).tolist() == oracle(rows)
+
+    # the repeat transforms only its rows: one row block, four segments
+    spectra, calls = [], []
+    limb_spectra, power_seq = poly._limb_spectra, poly.power_sequence
+    monkeypatch.setattr(poly, "_limb_spectra",
+                        lambda x, *a: spectra.append(x.shape) or limb_spectra(x, *a))
+    monkeypatch.setattr(poly, "power_sequence",
+                        lambda *a: calls.append(a) or power_seq(*a))
+    assert progression_eval(rows, first, ratio, count, p).tolist() == oracle(rows)
+    assert spectra == [(1, 10)] * 4
+    # monomial rows take their bases from the table: one power sequence
+    # per segment, for the powers of that segment's first point
+    calls.clear()
+    mono = rows[1:]
+    assert progression_eval(mono, first, ratio, count, p).tolist() == oracle(mono)
+    assert len(calls) == 4 and all(n == 10 for _, n, _ in calls)
+
+    # evicted and cleared tables are rebuilt to the same values
+    size = poly._chirp.cache_info().maxsize
+    for r in range(2, size + 3):
+        assert progression_eval(rows[0], 1, r, 3, p).tolist() == [
+            oracle_eval(rows[0].tolist(), pow(r, u, p), p) for u in range(3)]
+    assert poly._chirp.cache_info().currsize == size
+    assert progression_eval(rows, first, ratio, count, p).tolist() == oracle(rows)
+    poly._chirp.cache_clear()
+    assert progression_eval(rows, first, ratio, count, p).tolist() == oracle(rows)
