@@ -47,17 +47,11 @@ class CorrectionResult:
 
 class CorrectionEngine:
     """Working state for one prime: reduced factors, per-block granularity
-    tau, computed-prefix counters alpha, sparse nonzero test values, and the
-    nested queue of blocks certified to contain a nonzero."""
+    tau, the computed prefix of each block's test values as one residue
+    array, and the nested queue of blocks certified to contain a nonzero."""
 
     def __init__(
-        self,
-        pair: AugmentedPair,
-        t: int,
-        ctx: FieldCtx,
-        stats: dict,
-        trace=None,
-        trace_prefix: str = "",
+        self, pair: AugmentedPair, t: int, ctx: FieldCtx, stats: dict, trace=None
     ):
         m = pair.side
         self.m = m
@@ -66,15 +60,13 @@ class CorrectionEngine:
         self.ctx = ctx
         self.stats = stats
         self.trace = trace
-        self.trace_prefix = trace_prefix
 
         self.ap, self.bp = pair.reduced(ctx)
         self.root = SubmatrixId(0, 0, m)
         self.t_eff = min(t, m * m)
 
         self.tau: dict[SubmatrixId, int] = {}
-        self.alpha: dict[SubmatrixId, int] = {}
-        self.vals: dict[SubmatrixId, list[tuple[int, int]]] = {}
+        self.vals: dict[SubmatrixId, np.ndarray] = {}
         self.queue: list[SubmatrixId] = []
 
     # -- evaluation ------------------------------------------------------
@@ -98,15 +90,12 @@ class CorrectionEngine:
         (grid=2), to the prefix 0..target-1. Siblings are always extended
         together, so they share one prefix."""
         blocks = s.split() if grid == 2 else (s,)
-        have = self.alpha.get(blocks[0], 0)
+        have = len(self.vals.get(blocks[0], ()))
         if have >= target:
             return
         fresh = self.scratch_values(s, have, target, grid).reshape(len(blocks), -1)
         for block, row in zip(blocks, fresh):
-            nz = np.flatnonzero(row)
-            stored = self.vals.setdefault(block, [])
-            stored.extend(zip((nz + have).tolist(), row[nz].tolist()))
-            self.alpha[block] = target
+            self.vals[block] = np.concatenate((self.vals.get(block, row[:0]), row))
 
     # -- search ----------------------------------------------------------
 
@@ -125,9 +114,9 @@ class CorrectionEngine:
                 self._extend_values(s, target, grid=2)
                 best = None
                 for idx, child in enumerate(kids):
-                    lst = self.vals.get(child)
-                    if lst and (best is None or lst[0][0] < best[0]):
-                        best = (lst[0][0], idx)
+                    nz = np.flatnonzero(self.vals[child])
+                    if nz.size and (best is None or nz[0] < best[0]):
+                        best = (int(nz[0]), idx)
                 if best is not None:
                     break
                 if target >= s.side * s.side:
@@ -146,37 +135,26 @@ class CorrectionEngine:
 
     def apply_write(self, i: int, j: int, old: int, new: int) -> None:
         """Patch the field copy and every cached value on the containing
-        chain after C[i, j] changed from old to new."""
+        chain after C[i, j] changed from old to new. Only the root and the
+        children of searched blocks hold values, so the walk stops at the
+        first block on the chain without them."""
         p = self.ctx.p
         delta = (new - old) % p
         self.ap[i, self.m + j] = new % p
         s = self.root
-        while True:
-            prefix = self.alpha.get(s, 0)
-            if prefix and delta:
-                self._shift_stored(s, i, j, delta, prefix)
-            if not self.vals.get(s) and s in self.queue:
+        while (stored := self.vals.get(s)) is not None:
+            if delta:
+                # the write moves the block fingerprint by -delta * X^e
+                e = (i - s.i_start) + s.side * (j - s.j_start)
+                stored += (p - delta) * power_sequence(
+                    pow(self.ctx.omega, e, p), len(stored), p
+                )
+                stored %= p
+            if not stored.any() and s in self.queue:
                 self.queue.remove(s)
-            if s.side == 1 or self.tau.get(s, 0) == 0:
-                # nothing was ever computed below this block
+            if s.is_leaf:
                 break
             s = s.child_containing(i, j)
-
-    def _shift_stored(
-        self, s: SubmatrixId, i: int, j: int, delta: int, prefix: int
-    ) -> None:
-        # the write moves the block fingerprint by -delta * X^e
-        p = self.ctx.p
-        e = (i - s.i_start) + s.side * (j - s.j_start)
-        seq = power_sequence(pow(self.ctx.omega, e, p), prefix, p)
-        dense = np.zeros(prefix, dtype=np.int64)
-        stored = self.vals.get(s)
-        if stored:
-            nus, gammas = zip(*stored)
-            dense[list(nus)] = gammas
-        dense = (dense + (p - delta) * seq) % p
-        nz = np.flatnonzero(dense)
-        self.vals[s] = list(zip(nz.tolist(), dense[nz].tolist()))
 
     # -- integer side ----------------------------------------------------
 
@@ -188,7 +166,7 @@ class CorrectionEngine:
 
     def run(self, corrections: list, pre_write=None, post_update=None) -> None:
         self._extend_values(self.root, self.t_eff)
-        if self.vals.get(self.root):
+        if self.t_eff and self.vals[self.root].any():
             self.queue.append(self.root)
         iteration = 0
         while self.queue:
@@ -217,7 +195,7 @@ class CorrectionEngine:
             if self.trace is not None:
                 st = info["start"]
                 self.trace.write(
-                    f"{self.trace_prefix}iter={iteration} "
+                    f"prime={self.ctx.p} iter={iteration} "
                     f"sub=({st.i_start},{st.j_start},{st.side}) "
                     f"tau={self.tau.get(st, 0)} nu={info['nu']} "
                     f"pos=({i},{j})\n"
@@ -240,10 +218,7 @@ def _run_engine(
     granularity: dict[SubmatrixId, int] = {}
     passes = 0
     for ctx in basis.fields:
-        engine = CorrectionEngine(
-            pair, t, ctx, stats, trace=trace,
-            trace_prefix=f"prime={ctx.p} " if trace is not None else "",
-        )
+        engine = CorrectionEngine(pair, t, ctx, stats, trace=trace)
         passes += 1
         engine.run(corrections, pre_write=pre_write, post_update=post_update)
         for s, tv in engine.tau.items():

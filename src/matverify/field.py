@@ -103,12 +103,21 @@ def multiplicative_order(x: int, p: int) -> int:
     return len(_cyclic_subgroup(x, p))
 
 
+def exact_ints(arr: np.ndarray, what: str) -> list[int]:
+    """Entries of arr as Python ints; a non-integer raises, not truncates."""
+    flat = arr.ravel().tolist()
+    if not all(isinstance(v, (int, np.integer)) for v in flat):
+        raise UsageError(f"{what} must be integers")
+    return [int(v) for v in flat]
+
+
 def reduce_mod(data, p: int) -> np.ndarray:
     """Integer entries reduced into [0, p) as int64; an int64 array that is
-    already reduced passes through uncopied."""
+    already reduced passes through uncopied. Unsigned and object entries
+    are reduced exactly; a non-integer entry raises UsageError."""
     data = np.asarray(data)
-    if data.dtype == object:
-        flat = [int(v) % p for v in data.ravel()]
+    if data.dtype.kind not in "bi":
+        flat = [v % p for v in exact_ints(data, "entries")]
         return np.array(flat, dtype=np.int64).reshape(data.shape)
     if data.dtype == np.int64 and data.size and 0 <= data.min() and data.max() < p:
         return data

@@ -7,19 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MatrixParseError, ResourceLimitError, UsageError
-from .field import FieldCtx, reduce_mod
+from .field import FieldCtx, exact_ints, reduce_mod
 
 ENTRY_CAP = 1 << 40    # parse-time bound on |entry|
 _ACC_CAP = 1 << 127    # accumulator cap for exact integer products
 _I64_SAFE = 1 << 62
-
-
-def exact_ints(arr: np.ndarray, what: str) -> list[int]:
-    """Entries of arr as Python ints; a non-integer raises, not truncates."""
-    flat = arr.ravel().tolist()
-    if not all(isinstance(v, (int, np.integer)) for v in flat):
-        raise UsageError(f"{what} must be integers")
-    return [int(v) for v in flat]
 
 
 class IntMatrix:
@@ -103,7 +95,9 @@ def read_matrix(path) -> IntMatrix:
     if rows < 1 or cols < 1:
         raise MatrixParseError("dimensions must be positive", idx + 1)
 
-    data = np.zeros((rows, cols), dtype=np.int64)
+    # nothing is allocated for the header's shape until every line holds
+    # its entries, so a bogus header fails with its line number
+    parsed = []
     for r in range(rows):
         ln = idx + 1 + r
         if ln >= len(lines):
@@ -111,18 +105,20 @@ def read_matrix(path) -> IntMatrix:
         toks = lines[ln].split()
         if len(toks) != cols:
             raise MatrixParseError(f"expected {cols} entries, got {len(toks)}", ln + 1)
-        for cx, tok in enumerate(toks):
+        row = []
+        for tok in toks:
             try:
                 v = int(tok)
             except ValueError:
                 raise MatrixParseError(f"non-integer token {tok!r}", ln + 1) from None
             if not -ENTRY_CAP < v < ENTRY_CAP:
                 raise MatrixParseError("entry magnitude exceeds 2^40", ln + 1)
-            data[r, cx] = v
+            row.append(v)
+        parsed.append(np.array(row, dtype=np.int64))
     for extra in range(idx + 1 + rows, len(lines)):
         if lines[extra].strip():
             raise MatrixParseError("unexpected trailing content", extra + 1)
-    return IntMatrix(data)
+    return IntMatrix(np.array(parsed))
 
 
 def write_matrix(path, m: IntMatrix) -> None:

@@ -12,8 +12,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InternalCheckError, ResourceLimitError, UsageError
-from .field import FieldCtx, geometric_fill, power_sequence
-from .matrix import exact_ints, next_pow2
+from .field import FieldCtx, geometric_fill, power_sequence, reduce_mod
+from .matrix import next_pow2
 
 _TREE_THRESHOLD = 64   # below this, per-point Horner beats the subproduct tree
 _SEGMENT = 1 << 15     # progression points per transform, unless rows are longer
@@ -31,13 +31,10 @@ class Poly:
     __slots__ = ("coeffs", "ctx")
 
     def __init__(self, coeffs, ctx: FieldCtx):
-        arr = np.asarray(coeffs)
+        arr = np.array(coeffs)     # a copy: the caller's array stays its own
         if arr.ndim != 1:
             raise UsageError("coefficients must be one-dimensional")
-        if arr.size and arr.dtype.kind == "i":
-            arr = arr.astype(np.int64) % ctx.p
-        else:
-            arr = np.array([c % ctx.p for c in exact_ints(arr, "coefficients")], np.int64)
+        arr = reduce_mod(arr, ctx.p)
         nz = np.nonzero(arr)[0]
         self.coeffs = arr[: int(nz[-1]) + 1] if nz.size else np.zeros(1, np.int64)
         self.ctx = ctx

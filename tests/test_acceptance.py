@@ -166,15 +166,14 @@ def test_criterion_06_incremental_update_coherence():
             snapshots.clear()
             for s, stored in engine.vals.items():
                 if not s.contains(i, j):
-                    snapshots[s] = list(stored)
+                    snapshots[s] = stored.copy()
 
         def post_update(engine, i, j):
             for s, stored in engine.vals.items():
-                scratch = engine.scratch_values(s, 0, engine.alpha[s])
-                expect = [(nu, int(v)) for nu, v in enumerate(scratch) if v]
-                assert list(stored) == expect
+                scratch = engine.scratch_values(s, 0, len(stored))
+                assert np.array_equal(stored, scratch)
             for s, before in snapshots.items():
-                assert list(engine.vals.get(s, [])) == before
+                assert np.array_equal(engine.vals[s], before)
 
         for _ in range(50):
             n = int(rng.integers(2, 17))

@@ -227,6 +227,12 @@ def test_exit_codes_for_bad_input(workdir, capsys):
     run(capsys, "--seed", 1, "gen", 2, 0)
     code, _, _ = run(capsys, "verify", "broken.mat", "B.mat", "C.mat", 1)
     assert code == 65
+    for header in ("3000000000 3000000000", "1 4000000000000000000"):
+        with open("huge.mat", "w") as fh:
+            fh.write(f"{header}\n1 2 3\n")
+        code = main(["verify", "huge.mat", "B.mat", "C.mat", "1"])
+        assert code == 65
+        assert capsys.readouterr().err.startswith("error=parse detail=line 2:")
     code, _, _ = run(capsys, "bench", "--suite", "naive", "--sizes", "x")
     assert code == 64
     code, _, _ = run(capsys, "nonsense")

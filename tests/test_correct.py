@@ -170,24 +170,21 @@ def test_cache_coherence_and_untouched_blocks():
             snapshots.clear()
             for s, stored in engine.vals.items():
                 if not s.contains(i, j):
-                    snapshots[s] = list(stored)
+                    snapshots[s] = stored.copy()
 
         def post_update(engine, i, j):
             for s, stored in engine.vals.items():
-                alpha = engine.alpha[s]
-                scratch = engine.scratch_values(s, 0, alpha)
-                expect = [
-                    (nu, int(v)) for nu, v in enumerate(scratch) if v
-                ]
-                assert list(stored) == expect, (s, i, j)
+                scratch = engine.scratch_values(s, 0, len(stored))
+                assert stored.dtype == np.int64
+                assert np.array_equal(stored, scratch), (s, i, j)
             for s, before in snapshots.items():
-                assert list(engine.vals.get(s, [])) == before
+                assert np.array_equal(engine.vals[s], before)
             # the queue stays a nested chain of certified-nonzero blocks
             q = engine.queue
             for outer, inner in zip(q, q[1:]):
                 assert contains_block(outer, inner)
             for s in q:
-                assert engine.vals.get(s)
+                assert engine.vals[s].any()
 
         res = correct_product(
             a, b, bad, z, pre_write=pre_write, post_update=post_update
@@ -292,10 +289,12 @@ def _check_each_search(monkeypatch) -> dict:
     original = CorrectionEngine.find_nonzero
 
     def checked(engine, s):
-        alpha_before = dict(engine.alpha)
+        prefix_before = {blk: len(v) for blk, v in engine.vals.items()}
         evals_before = engine.stats["evaluations"]
         out = original(engine, s)
-        grown = {blk: a - alpha_before.get(blk, 0) for blk, a in engine.alpha.items()}
+        grown = {
+            blk: len(v) - prefix_before.get(blk, 0) for blk, v in engine.vals.items()
+        }
         want = 0
         half = engine.bp.shape[0] // 2
         for blk, count in grown.items():
@@ -311,9 +310,9 @@ def _check_each_search(monkeypatch) -> dict:
         assert engine.stats["evaluations"] - evals_before == want
         for blk, count in grown.items():
             if count:
-                scratch = engine.scratch_values(blk, 0, engine.alpha[blk])
-                expect = [(nu, int(v)) for nu, v in enumerate(scratch) if v]
-                assert list(engine.vals.get(blk, [])) == expect, blk
+                stored = engine.vals[blk]
+                scratch = engine.scratch_values(blk, 0, len(stored))
+                assert np.array_equal(stored, scratch), blk
         seen["searches"] += 1
         return out
 

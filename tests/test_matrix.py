@@ -97,6 +97,17 @@ def test_parse_error_carries_line_number(tmp_path):
     assert err.value.line_no == 4
 
 
+@pytest.mark.parametrize("header", ["3000000000 3000000000", "1 4000000000000000000"])
+def test_oversized_header_fails_at_its_first_short_line(tmp_path, header):
+    # numpy refuses either shape outright, so a parser that allocates from
+    # the header fails with its error instead of the line-numbered one
+    path = tmp_path / "big.mat"
+    path.write_text(f"{header}\n1 2 3\n")
+    with pytest.raises(MatrixParseError) as err:
+        read_matrix(path)
+    assert err.value.line_no == 2
+
+
 def test_matrix_refuses_non_integers_and_keeps_unsigned_exact():
     # floats used to be truncated and large unsigned values wrapped, so a
     # C off by 0.5, or one of 2^64 - 1 read as -1, passed verification

@@ -148,6 +148,22 @@ def test_all_zeroes_budget_clamp_and_validation():
         all_zeroes_test(zero, zero, 1, FieldCtx(17, 3, order_lb=2))
 
 
+def test_raw_factors_are_reduced_exactly():
+    # raw arrays reach the field reduction past IntMatrix: a float used to
+    # be truncated, so a product of -0.5 read as zero, and an unsigned
+    # 2^64 - 1 wrapped to -1, so a product of 2^64 read as zero
+    with pytest.raises(UsageError):
+        all_zeroes_test(np.array([[1, 1.5]]), np.array([[1], [-1]]), 1, F17)
+    with pytest.raises(UsageError):
+        fingerprint_rep(np.array([[1, 2]]), np.array([["1"], [2]], dtype=object), F17)
+    ones = np.ones((2, 1), dtype=np.int64)
+    row = np.array([[2**64 - 1, 1]], dtype=np.uint64)
+    assert not all_zeroes_test(row, ones, 1, F17).all_zero
+    for left in (row, np.array([[2**70, -(2**70) - 1]], dtype=object)):
+        rep = fingerprint_rep(left, ones, F17)
+        assert rep.left_polys.ravel().tolist() == [int(v) % 17 for v in left[0]]
+
+
 def test_verify_product_detects_planted_errors():
     rng = seeded_rng(31)
     for n in (2, 5, 8):
