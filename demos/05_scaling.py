@@ -7,6 +7,11 @@ hundred; run with larger sizes to push the gap further. The limbs column
 gives, per CRT prime, how many float64 limbs the chirp kernel splits each
 residue into: one limb serves t = n up to n = 426.
 
+The refute columns time verify_product on two wrong C's: one planted
+error, which the exact all-ones sum of AB - C refutes before any
+transform, and a pair of errors +d, -d in one row, which cancel in that
+sum and are refuted by the t-point fingerprint.
+
 The second table times correction with t = n planted errors at n = 128
 and 256: each granularity step of the quadtree search evaluates the four
 children of a block together.
@@ -38,19 +43,28 @@ def median_of(fn, reps=3):
 
 
 rng = seeded_rng(12)
-print(f"{'n':>5} {'verify (s)':>12} {'recompute (s)':>14} {'ratio':>7} {'limbs':>7}")
+print(f"{'n':>5} {'verify (s)':>12} {'refute 1 (s)':>13} {'refute pair (s)':>16} "
+      f"{'recompute (s)':>14} {'ratio':>7} {'limbs':>7}")
 for n in (64, 128, 256, 384, 512):
     a = rng.integers(-9, 10, (n, n))
     b = rng.integers(-9, 10, (n, n))
     c = naive_multiply(a, b).data
+    one, pair = c.copy(), c.copy()
+    one[n // 3, n // 2] += 1
+    pair[n // 3, 1] += 7
+    pair[n // 3, n - 1] -= 7
     verify_product(a, b, c, n)  # warm caches before timing
     tv = median_of(lambda: verify_product(a, b, c, n))
+    assert not verify_product(a, b, one, n) and not verify_product(a, b, pair, n)
+    t1 = median_of(lambda: verify_product(a, b, one, n))
+    t2 = median_of(lambda: verify_product(a, b, pair, n))
     tn = median_of(lambda: naive_multiply(a, b))
     basis = build_crt_basis(n, augment(a, b, c).magnitude_bound())
     # t = n points against n coefficients: transforms of length 2n - 1
     length = next_pow2(2 * n - 1)
     limbs = ",".join(str(_limb_plan(f.p, length)[0]) for f in basis.fields)
-    print(f"{n:>5} {tv:>12.4f} {tn:>14.4f} {tn / tv:>7.2f} {limbs:>7}")
+    print(f"{n:>5} {tv:>12.4f} {t1:>13.4f} {t2:>16.4f} {tn:>14.4f} {tn / tv:>7.2f} "
+          f"{limbs:>7}")
 
 print(f"\n{'n':>5} {'t':>5} {'correct_product (s)':>20} {'evaluations':>12}")
 for n in (128, 256):

@@ -169,6 +169,8 @@ def cmd_verify(args, rep: _Report) -> int:
     if args.mode == "det":
         equal = verify_product(a, b, c, args.t, stats=stats)
         rep.emit("evaluations", stats["evaluations"])
+        # nonzero: the all-ones sum refuted C; zero: the fingerprint decided
+        rep.emit("probe", "nonzero" if stats.get("probe_exits") else "zero")
     elif args.mode == "freivalds":
         seed = _resolve_seed(args)
         rep.emit("seed", seed)

@@ -119,32 +119,35 @@ def reduce_mod(data, p: int) -> np.ndarray:
     if data.dtype.kind not in "bi":
         flat = [v % p for v in exact_ints(data, "entries")]
         return np.array(flat, dtype=np.int64).reshape(data.shape)
-    if data.dtype == np.int64 and data.size and 0 <= data.min() and data.max() < p:
+    data = data.astype(np.int64, copy=False)
+    if not data.size:
         return data
-    return data.astype(np.int64, copy=False) % p
-
-
-def geometric_fill(out: np.ndarray, ratio, p: int) -> np.ndarray:
-    """Fill out[..., u] = out[..., 0] * ratio^u mod p along the last axis, by
-    doubling; ratio is an int or an array that broadcasts against out."""
-    filled, step = 1, ratio
-    while filled < out.shape[-1]:
-        take = min(filled, out.shape[-1] - filled)
-        out[..., filled : filled + take] = out[..., :take] * step % p
-        step = step * step % p      # ratio^(2 * filled)
-        filled += take
-    return out
+    lo, hi = int(data.min()), int(data.max())
+    if 0 <= lo and hi < p:
+        return data
+    if -p < lo and hi < p:
+        # add p where the sign bit is set: one masked add, no division
+        out = data >> 63
+        out &= p
+        out += data
+        return out
+    return data % p
 
 
 def power_sequence(base: int, count: int, p: int) -> np.ndarray:
-    """[base^0, base^1, ..., base^(count-1)] mod p."""
+    """[base^0, base^1, ..., base^(count-1)] mod p, filled by doubling."""
     if count < 0:
         raise UsageError("count must be >= 0")
     check_word(p)
-    base %= p
     out = np.empty(count, dtype=np.int64)
     out[:1] = 1 % p
-    return geometric_fill(out, base, p)
+    filled, step = 1, base % p
+    while filled < count:
+        take = min(filled, count - filled)
+        out[filled : filled + take] = out[:take] * step % p
+        step = step * step % p      # base^(2 * filled)
+        filled += take
+    return out
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,22 @@ class IntMatrix:
     __slots__ = ("data", "max_abs")
 
     def __init__(self, data, max_abs=None):
-        arr = np.asarray(data)
+        self._take(np.asarray(data), max_abs, copy=True)
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray, max_abs=None) -> "IntMatrix":
+        """An IntMatrix over a freshly built array that no one else holds,
+        taken over without a copy."""
+        m = cls.__new__(cls)
+        m._take(arr, max_abs, copy=False)
+        return m
+
+    def _take(self, arr: np.ndarray, max_abs, copy: bool) -> None:
         if arr.ndim != 2 or arr.size == 0:
             raise UsageError("matrix must be 2-dimensional and nonempty")
         if arr.dtype.kind in "bi":
-            arr = arr.astype(np.int64, copy=True)
-            actual = max(int(arr.max()), -int(arr.min()), 0) if arr.size else 0
+            arr = arr.astype(np.int64, copy=copy)
+            actual = max(int(arr.max()), -int(arr.min()), 0)
         else:   # exact Python ints, so unsigned values do not wrap
             flat = exact_ints(arr, "matrix entries")
             actual = max(abs(v) for v in flat)
@@ -118,7 +128,7 @@ def read_matrix(path) -> IntMatrix:
     for extra in range(idx + 1 + rows, len(lines)):
         if lines[extra].strip():
             raise MatrixParseError("unexpected trailing content", extra + 1)
-    return IntMatrix(np.array(parsed))
+    return IntMatrix._adopt(np.array(parsed))
 
 
 def write_matrix(path, m: IntMatrix) -> None:
@@ -173,7 +183,7 @@ def pad_to_pow2(a, b, c) -> tuple[IntMatrix, IntMatrix, IntMatrix, int]:
     for src in mats:
         buf = np.zeros((m, m), dtype=src.data.dtype)
         buf[:n, :n] = src.data
-        out.append(IntMatrix(buf, max_abs=src.max_abs))
+        out.append(IntMatrix._adopt(buf, max_abs=src.max_abs))
     return out[0], out[1], out[2], m
 
 

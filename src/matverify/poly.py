@@ -1,18 +1,21 @@
 """Univariate polynomials over F_p: multiplication, long division,
 multipoint evaluation, and batch evaluation along geometric progressions by
-the chirp transform, whose tables are cached per (p, ratio, transform
-length) in one bounded LRU. Both fast paths run on one exact float64 FFT
-convolution of small-width limbs: one operand holds residues in [0, p), the
-other balanced residues in [-p/2, p/2], and the limb count follows from a
-rounding bound on those true magnitudes. Moduli are below field.WORD = 2^31,
-so residue products fit in int64 and all arithmetic runs on int64 arrays."""
+the chirp transform. Its tables (kernel residues, kernel spectrum, inverse
+chirp) are cached per (p, ratio, transform length) in one bounded LRU; a
+ProgressionPlan adds the per-call scales and returns raw outputs, which
+callers that sum many rows post-scale once. Both fast paths run on one
+exact float64 FFT convolution of small-width limbs: one operand holds
+residues in [0, p), the other balanced residues in [-p/2, p/2], and the
+limb count follows from a rounding bound on those true magnitudes. Moduli
+are below field.WORD = 2^31, so residue products fit in int64 and all
+arithmetic runs on int64 arrays."""
 
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import InternalCheckError, ResourceLimitError, UsageError
-from .field import FieldCtx, geometric_fill, power_sequence, reduce_mod
+from .field import FieldCtx, power_sequence, reduce_mod
 from .matrix import next_pow2
 
 _TREE_THRESHOLD = 64   # below this, per-point Horner beats the subproduct tree
@@ -231,10 +234,12 @@ def multipoint_eval(f: Poly, points) -> list[int]:
 def _chirp(p: int, ratio: int, length: int):
     """Chirp table of a nonzero ratio at one transform length: the limb
     spectra of the kernel ratio^T(k) as balanced residues, the inverse chirp
-    ratio^-T(k) and the powers ratio^k, for k < length."""
-    kernel = _balanced(_triangular_powers(ratio, length, p), p)
+    ratio^-T(k), and the kernel residues ratio^T(k) in [0, p) themselves,
+    for k < length. A row with one nonzero coefficient reads its raw
+    outputs straight off the kernel residues."""
+    kernel = _triangular_powers(ratio, length, p)
     inv = _triangular_powers(pow(ratio, -1, p), length, p)
-    return _limb_spectra(kernel, length, p), inv, power_sequence(ratio, length, p)
+    return _limb_spectra(_balanced(kernel, p), length, p), inv, kernel
 
 
 def _triangular_powers(base: int, length: int, p: int) -> np.ndarray:
@@ -259,9 +264,75 @@ def _segment(n: int, count: int) -> tuple[int, int]:
 
 
 def rows_per_block(n: int, count: int) -> int:
-    """Rows of n coefficients that progression_eval transforms together for
-    a progression of count points."""
+    """Rows of n coefficients that the chirp transforms together for a
+    progression of count points."""
     return max(1, _CHUNK_POINTS // _segment(n, count)[1])
+
+
+class ProgressionPlan:
+    """The row-independent half of the chirp transform: evaluation of rows
+    of at most n coefficients (residues in [0, p)) at the points x_u =
+    first * ratio^u, u = 0..count-1, for a nonzero ratio.
+
+    The identity i*u = T(i+u) - T(i) - T(u) splits each value as
+
+        sum_i c[i] * x_u^i = post[u] * Z[u],
+        Z[u] = sum_i (c[i] * scale[i]) * kernel[i + u - u0],
+
+    for the points of one segment starting at u0, with scale[i] = (first *
+    ratio^u0)^i * ratio^-T(i), post[u] = ratio^-T(u - u0) and the kernel
+    ratio^T(k) of the cached chirp table. The plan holds each segment's
+    scale and the post-scale of every point; raw() returns the unscaled Z
+    of a block of rows, so a caller that multiplies and sums the values of
+    many rows applies post once, to the sum.
+    """
+
+    __slots__ = ("p", "n", "length", "spectrum", "kernel", "segments", "post")
+
+    def __init__(self, n: int, first: int, ratio: int, count: int, p: int):
+        ratio %= p
+        if ratio == 0:
+            raise UsageError("the chirp transform needs a nonzero ratio")
+        seg, length = _segment(n, count)
+        self.spectrum, inv, self.kernel = _chirp(p, ratio, length)
+        self.p, self.n, self.length = p, n, length
+        self.segments = []   # (u0, cnt, scale) for each segment of points
+        for u0 in range(0, count, seg):
+            fpow = power_sequence(first * pow(ratio, u0, p), n, p)
+            self.segments.append((u0, min(seg, count - u0), fpow * inv[:n] % p))
+        self.post = np.concatenate([inv[:cnt] for _, cnt, _ in self.segments])
+
+    def raw(self, rows: np.ndarray) -> np.ndarray:
+        """Z for every row of a 2-d int64 array of residues whose columns
+        from n on are zero: shape (rows, count), entries in [0, p).
+
+        Rows with several nonzero coefficients are correlated against the
+        kernel by batched float64 FFTs, in blocks of rows so the workspace
+        stays bounded. A row whose one nonzero coefficient c sits at e has
+        Z[u] = c * scale[e] * kernel[e + u - u0], a slice of the kernel
+        residues; all-zero rows give zeros.
+        """
+        p, n = self.p, self.n
+        out = np.zeros((len(rows), len(self.post)), dtype=np.int64)
+        nnz = np.count_nonzero(rows, axis=1)
+        mono = np.nonzero(nnz == 1)[0]
+        dense = np.nonzero(nnz > 1)[0]
+        exps = np.argmax(rows[mono] != 0, axis=1)
+        lone = rows[mono, exps]
+        step = max(1, _CHUNK_POINTS // self.length)
+        for u0, cnt, scale in self.segments:
+            if mono.size:
+                coef = lone * scale[exps] % p
+                kslice = self.kernel[exps[:, None] + np.arange(cnt)]
+                out[mono, u0 : u0 + cnt] = coef[:, None] * kslice % p
+            for r0 in range(0, dense.size, step):
+                idx = dense[r0 : r0 + step]
+                b = rows[idx, :n] * scale % p
+                xs = _limb_spectra(b[:, ::-1], self.length, p)
+                out[idx, u0 : u0 + cnt] = _spectral_product(
+                    xs, self.spectrum, self.length, n - 1, n - 1 + cnt, p
+                )
+        return out
 
 
 def progression_eval(coeffs, first: int, ratio: int, count: int, p: int) -> np.ndarray:
@@ -271,13 +342,10 @@ def progression_eval(coeffs, first: int, ratio: int, count: int, p: int) -> np.n
     fingerprint_rep reduce once at the public entry, so the row blocks that
     callers feed through here are not scanned again.
 
-    A nonzero ratio takes the chirp transform: the identity i*u = T(i+u) -
-    T(i) - T(u) turns every row into a correlation against the kernel
-    ratio^T(0..) of the one cached table per (p, ratio, transform length),
-    run as batched float64 FFTs in blocks of rows and of points so the
-    workspace stays bounded. Rows with a single nonzero coefficient are
-    geometric sequences whose ratios come from the same table. Ratio 0
-    leaves at most two distinct points, which Horner evaluates in int64.
+    A nonzero ratio takes the chirp transform of a ProgressionPlan sized to
+    the rows' last nonzero column, and each raw output is post-scaled here.
+    Ratio 0 leaves at most two distinct points, which Horner evaluates in
+    int64.
     """
     if count < 0:
         raise UsageError("count must be >= 0")
@@ -285,6 +353,7 @@ def progression_eval(coeffs, first: int, ratio: int, count: int, p: int) -> np.n
     if coeffs.ndim not in (1, 2):
         raise UsageError("coefficients must be one- or two-dimensional")
     rows = np.atleast_2d(coeffs)
+    shape = coeffs.shape[:-1] + (count,)
     first = int(first) % p
     ratio = int(ratio) % p
     if ratio == 0:
@@ -292,36 +361,14 @@ def progression_eval(coeffs, first: int, ratio: int, count: int, p: int) -> np.n
         out = np.empty((len(rows), count), dtype=np.int64)
         for k, row in enumerate(rows):
             out[k] = horner_many(row, pts, p)
-        return out.reshape(coeffs.shape[:-1] + (count,))
+        return out.reshape(shape)
 
     rows = rows.astype(np.int64, copy=False)
-    out = np.zeros((len(rows), count), dtype=np.int64)
-    nnz = np.count_nonzero(rows, axis=1)
-    mono = np.nonzero(nnz == 1)[0]
-    dense = np.nonzero(nnz > 1)[0]
-    if count == 0 or not nnz.any():
-        return out.reshape(coeffs.shape[:-1] + (count,))
-    n = int(np.nonzero(rows.any(axis=0))[0][-1]) + 1
-    seg, length = _segment(n, count)
-    kernel, inv, pows = _chirp(p, ratio, length)
-    exps = np.argmax(rows[mono] != 0, axis=1)
-    lone = rows[mono, exps]
-    step = rows_per_block(n, count)
-    for u0 in range(0, count, seg):
-        cnt = min(seg, count - u0)
-        fpow = power_sequence(first * pow(ratio, u0, p), n, p)
-        if mono.size:
-            geo = np.empty((mono.size, cnt), dtype=np.int64)
-            geo[:, 0] = lone * fpow[exps] % p
-            out[mono, u0 : u0 + cnt] = geometric_fill(geo, pows[exps][:, None], p)
-        scale = fpow * inv[:n] % p
-        for r0 in range(0, dense.size, step):
-            idx = dense[r0 : r0 + step]
-            b = rows[idx, :n] * scale % p
-            xs = _limb_spectra(b[:, ::-1], length, p)
-            vals = _spectral_product(xs, kernel, length, n - 1, n - 1 + cnt, p)
-            out[idx, u0 : u0 + cnt] = vals * inv[:cnt] % p
-    return out.reshape(coeffs.shape[:-1] + (count,))
+    used = np.nonzero(rows.any(axis=0))[0]
+    if count == 0 or not used.size:
+        return np.zeros(shape, dtype=np.int64)
+    plan = ProgressionPlan(int(used[-1]) + 1, first, ratio, count, p)
+    return (plan.raw(rows) * plan.post % p).reshape(shape)
 
 
 def eval_on_progression(f: Poly, first: int, ratio: int, count: int) -> list[int]:

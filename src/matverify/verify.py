@@ -1,7 +1,8 @@
-"""Deciding whether a claimed product is correct: the deterministic
-all-zeroes test on the augmented pair, its integer-level lift through a CRT
-basis, randomized baselines, and a deliberately flawed bilinear probe kept
-as a negative control."""
+"""Deciding whether a claimed product is correct: an exact all-ones sum
+that refutes most wrong products at once, the deterministic all-zeroes
+test on the augmented pair, its integer-level lift through a CRT basis,
+randomized baselines, and a deliberately flawed bilinear probe kept as a
+negative control."""
 
 from dataclasses import dataclass
 
@@ -10,7 +11,10 @@ import numpy as np
 from .errors import UsageError
 from .field import CrtBasis, FieldCtx, build_crt_basis, reduce_mod
 from .matrix import IntMatrix, augment, exact_dot, square_matrices
-from .poly import horner_many, progression_eval, rows_per_block
+from .poly import ProgressionPlan, horner_many, rows_per_block
+from .poly import progression_eval  # noqa: F401  perfbench's tracer patches it here
+
+_I64_MAX = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,11 @@ def eval_fingerprint_progression(
     share their left polynomials (ratio omega), those in one grid column
     share their right ones (ratio omega^h), and all share the progression,
     so each side goes through the kernel once for the whole grid.
+
+    Both sides take one ProgressionPlan per call. The raw kernel outputs
+    of each block of inner indices are multiplied and summed in int64,
+    reduced only when the next block could overflow the sum, and the two
+    post-scales are applied once to the total.
     """
     ctx = rep.ctx
     p = ctx.p
@@ -103,28 +112,35 @@ def eval_fingerprint_progression(
         raise UsageError("grid must divide the block side")
     side = rep.side // grid
     acc = np.zeros((grid, grid, count), dtype=np.int64)
-    out = acc[0, 0] if grid == 1 else acc   # a view: acc is updated in place
-    if count == 0:
-        return out
-    first_q = pow(ctx.omega, start_exp, p)
-    ratio_r = pow(ctx.omega, side, p)
-    first_r = pow(ratio_r, start_exp, p)
     left = rep.left_polys.reshape(-1, grid, side)
     right = rep.right_polys.reshape(-1, grid, side)
     # inner index k feeds sub-block (a, b) when both of its halves are nonzero
     live = left.any(axis=2)[:, :, None] & right.any(axis=2)[:, None, :]
     active = np.nonzero(live.any(axis=(1, 2)))[0]
-    step = max(1, rows_per_block(side, count) // grid)
-    for r0 in range(0, len(active), step):
-        rows = active[r0 : r0 + step]
-        qv = progression_eval(left[rows].reshape(-1, side), first_q, ctx.omega, count, p)
-        rv = progression_eval(right[rows].reshape(-1, side), first_r, ratio_r, count, p)
-        prod = qv.reshape(-1, grid, 1, count) * rv.reshape(-1, 1, grid, count) % p
-        acc += prod.sum(axis=0)
+    if count and active.size:
+        ratio_r = pow(ctx.omega, side, p)
+        plan_q = ProgressionPlan(side, pow(ctx.omega, start_exp, p), ctx.omega, count, p)
+        plan_r = ProgressionPlan(side, pow(ratio_r, start_exp, p), ratio_r, count, p)
+        # how many products, each at most (p - 1)^2, int64 holds on top of
+        # a reduced sum
+        budget = (_I64_MAX - (p - 1)) // (p - 1) ** 2
+        step = max(1, min(rows_per_block(side, count) // grid, budget))
+        pending = 0
+        for r0 in range(0, len(active), step):
+            rows = active[r0 : r0 + step]
+            if pending + len(rows) > budget:
+                acc %= p
+                pending = 0
+            zq = plan_q.raw(left[rows].reshape(-1, side)).reshape(-1, grid, 1, count)
+            zr = plan_r.raw(right[rows].reshape(-1, side)).reshape(-1, 1, grid, count)
+            acc += (zq * zr).sum(axis=0)
+            pending += len(rows)
+        acc %= p
+        acc *= plan_q.post * plan_r.post % p
         acc %= p
     if stats is not None:
         stats["evaluations"] = stats.get("evaluations", 0) + count * int(live.sum())
-    return out
+    return acc[0, 0] if grid == 1 else acc
 
 
 @dataclass(frozen=True)
@@ -161,19 +177,39 @@ def all_zeroes_test(
     return ZeroVerdict(all_zero=True, witness=None, checked=t_eff)
 
 
+def _ones_probe(a: IntMatrix, b: IntMatrix, c: IntMatrix) -> int:
+    """1^T (AB - C) 1 = colsum(A) . rowsum(B) - sum(C), exactly over the
+    integers: the sum of all entries of AB - C, which is the fingerprint at
+    omega^0 before any reduction. Each product runs in int64 when its
+    partial sums stay below 2^62, in Python ints otherwise."""
+    n = a.rows
+    ones = np.ones(n, dtype=np.int64)
+    col_a = exact_dot(ones, a.data, 1, a.max_abs)
+    row_b = exact_dot(b.data, ones, b.max_abs, 1)
+    row_c = exact_dot(c.data, ones, c.max_abs, 1)
+    ab = exact_dot(col_a, row_b, n * a.max_abs, n * b.max_abs)
+    return int(ab) - int(exact_dot(ones, row_c, 1, n * c.max_abs))
+
+
 def verify_product(
     a, b, c, t: int, basis: CrtBasis | None = None, stats: dict | None = None
 ) -> bool:
     """True iff C = AB, guaranteed whenever they differ in at most t entries.
     False answers are always correct.
 
-    Augments to (A | C), (B ; -I), builds a CRT basis covering the augmented
-    magnitude bound, and requires the all-zeroes test to pass mod every
-    prime.
+    A nonzero sum of all entries of AB - C (_ones_probe) refutes C at once,
+    once per call; it is counted in stats["probe_exits"]. Otherwise the
+    pair is augmented to (A | C), (B ; -I), a CRT basis covering the
+    augmented magnitude bound is built, and the all-zeroes test must pass
+    mod every prime.
     """
     a, b, c, n = square_matrices(a, b, c)
     if t < 1:
         raise UsageError("t must be >= 1")
+    if _ones_probe(a, b, c):
+        if stats is not None:
+            stats["probe_exits"] = stats.get("probe_exits", 0) + 1
+        return False
     pair = augment(a, b, c)
     if basis is None:
         basis = build_crt_basis(n, pair.magnitude_bound())

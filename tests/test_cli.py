@@ -80,6 +80,26 @@ def test_verify_modes(workdir, capsys):
         assert code == 1 and rep["verdict"] == "not_equal", mode
 
 
+def test_verify_names_the_probe_path(workdir, capsys):
+    # probe=nonzero: the sum of AB - C refuted C; probe=zero: the
+    # fingerprint decided, also for errors that cancel in the sum
+    rng = np.random.default_rng(4)
+    a = rng.integers(-9, 10, (6, 6))
+    b = rng.integers(-9, 10, (6, 6))
+    truth = a @ b
+    one, pair = truth.copy(), truth.copy()
+    one[2, 3] += 5
+    pair[1, 0] += 4
+    pair[1, 5] -= 4
+    for name, m in (("A", a), ("B", b), ("C", truth), ("one", one), ("pair", pair)):
+        write_matrix(f"{name}.mat", IntMatrix(m))
+    for c, verdict, probe in (("C", "equal", "zero"), ("one", "not_equal", "nonzero"),
+                              ("pair", "not_equal", "zero")):
+        code, rep, _ = run(capsys, "verify", "A.mat", "B.mat", f"{c}.mat", 2)
+        assert (rep["verdict"], rep["probe"]) == (verdict, probe), c
+        assert (int(rep["evaluations"]) == 0) == (probe == "nonzero")
+
+
 def test_verify_flawed_blind_spot(workdir, capsys):
     d, eye = skew_pair()
     write_matrix("D.mat", IntMatrix(d))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,40 @@ def test_pad_to_pow2():
     full = naive_multiply(a2, b2).data
     assert full[:5, :5].tolist() == naive_multiply(a, b).data.tolist()
     assert not full[5:, :].any()
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fresh_arrays_are_taken_over_without_a_copy(tmp_path):
+    # 512 x 512 int64 is 2 MiB. read_matrix holds the parsed rows and their
+    # stack, pad_to_pow2 its three buffers; a copy of any of them on the
+    # way into IntMatrix adds another 2 MiB to the peak
+    rng = seeded_rng(3)
+    n = 512
+    nbytes = n * n * 8
+    src = rng.integers(-9, 10, (n, n))
+    path = tmp_path / "m.txt"
+    write_matrix(path, IntMatrix(src))
+    m, peak = _traced_peak(lambda: read_matrix(path))
+    assert np.array_equal(m.data, src) and m.max_abs == 9
+    assert peak < 2 * nbytes + 2 * path.stat().st_size, peak
+
+    mats = [IntMatrix(rng.integers(-9, 10, (n - 12, n - 12))) for _ in range(3)]
+    (a2, b2, c2, m2), peak = _traced_peak(lambda: pad_to_pow2(*mats))
+    assert m2 == n and np.array_equal(c2.data[: n - 12, : n - 12], mats[2].data)
+    assert peak < 3.5 * nbytes, peak
+
+    # the public constructor still copies the caller's array
+    own = IntMatrix(src)
+    src[0, 0] = 1000
+    assert own.get(0, 0) != 1000 and own.max_abs == 9
 
 
 def test_submatrix_quadtree():

@@ -183,6 +183,26 @@ def test_progression_rows_match_single_rows():
         assert list(got[k]) == [oracle_eval(rows[k].tolist(), x, p) for x in pts]
 
 
+def test_monomial_rows_read_the_kernel(monkeypatch):
+    # a row c * X^e has raw outputs c * scale[e] * kernel[e + u]: no
+    # transform runs for it, in any segment, up to e = n - 1
+    p = (1 << 31) - 1
+    first, ratio, count, n = 5, 48271, 70, 37
+    rows = np.zeros((4, n), dtype=np.int64)
+    rows[0, 0], rows[1, 17], rows[2, n - 1] = p - 1, p - 2, 1   # rows[3] is zero
+    monkeypatch.setattr(poly, "_SEGMENT", 16)     # segments of 37 and 33 points
+    plan = poly.ProgressionPlan(n, first, ratio, count, p)
+    assert [(u0, cnt) for u0, cnt, _ in plan.segments] == [(0, 37), (37, 33)]
+
+    def no_transform(*args):
+        raise AssertionError("a monomial row went through the kernel")
+
+    monkeypatch.setattr(poly, "_spectral_product", no_transform)
+    got = progression_eval(rows, first, ratio, count, p)
+    pts = [first * pow(ratio, u, p) % p for u in range(count)]
+    assert got.tolist() == [[oracle_eval(r.tolist(), x, p) for x in pts] for r in rows]
+
+
 def test_kernel_checks_transform_size(monkeypatch):
     monkeypatch.setattr(poly, "_FFT_LIMIT", 64)
     ctx = FieldCtx(262147, 2, order_lb=2)

@@ -3,6 +3,7 @@ import pytest
 
 from matverify import (
     FieldCtx,
+    FingerprintRep,
     IntMatrix,
     UsageError,
     all_zeroes_test,
@@ -114,6 +115,61 @@ def test_fingerprint_progression_grid_matches_sub_blocks():
         eval_fingerprint_progression(rep, 7, count, grid=3)
 
 
+def _sub_block_oracle(rep, start, count, grid):
+    """Each sub-block's fingerprint at omega^(start + u), by Horner."""
+    h = rep.side // grid
+    pts = [pow(rep.ctx.omega, start + u, rep.ctx.p) for u in range(count)]
+    out = np.zeros((grid, grid, count), dtype=np.int64)
+    for ai in range(grid):
+        for bi in range(grid):
+            sub = FingerprintRep(rep.ctx, h, rep.left_polys[:, ai * h : (ai + 1) * h],
+                                 rep.right_polys[:, bi * h : (bi + 1) * h])
+            out[ai, bi] = eval_fingerprint(sub, pts)
+    return out
+
+
+@pytest.mark.parametrize("grid", [1, 2])
+def test_accumulation_reduces_before_int64_overflows(grid):
+    # at p = 2^31 - 1 two products near (p - 1)^2 fill an int64, so the sum
+    # over 24 live inner indices must be reduced every product or two
+    p = (1 << 31) - 1
+    ctx = FieldCtx(p, 7, order_lb=p - 1)
+    rng = seeded_rng(26)
+    side, k, count = 8, 24, 40
+    left = p - 1 - rng.integers(0, 3, (k, side))
+    right = p - 1 - rng.integers(0, 3, (k, side))
+    left[::5, : side // 2] = 0          # some halves die: fewer live pairs
+    rep = FingerprintRep(ctx, side, left, right)
+    vals = eval_fingerprint_progression(rep, 3, count, grid=grid)
+    assert np.array_equal(vals.reshape(grid, grid, count),
+                          _sub_block_oracle(rep, 3, count, grid))
+
+
+@pytest.mark.parametrize("grid, start", [(1, 0), (2, 5)])
+def test_accumulation_at_the_verify_prime(grid, start):
+    # n = t = 384 at the one CRT prime of the verify workload, against the
+    # exact AB - C: value(x) = sum_ij D_ij x^i (x^h)^j per sub-block of side h
+    rng = seeded_rng(27)
+    n, count = 384, 384
+    a = rng.integers(-9, 10, (n, n))
+    b = rng.integers(-9, 10, (n, n))
+    c = rng.integers(-999, 1000, (n, n))
+    pair = augment(a, b, c)
+    (ctx,) = build_crt_basis(n, pair.magnitude_bound()).fields
+    p, h = ctx.p, n // grid
+    rep = fingerprint_rep(*pair.reduced(ctx), ctx)
+    vals = eval_fingerprint_progression(rep, start, count, grid=grid)
+    d = (naive_multiply(a, b).data - c) % p
+    xs = [pow(ctx.omega, start + u, p) for u in range(count)]
+    xp = np.array([[pow(x, i, p) for x in xs] for i in range(h)], dtype=np.int64)
+    xh = np.array([[pow(x, h * j, p) for x in xs] for j in range(h)], dtype=np.int64)
+    for ai in range(grid):
+        for bi in range(grid):
+            blk = d[ai * h : (ai + 1) * h, bi * h : (bi + 1) * h]
+            want = (blk @ xh % p * xp).sum(axis=0) % p
+            assert np.array_equal(vals.reshape(grid, grid, count)[ai, bi], want)
+
+
 def test_fingerprint_block_slicing():
     rng = seeded_rng(23)
     left = rng.integers(0, 17, (8, 8))
@@ -202,6 +258,75 @@ def test_verify_large_entries_multi_prime():
     bad = c.copy()
     bad[1, 2] += basis.fields[0].p  # invisible to the first prime alone
     assert not verify_product(a, b, bad, 2)
+    bad[1, 3] -= basis.fields[0].p  # and now to the all-ones probe too
+    stats = {}
+    assert not verify_product(a, b, bad, 2, stats=stats)
+    assert "probe_exits" not in stats
+
+
+def test_cancelling_errors_are_refuted_by_the_fingerprint():
+    # errors summing to zero pass the all-ones probe; the fingerprint at
+    # t points still refutes them
+    rng = seeded_rng(37)
+    n = 9
+    a = rng.integers(-9, 10, (n, n))
+    b = rng.integers(-9, 10, (n, n))
+    c = naive_multiply(a, b).data
+    row = c.copy()
+    row[4, 1] += 6
+    row[4, 7] -= 6
+    spread = c.copy()
+    for (i, j), d in zip(((0, 0), (3, 8), (8, 2), (5, 5)), (3, 4, -9, 2)):
+        spread[i, j] += d
+    for bad, t in ((row, 2), (spread, 4)):
+        stats = {}
+        assert not verify_product(a, b, bad, t, stats=stats)
+        assert stats.get("probe_exits", 0) == 0 and stats["evaluations"] > 0
+
+
+def test_probe_refutes_without_a_transform(monkeypatch):
+    def no_transform(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(poly, "_spectral_product", no_transform)
+    rng = seeded_rng(38)
+    n = 64
+    a = rng.integers(-9, 10, (n, n))
+    b = rng.integers(-9, 10, (n, n))
+    bad = naive_multiply(a, b).data
+    bad[10, 20] += 3
+    bad[30, 40] -= 1
+    stats = {"evaluations": 0}
+    assert not verify_product(a, b, bad, n, stats=stats)
+    assert stats == {"evaluations": 0, "probe_exits": 1}
+
+
+def test_probe_is_exact_at_the_magnitude_caps():
+    # |AB| reaches n * (2^40 - 1)^2 and the sums n^3 times that: int64
+    # partial sums would wrap, floats would lose the +-1
+    rng = seeded_rng(39)
+    cap = (1 << 40) - 1
+    n = 6
+    a = rng.choice((-cap, cap), (n, n))
+    b = rng.choice((-cap, cap), (n, n))
+    c = naive_multiply(a, b).data
+    assert c.dtype == object
+    for d in (1, -1):
+        bad = c.copy()
+        bad[2, 3] += d
+        stats = {}
+        assert not verify_product(a, b, bad, 1, stats=stats)
+        assert stats == {"probe_exits": 1}
+    # object entries above 2^62 through the public API
+    big = np.array([[(1 << 70) + 3, -(1 << 65)], [7, (1 << 63) + 1]], dtype=object)
+    prod = big.dot(big)             # exact: object entries are Python ints
+    assert verify_product(big, big, prod, 1)
+    for d in (1, -1):
+        bad = prod.copy()
+        bad[1, 0] += d
+        stats = {}
+        assert not verify_product(big, big, bad, 1, stats=stats)
+        assert stats == {"probe_exits": 1}
 
 
 def test_freivalds_and_sampling():
