@@ -226,7 +226,7 @@ def _run_engine(
                 granularity[s] = tv
         # integer-level sweep over the full basis; catches nonzeroes that
         # vanish mod this pass's prime
-        if verify_product(a2, b2, c2, max(t, 1), basis=basis, stats=stats):
+        if verify_product(a2, b2, c2, max(t, 1), stats=stats):
             break
     else:
         raise PromiseViolationError(

@@ -9,7 +9,8 @@ import numpy as np
 
 from .errors import ResourceLimitError, UsageError
 
-_SIEVE_BUDGET = 1 << 27      # flags per segmented-sieve call (~128 MiB)
+_BUDGET_BYTES = 1 << 27      # largest workspace array (~128 MiB): sieve flags
+                             # of one byte, subgroup residues of eight
 WORD = 1 << 31               # every modulus is below this: residue products fit
                              # in int64, trial division stays below 2^15 steps
 
@@ -27,10 +28,10 @@ def sieve_primes_in_range(lo: int, hi: int) -> list[int]:
         raise UsageError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
     if hi >= 1 << 63:
         raise UsageError("upper bound must fit in a machine word")
-    if hi - lo + 1 > _SIEVE_BUDGET:
-        raise ResourceLimitError(f"sieve range wider than {_SIEVE_BUDGET} flags")
+    if hi - lo + 1 > _BUDGET_BYTES:
+        raise ResourceLimitError(f"sieve range wider than {_BUDGET_BYTES} flags")
     root = isqrt(hi)
-    if root + 1 > _SIEVE_BUDGET:
+    if root + 1 > _BUDGET_BYTES:
         raise ResourceLimitError("base sieve would exceed the memory budget")
 
     base = np.ones(root + 1, dtype=bool)
@@ -66,12 +67,18 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _cyclic_subgroup(a: int, p: int) -> np.ndarray:
-    """All distinct powers of a modulo p, starting at a^0 = 1."""
+    """All distinct powers of a modulo p, starting at a^0 = 1. The array
+    doubles until it meets 1; a doubling past the budget is refused."""
     a %= p
     arr = np.array([1], dtype=np.int64)
     if a == 1:
         return arr
     while True:
+        if 2 * arr.nbytes > _BUDGET_BYTES:
+            raise ResourceLimitError(
+                f"order of {a} mod {p} is at least {len(arr)}: its powers "
+                f"outgrow the {_BUDGET_BYTES}-byte budget"
+            )
         step = int(arr[-1]) * a % p       # a^len(arr)
         block = arr * step % p
         hits = np.nonzero(block == 1)[0]
@@ -96,7 +103,8 @@ def find_generator(p: int) -> int:
 
 
 def multiplicative_order(x: int, p: int) -> int:
-    """Exhaustively computed order of x in the multiplicative group mod p."""
+    """Exhaustively computed order of x in the multiplicative group mod p;
+    ResourceLimitError when the powers of x outgrow the memory budget."""
     check_word(p)
     if x % p == 0:
         raise UsageError("0 is not a group element")

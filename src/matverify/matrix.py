@@ -134,8 +134,7 @@ def read_matrix(path) -> IntMatrix:
 def write_matrix(path, m: IntMatrix) -> None:
     m = as_matrix(m)
     out = [f"{m.rows} {m.cols}"]
-    for r in range(m.rows):
-        out.append(" ".join(str(int(v)) for v in m.data[r]))
+    out += [" ".join(map(str, row)) for row in m.data.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(out) + "\n")
 

@@ -1,10 +1,11 @@
 """Univariate polynomials over F_p: multiplication, long division,
-multipoint evaluation, and batch evaluation along geometric progressions by
-the chirp transform. Its tables (kernel residues, kernel spectrum, inverse
+evaluation at arbitrary points by Horner's scheme vectorised over the
+points, and batch evaluation along geometric progressions by the chirp
+transform. The chirp tables (kernel residues, kernel spectrum, inverse
 chirp) are cached per (p, ratio, transform length) in one bounded LRU; a
 ProgressionPlan adds the per-call scales and returns raw outputs, which
-callers that sum many rows post-scale once. Both fast paths run on one
-exact float64 FFT convolution of small-width limbs: one operand holds
+callers that sum many rows post-scale once. The chirp and poly_mul run on
+one exact float64 FFT convolution of small-width limbs: one operand holds
 residues in [0, p), the other balanced residues in [-p/2, p/2], and the
 limb count follows from a rounding bound on those true magnitudes. Moduli
 are below field.WORD = 2^31, so residue products fit in int64 and all
@@ -18,7 +19,6 @@ from .errors import InternalCheckError, ResourceLimitError, UsageError
 from .field import FieldCtx, power_sequence, reduce_mod
 from .matrix import next_pow2
 
-_TREE_THRESHOLD = 64   # below this, per-point Horner beats the subproduct tree
 _SEGMENT = 1 << 15     # progression points per transform, unless rows are longer
 _FFT_LIMIT = 1 << 22   # longest transform the kernel allocates
 _CHUNK_POINTS = 1 << 14  # rows x transform length per batch: bounds the workspace
@@ -195,39 +195,13 @@ def horner_many(coeffs, pts: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
-def _linear_product(pts: np.ndarray, ctx: FieldCtx) -> Poly:
-    p = ctx.p
-    cur = np.array([1], dtype=np.int64)
-    for x in pts:
-        cur = np.convolve(cur, np.array([(-int(x)) % p, 1], dtype=np.int64)) % p
-    return Poly(cur, ctx)
-
-
-def _subproduct_tree(pts: np.ndarray, ctx: FieldCtx):
-    if len(pts) <= _TREE_THRESHOLD:
-        return (_linear_product(pts, ctx), None, None, pts)
-    mid = len(pts) // 2
-    left = _subproduct_tree(pts[:mid], ctx)
-    right = _subproduct_tree(pts[mid:], ctx)
-    return (poly_mul(left[0], right[0]), left, right, pts)
-
-
-def _tree_descend(node, f: Poly) -> np.ndarray:
-    modulus, left, right, pts = node
-    rem = poly_divrem(f, modulus)[1] if f.degree >= modulus.degree else f
-    if left is None:
-        return horner_many(rem.coeffs, pts, f.ctx.p)
-    return np.concatenate([_tree_descend(left, rem), _tree_descend(right, rem)])
-
-
 def multipoint_eval(f: Poly, points) -> list[int]:
-    """f at every point; subproduct-tree remainder cascade above the size
-    threshold, per-point Horner below it. Identical values either way."""
+    """f at every point, reduced mod p, by Horner's scheme run across all
+    points at once. Points along a geometric progression go through
+    progression_eval instead."""
     p = f.ctx.p
     pts = np.array([int(x) % p for x in points], dtype=np.int64)
-    if pts.size < _TREE_THRESHOLD or f.degree < _TREE_THRESHOLD:
-        return [int(v) for v in horner_many(f.coeffs, pts, p)]
-    return [int(v) for v in _tree_descend(_subproduct_tree(pts, f.ctx), f)]
+    return [int(v) for v in horner_many(f.coeffs, pts, p)]
 
 
 @lru_cache(maxsize=64)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .field import CrtBasis, FieldCtx, build_crt_basis, reduce_mod
+from .field import FieldCtx, build_crt_basis, reduce_mod
 from .matrix import IntMatrix, augment, exact_dot, square_matrices
 from .poly import ProgressionPlan, horner_many, rows_per_block
 from .poly import progression_eval  # noqa: F401  perfbench's tracer patches it here
@@ -161,15 +161,14 @@ def all_zeroes_test(
     correct whenever the product has at most t nonzero entries."""
     if t < 1:
         raise UsageError("t must be >= 1")
-    left = left.data if isinstance(left, IntMatrix) else np.asarray(left)
     right = right.data if isinstance(right, IntMatrix) else np.asarray(right)
-    side = left.shape[0]
+    rep = fingerprint_rep(left, right, ctx)   # checks the dimensions first
+    side = rep.side
     if right.shape[1] != side:
         raise UsageError("product of the pair must be square")
     if ctx.order_lb < side * side:
         raise UsageError("omega order bound below side^2")
     t_eff = min(t, side * side)
-    rep = fingerprint_rep(left, right, ctx)
     vals = eval_fingerprint_progression(rep, 0, t_eff, stats)
     nz = np.nonzero(vals)[0]
     if nz.size:
@@ -191,17 +190,15 @@ def _ones_probe(a: IntMatrix, b: IntMatrix, c: IntMatrix) -> int:
     return int(ab) - int(exact_dot(ones, row_c, 1, n * c.max_abs))
 
 
-def verify_product(
-    a, b, c, t: int, basis: CrtBasis | None = None, stats: dict | None = None
-) -> bool:
+def verify_product(a, b, c, t: int, stats: dict | None = None) -> bool:
     """True iff C = AB, guaranteed whenever they differ in at most t entries.
     False answers are always correct.
 
     A nonzero sum of all entries of AB - C (_ones_probe) refutes C at once,
     once per call; it is counted in stats["probe_exits"]. Otherwise the
     pair is augmented to (A | C), (B ; -I), a CRT basis covering the
-    augmented magnitude bound is built, and the all-zeroes test must pass
-    mod every prime.
+    augmented magnitude bound is built (build_crt_basis caches it per
+    (n, bound)), and the all-zeroes test must pass mod every prime.
     """
     a, b, c, n = square_matrices(a, b, c)
     if t < 1:
@@ -211,8 +208,7 @@ def verify_product(
             stats["probe_exits"] = stats.get("probe_exits", 0) + 1
         return False
     pair = augment(a, b, c)
-    if basis is None:
-        basis = build_crt_basis(n, pair.magnitude_bound())
+    basis = build_crt_basis(n, pair.magnitude_bound())
     for ctx in basis.fields:
         ap, bp = pair.reduced(ctx)
         if not all_zeroes_test(ap, bp, t, ctx, stats).all_zero:

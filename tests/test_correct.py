@@ -118,6 +118,26 @@ def test_multi_prime_blind_spot():
     assert res.prime_passes == 2
 
 
+def test_third_prime_pass():
+    # deltas of p1*p2 and -2*p1*p2 vanish mod the first two basis primes,
+    # so two passes and two integer sweeps go by before the third prime
+    # finds them
+    rng = seeded_rng(49)
+    n = 8
+    a = rng.integers(-(1 << 20), (1 << 20) + 1, (n, n))
+    b = rng.integers(-(1 << 20), (1 << 20) + 1, (n, n))
+    c = naive_multiply(a, b).data
+    primes = [f.p for f in build_crt_basis(n, augment(a, b, c).magnitude_bound()).fields]
+    assert primes[:3] == [67, 71, 73] and len(primes) == 8
+    bad = c.copy()
+    bad[1, 6] += primes[0] * primes[1]
+    bad[5, 2] -= 2 * primes[0] * primes[1]
+    res = correct_product(a, b, bad, 2)
+    assert np.array_equal(res.product.data, c)
+    assert res.correction_count == 2
+    assert res.prime_passes == 3
+
+
 def test_single_error_never_doubles_granularity():
     # one wrong entry: the first granularity guess suffices at every level
     rng = seeded_rng(44)

@@ -2,6 +2,7 @@ import tracemalloc
 
 import pytest
 
+from matverify import field
 from matverify import (
     FieldCtx,
     ResourceLimitError,
@@ -73,6 +74,20 @@ def test_multiplicative_order_matches_oracle():
     for p in [7, 17, 101]:
         for x in range(1, p):
             assert multiplicative_order(x, p) == oracle_order(x, p)
+
+
+def test_multiplicative_order_refuses_past_its_budget(monkeypatch):
+    # the powers of 7 mod 2^31 - 1 (a primitive root) would fill 16 GiB;
+    # small orders at word primes are still answered
+    assert multiplicative_order(2, (1 << 31) - 1) == 31
+    monkeypatch.setattr(field, "_BUDGET_BYTES", 8 * 512)   # 512 residues
+    g = find_generator(1009)
+    with pytest.raises(ResourceLimitError):
+        multiplicative_order(g, 1009)          # order 1008
+    with pytest.raises(ResourceLimitError):
+        multiplicative_order(7, (1 << 31) - 1)
+    assert multiplicative_order(pow(g, 2, 1009), 1009) == 504
+    assert multiplicative_order(2, (1 << 31) - 1) == 31
 
 
 def test_power_sequence():

@@ -64,6 +64,16 @@ def test_matrix_roundtrip(tmp_path):
     assert back == m
 
 
+def test_write_matrix_bytes(tmp_path):
+    cap = (1 << 40) - 1
+    path = tmp_path / "w.mat"
+    write_matrix(path, IntMatrix(np.array([[cap, 0], [-cap, 7]])))
+    assert path.read_bytes() == f"2 2\n{cap} 0\n{-cap} 7\n".encode()
+    big = 1 << 70
+    write_matrix(path, IntMatrix(np.array([[big, -big - 1, 0]], dtype=object)))
+    assert path.read_bytes() == f"1 3\n{big} {-big - 1} 0\n".encode()
+
+
 def test_matrix_format_details(tmp_path):
     path = tmp_path / "ok.mat"
     path.write_text("# produced by hand\n# second comment\n2 3\n1 2 3\n-4 5 -6\n\n")

@@ -202,6 +202,9 @@ def test_all_zeroes_budget_clamp_and_validation():
         all_zeroes_test(zero, zero, 0, F17)
     with pytest.raises(UsageError):
         all_zeroes_test(zero, zero, 1, FieldCtx(17, 3, order_lb=2))
+    # a one-dimensional right factor is refused before its shape is read
+    with pytest.raises(UsageError):
+        all_zeroes_test(np.ones((2, 2), np.int64), np.ones(2, np.int64), 1, F17)
 
 
 def test_raw_factors_are_reduced_exactly():
