@@ -1,6 +1,6 @@
 """Command-line front end: instance generation with planted errors,
-verification, correction, output-sensitive multiplication, reduction
-export, and a benchmark harness.
+verification, correction, output-sensitive multiplication and reduction
+export.
 
 Reports are line-delimited key=value text on stdout. Exit codes:
 0 equal/success, 1 not-equal, 2 promise violation, 64 usage error,
@@ -9,7 +9,6 @@ Reports are line-delimited key=value text on stdout. Exit codes:
 
 import argparse
 import os
-import statistics
 import sys
 import time
 
@@ -116,16 +115,6 @@ def build_parser() -> _Parser:
     r.add_argument("--out", default=None)
     r.add_argument("--check", action="store_true",
                    help="run the brute-force oracle and report agreement")
-
-    bn = sub.add_parser("bench", help="timing harness, CSV output")
-    bn.add_argument("--suite", choices=("detect", "correct", "naive"),
-                    required=True)
-    bn.add_argument("--sizes", default="64,128,256",
-                    help="comma-separated list of n values")
-    bn.add_argument("--t-rule", dest="t_rule", default="n",
-                    help="n, n/2, or const:K")
-    bn.add_argument("--reps", type=int, default=3)
-    bn.add_argument("--out", default=None, help="CSV path (default stdout)")
     return p
 
 
@@ -278,83 +267,6 @@ def cmd_reduce(args, rep: _Report) -> int:
     return 0
 
 
-def _parse_t_rule(rule: str):
-    if rule == "n":
-        return lambda n: n
-    if rule == "n/2":
-        return lambda n: max(1, n // 2)
-    if rule.startswith("const:"):
-        k = int(rule.split(":", 1)[1])
-        if k < 1:
-            raise UsageError("const t-rule needs K >= 1")
-        return lambda n: k
-    raise UsageError(f"unknown t-rule {rule!r}")
-
-
-def _bench_once(suite: str, n: int, t: int, seed: int):
-    rng = seeded_rng(seed)
-    a = IntMatrix(rng.integers(-9, 10, size=(n, n)))
-    b = IntMatrix(rng.integers(-9, 10, size=(n, n)))
-    stats = {"evaluations": 0}
-    if suite == "naive":
-        t0 = time.perf_counter()
-        naive_multiply(a, b)
-        return time.perf_counter() - t0, 0, 0
-    if suite == "detect":
-        c = naive_multiply(a, b)
-        t0 = time.perf_counter()
-        verify_product(a, b, c, t, stats=stats)
-        return time.perf_counter() - t0, stats["evaluations"], 0
-    # correct: plant exactly t errors so the run saturates its promise
-    c = naive_multiply(a, b).data.copy()
-    positions = rng.choice(n * n, size=t, replace=False)
-    c.flat[positions] += rng.integers(1, 10, size=t) * rng.choice((-1, 1), size=t)
-    t0 = time.perf_counter()
-    result = correct_product(a, b, IntMatrix(c), t)
-    return time.perf_counter() - t0, result.evaluations, result.correction_count
-
-
-def cmd_bench(args, rep: _Report) -> int:
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad --sizes value {args.sizes!r}") from exc
-    if not sizes or min(sizes) < 1:
-        raise UsageError("--sizes needs positive integers")
-    if args.reps < 1:
-        raise UsageError("--reps must be >= 1")
-    t_of = _parse_t_rule(args.t_rule)
-    seed = _resolve_seed(args)
-
-    lines = ["n,t,mode,rep,wall_s,evaluations,corrections"]
-    _bench_once(args.suite, min(sizes), t_of(min(sizes)), seed)  # warmup
-    for n in sizes:
-        t = t_of(n)
-        walls, evals, corrs = [], [], []
-        for r in range(1, args.reps + 1):
-            wall, ev, co = _bench_once(args.suite, n, t, seed + 1000 * n + r)
-            walls.append(wall)
-            evals.append(ev)
-            corrs.append(co)
-            lines.append(f"{n},{t},{args.suite},{r},{wall:.6f},{ev},{co}")
-        lines.append(
-            f"{n},{t},{args.suite},median,{statistics.median(walls):.6f},"
-            f"{int(statistics.median(evals))},{int(statistics.median(corrs))}"
-        )
-    csv_text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv_text)
-        rep.emit("command", "bench")
-        rep.emit("suite", args.suite)
-        rep.emit("seed", seed)
-        rep.emit("out", args.out)
-        rep.verdict("success")
-    else:
-        sys.stdout.write(csv_text)
-    return 0
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -368,9 +280,7 @@ def main(argv=None) -> int:
             return _run_correction(args, rep, osmm=False)
         if args.command == "osmm":
             return _run_correction(args, rep, osmm=True)
-        if args.command == "reduce":
-            return cmd_reduce(args, rep)
-        return cmd_bench(args, rep)
+        return cmd_reduce(args, rep)
     except UsageError as exc:
         print(f"error=usage detail={exc}", file=sys.stderr)
         return 64

@@ -55,6 +55,8 @@ def fingerprint_rep(
         raise UsageError("factors must be 2-d with matching inner dimension")
     if side is None:
         side = left.shape[0]
+    if side < 1 or i_start < 0 or j_start < 0:
+        raise UsageError("block needs side >= 1 and nonnegative starts")
     if i_start + side > left.shape[0] or j_start + side > right.shape[1]:
         raise UsageError("block exceeds factor dimensions")
     lp = reduce_mod(left[i_start : i_start + side, :].T, ctx.p)

@@ -1,8 +1,11 @@
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from matverify import IntMatrix, naive_multiply, read_matrix, write_matrix
-from matverify.cli import main
+from matverify.cli import build_parser, main
 
 from helpers import skew_pair
 
@@ -211,34 +214,6 @@ def test_reduce_upit(workdir, capsys):
     assert code == 0 and rep["agreement"] == "true"
 
 
-def test_bench_csv_shape(workdir, capsys):
-    code, _, out = run(
-        capsys, "--seed", 4, "bench", "--suite", "detect",
-        "--sizes", "8,16", "--reps", "3",
-    )
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "n,t,mode,rep,wall_s,evaluations,corrections"
-    assert len(lines) == 1 + 2 * 4
-    assert sum(1 for ln in lines if ",median," in ln) == 2
-    for suite, trule in (("correct", "n/2"), ("naive", "const:2")):
-        code, _, out = run(
-            capsys, "--seed", 4, "bench", "--suite", suite,
-            "--sizes", "8", "--reps", "2", "--t-rule", trule,
-        )
-        assert code == 0
-        assert len(out.strip().splitlines()) == 4
-
-
-def test_bench_out_file(workdir, capsys):
-    code, rep, _ = run(
-        capsys, "--seed", 4, "bench", "--suite", "naive",
-        "--sizes", "8", "--reps", "1", "--out", "b.csv",
-    )
-    assert code == 0 and rep["out"] == "b.csv"
-    assert open("b.csv").read().startswith("n,t,mode,rep")
-
-
 def test_exit_codes_for_bad_input(workdir, capsys):
     code, _, _ = run(capsys, "verify", "no.mat", "no.mat", "no.mat", 1)
     assert code == 64
@@ -257,6 +232,18 @@ def test_exit_codes_for_bad_input(workdir, capsys):
     assert code == 64
     code, _, _ = run(capsys, "nonsense")
     assert code == 64
+
+
+def test_readme_command_lines_parse():
+    # every example under "## Command line" must parse as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [ln.split("#", 1)[0].strip() for ln in block.splitlines()]
+    commands = [ln for ln in lines if ln.startswith("matverify ")]
+    assert commands
+    parser = build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_quiet_keeps_verdict_only(workdir, capsys):

@@ -13,6 +13,7 @@ from matverify import (
     multiply_output_sensitive,
     naive_multiply,
     seeded_rng,
+    verify_product,
 )
 from matverify import poly
 from matverify.correct import CorrectionEngine
@@ -136,6 +137,48 @@ def test_third_prime_pass():
     assert np.array_equal(res.product.data, c)
     assert res.correction_count == 2
     assert res.prime_passes == 3
+
+
+def test_correction_on_adversarial_inputs_within_promise():
+    # at most t wrong entries: the exact product and one correction per
+    # wrong entry, with verify_product agreeing before and after
+    rng = seeded_rng(53)
+    cap = (1 << 40) - 1
+
+    def small(n):
+        return rng.integers(-9, 10, (n, n))
+
+    cases = []   # (a, b, {(i, j): delta}, t)
+    for delta in (0, 5, -7, cap):
+        cases.append((small(1), small(1), {(0, 0): delta}, 1))
+    n = 33
+    for cells in ([(5, j) for j in range(n)], [(i, 7) for i in range(n)],
+                  [(k, k) for k in range(n)],
+                  [(i, j) for i in range(5) for j in range(5)]):
+        deltas = rng.integers(1, 10, len(cells)) * rng.choice((-1, 1), len(cells))
+        cases.append((small(n), small(n), dict(zip(cells, deltas.tolist())), n))
+    for n in (3, 8, 17):
+        a, b = (cap * rng.choice((-1, 1), (n, n)) for _ in range(2))
+        cells = rng.choice(n * n, size=2, replace=False)
+        cases.append((a, b, {divmod(int(e), n): cap for e in cells}, 2))
+    a = small(6).astype(object) * (1 << 63)
+    cases.append((a, small(6), {(2, 3): 1 << 70}, 1))
+    # 67, 71 and 73 are the first basis primes at n = 8
+    a = rng.integers(-(1 << 20), (1 << 20) + 1, (8, 8))
+    b = rng.integers(-(1 << 20), (1 << 20) + 1, (8, 8))
+    cases.append((a, b, {(1, 6): 67 * 71, (5, 2): -67 * 71 * 73}, 2))
+
+    for a, b, deltas, t in cases:
+        truth = a.astype(object).dot(b.astype(object))
+        c = truth.copy()
+        for (i, j), d in deltas.items():
+            c[i, j] += d
+        wrong = sum(1 for d in deltas.values() if d != 0)
+        res = correct_product(a, b, c, t)
+        assert res.product.data.tolist() == truth.tolist()
+        assert res.correction_count == wrong
+        assert verify_product(a, b, c, t) == (wrong == 0)
+        assert verify_product(a, b, res.product, t)
 
 
 def test_single_error_never_doubles_granularity():

@@ -180,6 +180,12 @@ def test_fingerprint_block_slicing():
     coeffs = fingerprint_coeffs(block_l.tolist(), block_r.tolist(), 17)
     pts = [1, 2, 5]
     assert eval_fingerprint(rep, pts) == [oracle_eval(coeffs, x, 17) for x in pts]
+    # a negative start must not wrap around to a block further down, and an
+    # empty or negative side is a usage error, not a numpy failure later
+    for kwargs in ({"i_start": -3, "side": 2}, {"j_start": -1, "side": 2},
+                   {"side": 0}, {"side": -1}):
+        with pytest.raises(UsageError):
+            fingerprint_rep(left[:4, :4], right[:4, :4], F17, **kwargs)
 
 
 def test_all_zeroes_identity_golden():
