@@ -38,6 +38,7 @@ from .verify import (
     fingerprint_rep,
     flawed_bilinear_test,
     freivalds_verify,
+    kernel_path,
     sampling_verify,
     seeded_rng,
     verify_product,
@@ -158,6 +159,7 @@ def cmd_verify(args, rep: _Report) -> int:
     if args.mode == "det":
         equal = verify_product(a, b, c, args.t, stats=stats)
         rep.emit("evaluations", stats["evaluations"])
+        rep.emit("kernel", kernel_path(stats))
         # nonzero: the all-ones sum refuted C; zero: the fingerprint decided
         rep.emit("probe", "nonzero" if stats.get("probe_exits") else "zero")
     elif args.mode == "freivalds":
@@ -200,6 +202,7 @@ def _run_correction(args, rep: _Report, osmm: bool) -> int:
     rep.emit("corrections", result.correction_count)
     rep.emit("max_granularity", result.max_granularity)
     rep.emit("evaluations", result.evaluations)
+    rep.emit("kernel", result.kernel)
     rep.emit("prime_passes", result.prime_passes)
     rep.emit("wall_s", f"{wall:.6f}")
     rep.verdict("success")

@@ -25,6 +25,7 @@ from .matrix import (
 from .verify import (
     FingerprintRep,
     eval_fingerprint_progression,
+    kernel_path,
     verify_product,
 )
 
@@ -39,6 +40,7 @@ class CorrectionResult:
     max_granularity: int
     granularity_map: dict[SubmatrixId, int]
     prime_passes: int
+    kernel: str          # evaluator that ran: gemm, chirp, mixed or none
 
     @property
     def correction_count(self) -> int:
@@ -243,6 +245,7 @@ def _run_engine(
         max_granularity=max(granularity.values(), default=0),
         granularity_map=granularity,
         prime_passes=passes,
+        kernel=kernel_path(stats),
     )
 
 

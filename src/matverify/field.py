@@ -142,17 +142,21 @@ def reduce_mod(data, p: int) -> np.ndarray:
     return data % p
 
 
-def power_sequence(base: int, count: int, p: int) -> np.ndarray:
-    """[base^0, base^1, ..., base^(count-1)] mod p, filled by doubling."""
+def power_sequence(base, count: int, p: int) -> np.ndarray:
+    """[base^0, base^1, ..., base^(count-1)] mod p, filled by doubling. An
+    array of bases gives one such row per base, shape base.shape + (count,):
+    the Vandermonde rows of those points."""
     if count < 0:
         raise UsageError("count must be >= 0")
     check_word(p)
-    out = np.empty(count, dtype=np.int64)
-    out[:1] = 1 % p
-    filled, step = 1, base % p
+    rows = np.shape(base)
+    step = base[..., None] % p if rows else base % p
+    out = np.empty(rows + (count,), dtype=np.int64)
+    out[..., :1] = 1 % p
+    filled = 1
     while filled < count:
         take = min(filled, count - filled)
-        out[filled : filled + take] = out[:take] * step % p
+        out[..., filled : filled + take] = out[..., :take] * step % p
         step = step * step % p      # base^(2 * filled)
         filled += take
     return out

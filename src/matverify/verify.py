@@ -2,19 +2,52 @@
 that refutes most wrong products at once, the deterministic all-zeroes
 test on the augmented pair, its integer-level lift through a CRT basis,
 randomized baselines, and a deliberately flawed bilinear probe kept as a
-negative control."""
+negative control.
+
+Fingerprint values come from two evaluators. For count points and a
+block of side h over K inner indices, Vandermonde GEMMs (_gemm_values:
+Freivalds' check with rows of powers of the points in place of random
+vectors) cost about count*h*K multiply-adds in float64 BLAS, exact by the
+argument in _matmul_mod; they serve arbitrary points, and progressions of
+up to K_GEMM * bit_length(h) points. Longer progressions take the chirp
+transform of poly.ProgressionPlan, O(K h log h) at any count. Under that
+bound the GEMM work stays O(K h log h) too, so verify_product keeps its
+O~(n^2) cost at every t, and t = n stays on the chirp for every n >= 128
+(12 * bit_length(n) < n there).
+
+Measured on one core (OpenBLAS, numpy 2.4), the fingerprint of a whole
+augmented pair at t points, GEMM / chirp in ms:
+
+    n = 128:  t = 16: 0.8 / 3.3     t = 128: 2.2 / 4.8
+    n = 384:  t = 48: 4.7 / 18.3    t = 384: 33.6 / 32.6
+    n = 512:  t = 64: 9.3 / 95.5    t = 512: 58.7 / 102.9
+    n = 1024: t = 128: 105 / 407    t = 1024: 807 / 486
+
+so the crossover lies near t = n (n = 384, 1024) or past it (n = 128,
+512, where the chirp needs two limbs), and the cost bound, not the
+crossover, sets K_GEMM. On the correction engine's blocks (side 2 to
+128, counts of 1 to 128) the GEMM ran 1.5-6x faster than the chirp at
+every count tried up to 256.
+"""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
-from .field import FieldCtx, build_crt_basis, reduce_mod
+from .errors import ResourceLimitError, UsageError
+from .field import FieldCtx, build_crt_basis, power_sequence, reduce_mod
 from .matrix import IntMatrix, augment, exact_dot, square_matrices
-from .poly import ProgressionPlan, horner_many, rows_per_block
+from .poly import ProgressionPlan, rows_per_block
 from .poly import progression_eval  # noqa: F401  perfbench's tracer patches it here
 
 _I64_MAX = (1 << 63) - 1
+_F64_EXACT = 1 << 53
+_LIMB_BITS = 16          # limb width of the GEMMs when one GEMM would round
+_GEMM_CELLS = 1 << 18    # cells per GEMM buffer, 2 MiB in float64: bounds the workspace
+# GEMM up to K_GEMM * bit_length(side) points, chirp past. All-chirp (0),
+# 12 and 15 (the largest value that keeps t = n = 128 on the chirp) took
+# 7.3 s, 3.94 s and 3.85 s on 112 correction instances, one core
+K_GEMM = 12
 
 
 @dataclass(frozen=True)
@@ -64,24 +97,86 @@ def fingerprint_rep(
     return FingerprintRep(ctx=ctx, side=side, left_polys=lp, right_polys=rp)
 
 
-def _active_rows(rep: FingerprintRep) -> np.ndarray:
-    # skip inner indices whose column (or row) vanishes on the block
-    return np.nonzero(rep.left_polys.any(axis=1) & rep.right_polys.any(axis=1))[0]
+def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """x @ y mod p (numpy matmul, stacks included) for int64 residues in
+    [0, p), exactly, by float64 BLAS.
+
+    With inner dimension m, every partial sum of one output entry, in
+    whatever order BLAS adds (and whether or not it fuses multiply-adds), is
+    a sum of some of the m products and so an integer in [0, m*(p-1)^2].
+    While m*(p-1)^2 < 2^53 every such integer is a float64, no step rounds,
+    and one GEMM is exact. Otherwise (at p = 2^31 - 1 already for m = 1)
+    both operands split into 16-bit limbs, x = xh*2^16 + xl with xh, xl <
+    2^16 since p < 2^31, and the four limb GEMMs have partial sums below
+    m * 2^32, exact while m < 2^21. Each limb product is reduced into [0, p)
+    before it is scaled, so the int64 combination
+    hh*(2^32 mod p) + (hl + lh)*2^16 + ll stays below 2^62 + 2^48 + 2^31.
+    """
+    inner = x.shape[-1]
+    if inner * (p - 1) ** 2 < _F64_EXACT:
+        return (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64) % p
+    if inner >= 1 << (53 - 2 * _LIMB_BITS):
+        raise ResourceLimitError(f"inner dimension {inner} too long for exact limb GEMMs")
+    mask = (1 << _LIMB_BITS) - 1
+    xl, xh = (x & mask).astype(np.float64), (x >> _LIMB_BITS).astype(np.float64)
+    yl, yh = (y & mask).astype(np.float64), (y >> _LIMB_BITS).astype(np.float64)
+
+    def limb(u, v):
+        return (u @ v).astype(np.int64) % p
+
+    out = limb(xh, yh) * ((1 << 2 * _LIMB_BITS) % p)
+    out += (limb(xh, yl) + limb(xl, yh)) << _LIMB_BITS
+    out += limb(xl, yl)
+    return out % p
+
+
+def _gemm_values(left: np.ndarray, right: np.ndarray, rows: np.ndarray,
+                 xs: np.ndarray, grid: int, p: int) -> np.ndarray:
+    """Fingerprint values of a grid x grid arrangement of sub-blocks at the
+    points xs, by Vandermonde GEMMs over the inner indices `rows` of the
+    (K, grid*h) residue arrays left and right: shape (grid, grid, len(xs)).
+
+    Wq[u, i] = x_u^i and Wr[u, j] = (x_u^h)^j, filled by doubling, give
+    Q = Wq @ left and R = Wr @ right, the values q_k(x_u) and r_k(x_u^h) of
+    every row half, and value[a, b, u] = sum_k Q[u, a, k] * R[u, b, k].
+    Points and inner indices go in chunks that keep every buffer (points x
+    h, inner indices x grid*h, points x grid x inner indices) within
+    _GEMM_CELLS cells, so the workspace is sized before it is allocated.
+    """
+    h = left.shape[1] // grid
+    out = np.zeros((grid, grid, len(xs)), dtype=np.int64)
+    pc = max(1, _GEMM_CELLS // h)
+    kc = max(1, _GEMM_CELLS // (grid * max(h, min(pc, len(xs)))))
+    for u0 in range(0, len(xs), pc):
+        x = xs[u0 : u0 + pc]
+        wq = power_sequence(x, h, p)
+        wr = power_sequence(wq[:, -1] * x % p, h, p)
+        for k0 in range(0, len(rows), kc):
+            chunk = rows[k0 : k0 + kc]
+            # rows of the reshaped halves are (k, a) and (k, b), k-major
+            q = _matmul_mod(wq, left[chunk].reshape(-1, h).T, p)
+            r = _matmul_mod(wr, right[chunk].reshape(-1, h).T, p)
+            q = q.reshape(len(x), -1, grid).transpose(0, 2, 1)
+            vals = _matmul_mod(q, r.reshape(len(x), -1, grid), p)
+            out[:, :, u0 : u0 + pc] += vals.transpose(1, 2, 0)
+    out %= p
+    return out
 
 
 def eval_fingerprint(rep: FingerprintRep, points) -> list[int]:
-    """Fingerprint values at arbitrary points: sum_k q_k(x) * r_k(x^side)."""
+    """Fingerprint values at arbitrary points, sum_k q_k(x) * r_k(x^side),
+    by the Vandermonde GEMMs, which take a long point list in chunks."""
     p = rep.ctx.p
     pts = np.array([int(x) % p for x in points], dtype=np.int64)
-    if pts.size == 0:
-        return []
-    pts_side = np.array([pow(int(x), rep.side, p) for x in pts], dtype=np.int64)
-    acc = np.zeros(len(pts), dtype=np.int64)
-    for k in _active_rows(rep):
-        qv = horner_many(rep.left_polys[k], pts, p)
-        rv = horner_many(rep.right_polys[k], pts_side, p)
-        acc = (acc + qv * rv) % p
-    return [int(v) for v in acc]
+    active = np.nonzero(rep.left_polys.any(axis=1) & rep.right_polys.any(axis=1))[0]
+    return _gemm_values(rep.left_polys, rep.right_polys, active, pts, 1, p)[0, 0].tolist()
+
+
+def kernel_path(stats: dict) -> str:
+    """Which evaluator computed the fingerprint values counted in stats:
+    gemm, chirp, mixed, or none when no value was computed."""
+    gemm, chirp = stats.get("gemm_points", 0), stats.get("chirp_points", 0)
+    return ("mixed" if chirp else "gemm") if gemm else ("chirp" if chirp else "none")
 
 
 def eval_fingerprint_progression(
@@ -101,10 +196,15 @@ def eval_fingerprint_progression(
     share their right ones (ratio omega^h), and all share the progression,
     so each side goes through the kernel once for the whole grid.
 
-    Both sides take one ProgressionPlan per call. The raw kernel outputs
-    of each block of inner indices are multiplied and summed in int64,
-    reduced only when the next block could overflow the sum, and the two
-    post-scales are applied once to the total.
+    Up to K_GEMM * bit_length(h) points the Vandermonde GEMMs of
+    _gemm_values run; past that the chirp does. Both sides take one
+    ProgressionPlan per call there. The raw kernel outputs of each block
+    of inner indices are multiplied and summed in int64, reduced only when
+    the next block could overflow the sum, and the two post-scales are
+    applied once to the total. stats["evaluations"] counts count times the
+    live (inner index, sub-block) pairs; stats["gemm_points"] and
+    stats["chirp_points"] count the values each path computed, count per
+    sub-block.
     """
     ctx = rep.ctx
     p = ctx.p
@@ -119,7 +219,13 @@ def eval_fingerprint_progression(
     # inner index k feeds sub-block (a, b) when both of its halves are nonzero
     live = left.any(axis=2)[:, :, None] & right.any(axis=2)[:, None, :]
     active = np.nonzero(live.any(axis=(1, 2)))[0]
+    path = None
     if count and active.size:
+        path = "gemm" if count <= K_GEMM * side.bit_length() else "chirp"
+    if path == "gemm":
+        xs = power_sequence(ctx.omega, count, p) * pow(ctx.omega, start_exp, p) % p
+        acc = _gemm_values(rep.left_polys, rep.right_polys, active, xs, grid, p)
+    elif path == "chirp":
         ratio_r = pow(ctx.omega, side, p)
         plan_q = ProgressionPlan(side, pow(ctx.omega, start_exp, p), ctx.omega, count, p)
         plan_r = ProgressionPlan(side, pow(ratio_r, start_exp, p), ratio_r, count, p)
@@ -142,6 +248,9 @@ def eval_fingerprint_progression(
         acc %= p
     if stats is not None:
         stats["evaluations"] = stats.get("evaluations", 0) + count * int(live.sum())
+        if path is not None:
+            key = f"{path}_points"
+            stats[key] = stats.get(key, 0) + count * grid * grid
     return acc[0, 0] if grid == 1 else acc
 
 

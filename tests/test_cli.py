@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from matverify import IntMatrix, naive_multiply, read_matrix, write_matrix
+import matverify.verify as verify_mod
 from matverify.cli import build_parser, main
 
 from helpers import skew_pair
@@ -83,9 +84,10 @@ def test_verify_modes(workdir, capsys):
         assert code == 1 and rep["verdict"] == "not_equal", mode
 
 
-def test_verify_names_the_probe_path(workdir, capsys):
+def test_verify_names_the_probe_path(workdir, capsys, monkeypatch):
     # probe=nonzero: the sum of AB - C refuted C; probe=zero: the
-    # fingerprint decided, also for errors that cancel in the sum
+    # fingerprint decided, also for errors that cancel in the sum. kernel=
+    # names the evaluator of those fingerprints, none after the probe
     rng = np.random.default_rng(4)
     a = rng.integers(-9, 10, (6, 6))
     b = rng.integers(-9, 10, (6, 6))
@@ -96,11 +98,15 @@ def test_verify_names_the_probe_path(workdir, capsys):
     pair[1, 5] -= 4
     for name, m in (("A", a), ("B", b), ("C", truth), ("one", one), ("pair", pair)):
         write_matrix(f"{name}.mat", IntMatrix(m))
-    for c, verdict, probe in (("C", "equal", "zero"), ("one", "not_equal", "nonzero"),
-                              ("pair", "not_equal", "zero")):
+    for c, verdict, probe, kernel in (("C", "equal", "zero", "gemm"),
+                                      ("one", "not_equal", "nonzero", "none"),
+                                      ("pair", "not_equal", "zero", "gemm")):
         code, rep, _ = run(capsys, "verify", "A.mat", "B.mat", f"{c}.mat", 2)
-        assert (rep["verdict"], rep["probe"]) == (verdict, probe), c
+        assert (rep["verdict"], rep["probe"], rep["kernel"]) == (verdict, probe, kernel), c
         assert (int(rep["evaluations"]) == 0) == (probe == "nonzero")
+    monkeypatch.setattr(verify_mod, "K_GEMM", 0)
+    code, rep, _ = run(capsys, "verify", "A.mat", "B.mat", "pair.mat", 2)
+    assert (rep["verdict"], rep["kernel"]) == ("not_equal", "chirp")
 
 
 def test_verify_flawed_blind_spot(workdir, capsys):
@@ -118,13 +124,16 @@ def test_verify_flawed_blind_spot(workdir, capsys):
 
 
 def test_correct_command(workdir, capsys):
-    run(capsys, "--seed", 5, "gen", 8, 5)
-    code, rep, _ = run(
-        capsys, "correct", "A.mat", "B.mat", "C.mat", 5, "--out", "fixed.mat"
-    )
-    assert code == 0 and rep["corrections"] == "5"
-    fixed = read_matrix("fixed.mat")
-    assert fixed == naive_multiply(read_matrix("A.mat"), read_matrix("B.mat"))
+    # at n = 40, padded to 64, the root's 100 points run on the chirp and
+    # the searches below it on the GEMM evaluator
+    for n, z, t, kernel in ((8, 5, 5, "gemm"), (40, 9, 100, "mixed")):
+        run(capsys, "--seed", 5, "gen", n, z)
+        code, rep, _ = run(
+            capsys, "correct", "A.mat", "B.mat", "C.mat", t, "--out", "fixed.mat"
+        )
+        assert code == 0 and rep["corrections"] == str(z) and rep["kernel"] == kernel
+        fixed = read_matrix("fixed.mat")
+        assert fixed == naive_multiply(read_matrix("A.mat"), read_matrix("B.mat"))
 
 
 def test_correct_promise_violation_exit_2(workdir, capsys):
@@ -140,16 +149,16 @@ def test_correct_promise_violation_exit_2(workdir, capsys):
 def test_osmm_zero_matrices(workdir, capsys):
     write_matrix("Z.mat", IntMatrix(np.zeros((4, 4), dtype=np.int64)))
     code, rep, _ = run(capsys, "osmm", "Z.mat", "Z.mat", 1, "--out", "P.mat")
-    assert code == 0 and rep["corrections"] == "0"
+    assert code == 0 and rep["corrections"] == "0" and rep["kernel"] == "none"
     assert not read_matrix("P.mat").data.any()
 
 
 def test_osmm_matches_naive(workdir, capsys):
     run(capsys, "--seed", 6, "gen", 4, 0)
-    code, _, _ = run(
+    code, rep, _ = run(
         capsys, "osmm", "A.mat", "B.mat", 16, "--out", "P.mat"
     )
-    assert code == 0
+    assert code == 0 and rep["kernel"] == "gemm"
     assert read_matrix("P.mat") == naive_multiply(
         read_matrix("A.mat"), read_matrix("B.mat")
     )

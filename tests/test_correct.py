@@ -16,6 +16,7 @@ from matverify import (
     verify_product,
 )
 from matverify import poly
+import matverify.verify as verify_mod
 from matverify.correct import CorrectionEngine
 from matverify.matrix import augment
 
@@ -310,6 +311,32 @@ def test_correction_golden_counts_and_trace():
     )
 
 
+@pytest.mark.parametrize("n, z, t, kernel", [(12, 6, 6, "gemm"), (40, 9, 100, "mixed")])
+def test_both_evaluators_give_one_correction_run(monkeypatch, n, z, t, kernel):
+    # the same run with every fingerprint on the chirp: products, writes,
+    # granularity, passes, evaluation counts and trace all agree. At n = 40,
+    # padded to 64, t = 100 puts the root's points past the GEMM bound of
+    # K_GEMM * bit_length(64) = 84
+    rng = seeded_rng(53 + n)
+    a = rng.integers(-9, 10, (n, n))
+    b = rng.integers(-9, 10, (n, n))
+    c = naive_multiply(a, b).data
+    bad = plant_errors(c, z, rng)
+    runs = []
+    for k_gemm in (verify_mod.K_GEMM, 0):
+        monkeypatch.setattr(verify_mod, "K_GEMM", k_gemm)
+        trace = io.StringIO()
+        res = correct_product(a, b, bad, t, trace=trace)
+        assert np.array_equal(res.product.data, c)
+        runs.append(res)
+        runs.append(trace.getvalue())
+    fast, fast_trace, chirp, chirp_trace = runs
+    assert (fast.kernel, chirp.kernel) == (kernel, "chirp")
+    assert fast_trace == chirp_trace
+    assert (fast.corrections, fast.evaluations, fast.granularity_map, fast.prime_passes) \
+        == (chirp.corrections, chirp.evaluations, chirp.granularity_map, chirp.prime_passes)
+
+
 def test_osmm_golden_counts_and_trace():
     # two nonzero columns of B: AB has 16 nonzeroes in columns 1 and 6
     rng = seeded_rng(48)
@@ -390,9 +417,11 @@ def _check_each_search(monkeypatch) -> dict:
 ])
 def test_batched_children_match_per_block_oracle(monkeypatch, n, z, chunk_points):
     # n = 3, 33 and 96 pad to 4, 64 and 128; a tiny _CHUNK_POINTS splits
-    # every batched step into several row blocks
+    # every batched step of the chirp, which then runs at every count, into
+    # several row blocks
     if chunk_points is not None:
         monkeypatch.setattr(poly, "_CHUNK_POINTS", chunk_points)
+        monkeypatch.setattr(verify_mod, "K_GEMM", 0)
     seen = _check_each_search(monkeypatch)
     rng = seeded_rng(49 + n)
     a = rng.integers(-9, 10, (n, n))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from matverify import (
 )
 
 from matverify import poly
+import matverify.verify as verify_mod
 
 from helpers import fingerprint_coeffs, oracle_eval, plant_errors, skew_pair
 
@@ -45,7 +48,9 @@ def test_fingerprint_matches_coefficient_expansion():
         assert eval_fingerprint(rep, pts) == want
 
 
-def test_fingerprint_progression_matches_pointwise():
+def test_fingerprint_progression_matches_pointwise(monkeypatch):
+    # the chirp against the GEMM evaluator at arbitrary points
+    monkeypatch.setattr(verify_mod, "K_GEMM", 0)
     rng = seeded_rng(22)
     basis = build_crt_basis(8, 10**6)
     ctx = basis.fields[0]
@@ -129,9 +134,10 @@ def _sub_block_oracle(rep, start, count, grid):
 
 
 @pytest.mark.parametrize("grid", [1, 2])
-def test_accumulation_reduces_before_int64_overflows(grid):
-    # at p = 2^31 - 1 two products near (p - 1)^2 fill an int64, so the sum
-    # over 24 live inner indices must be reduced every product or two
+def test_accumulation_reduces_before_int64_overflows(monkeypatch, grid):
+    # at p = 2^31 - 1 two products near (p - 1)^2 fill an int64, so the chirp's
+    # sum over 24 live inner indices must be reduced every product or two
+    monkeypatch.setattr(verify_mod, "K_GEMM", 0)
     p = (1 << 31) - 1
     ctx = FieldCtx(p, 7, order_lb=p - 1)
     rng = seeded_rng(26)
@@ -168,6 +174,110 @@ def test_accumulation_at_the_verify_prime(grid, start):
             blk = d[ai * h : (ai + 1) * h, bi * h : (bi + 1) * h]
             want = (blk @ xh % p * xp).sum(axis=0) % p
             assert np.array_equal(vals.reshape(grid, grid, count)[ai, bi], want)
+
+
+def _expanded_oracle(left, right, ctx, grid, points):
+    """Each sub-block's fingerprint at the points, from the full coefficient
+    expansion of its product (pure Python): shape (grid, grid, points)."""
+    h = left.shape[0] // grid
+    out = np.zeros((grid, grid, len(points)), dtype=np.int64)
+    for ai in range(grid):
+        for bi in range(grid):
+            coeffs = fingerprint_coeffs(left[ai * h : (ai + 1) * h].tolist(),
+                                        right[:, bi * h : (bi + 1) * h].tolist(), ctx.p)
+            out[ai, bi] = [oracle_eval(coeffs, x, ctx.p) for x in points]
+    return out
+
+
+_P31 = (1 << 31) - 1
+_CRT = build_crt_basis(16, 10**6).fields[0]
+
+
+_GEMM_CASES = [
+    (F17, 1, 3, "random", 1, 0),
+    (F17, 1, 3, "random", 1, 4),
+] + [
+    (ctx, side, 12, fill, grid, start)
+    for ctx, side, fill in ((F17, 8, "random"), (_CRT, 16, "random"), (_CRT, 16, "max"),
+                            (FieldCtx(_P31, 7, order_lb=_P31 - 1), 16, "max"))
+    for grid, start in ((1, 0), (1, 9), (2, 0), (2, 5))
+]
+
+
+@pytest.mark.parametrize("ctx, side, k, fill, grid, start", _GEMM_CASES)
+def test_gemm_path_matches_the_expanded_fingerprint(ctx, side, k, fill, grid, start):
+    # all-(p - 1) factors put every partial sum at its largest: at 2^31 - 1
+    # one product alone passes 2^53, so both GEMMs run in 16-bit limbs
+    rng = seeded_rng(28 + side)
+    p = ctx.p
+    if fill == "max":
+        left = np.full((side, k), p - 1, dtype=np.int64)
+        right = np.full((k, side), p - 1, dtype=np.int64)
+    else:
+        left = rng.integers(0, p, (side, k))
+        right = rng.integers(0, p, (k, side))
+    rep = fingerprint_rep(left, right, ctx)
+    count = verify_mod.K_GEMM * (side // grid).bit_length()
+    stats = {}
+    vals = eval_fingerprint_progression(rep, start, count, stats, grid=grid)
+    assert "chirp_points" not in stats and stats["gemm_points"] == count * grid * grid
+    points = [pow(ctx.omega, start + u, p) for u in range(count)]
+    want = _expanded_oracle(left, right, ctx, grid, points)
+    assert np.array_equal(vals.reshape(grid, grid, count), want)
+    empty = eval_fingerprint_progression(rep, start, 0, stats, grid=grid)
+    assert empty.shape == ((0,) if grid == 1 else (grid, grid, 0))
+
+
+@pytest.mark.parametrize("ctx", [F17, _CRT, FieldCtx(_P31, 7, order_lb=_P31 - 1)])
+def test_arbitrary_points_match_the_expanded_fingerprint(monkeypatch, ctx):
+    # points 0 and p - 1, repeats and unreduced ones; a tiny cell budget
+    # splits both the points and the inner indices into chunks
+    rng = seeded_rng(29)
+    p = ctx.p
+    left = rng.integers(0, p, (6, 9))
+    right = rng.integers(0, p, (9, 6))
+    left[:, 4] = 0                      # a dead inner index is skipped
+    rep = fingerprint_rep(left, right, ctx)
+    points = [0, p - 1, 1, 2, p - 1, p + 3, -1] + [int(x) for x in rng.integers(0, p, 5)]
+    want = _expanded_oracle(left, right, ctx, 1, [x % p for x in points])[0, 0]
+    assert eval_fingerprint(rep, points) == want.tolist()
+    monkeypatch.setattr(verify_mod, "_GEMM_CELLS", 13)
+    assert eval_fingerprint(rep, points) == want.tolist()
+    assert eval_fingerprint(rep, []) == []
+    zero = fingerprint_rep(np.zeros((3, 2), np.int64), np.ones((2, 3), np.int64), ctx)
+    assert eval_fingerprint(zero, [0, 5]) == [0, 0]
+
+
+def test_gemm_workspace_is_bounded():
+    # 6000 arbitrary points on a side-256 block, and the longest GEMM
+    # progression (180 points) on a side-16384 one: unchunked, their
+    # Vandermonde matrices alone take 12 MiB and 23 MiB per buffer
+    rng = seeded_rng(30)
+    ctx = _CRT
+    rep = FingerprintRep(ctx, 256, rng.integers(0, ctx.p, (8, 256)),
+                         rng.integers(0, ctx.p, (8, 256)))
+    points = rng.integers(0, ctx.p, 6000)
+    tracemalloc.start()
+    try:
+        vals = eval_fingerprint(rep, points)
+        peak_points = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(vals) == 6000
+    side = 1 << 14
+    wide = FingerprintRep(ctx, side, rng.integers(0, ctx.p, (2, side)),
+                          rng.integers(0, ctx.p, (2, side)))
+    count = verify_mod.K_GEMM * side.bit_length()
+    tracemalloc.start()
+    try:
+        stats = {}
+        prog = eval_fingerprint_progression(wide, 0, count, stats)
+        peak_prog = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats["gemm_points"] == count and prog.shape == (count,)
+    assert peak_points < 12 << 20, peak_points
+    assert peak_prog < 12 << 20, peak_prog
 
 
 def test_fingerprint_block_slicing():
