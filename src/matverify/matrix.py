@@ -84,33 +84,9 @@ def as_matrix(x) -> IntMatrix:
     return x if isinstance(x, IntMatrix) else IntMatrix(x)
 
 
-def _load_body(body: list[str], rest: list[str], rows: int, cols: int):
-    """The body rows parsed by numpy's loadtxt, or None when the line walk
-    of read_matrix must decide: a missing or blank body line (loadtxt skips
-    blank lines and warns on an empty body), content after the last row, a
-    shape other than the header's, an entry at 2^40 or beyond, or any token
-    loadtxt refuses. With comments=None a '#' is such a token. loadtxt
-    refuses every token int() refuses, and also '1_000', non-ASCII digits
-    and values past int64, which the walk accepts or reports; so this path
-    changes neither the accepted files nor their values."""
-    if len(body) < rows or any(not ln.strip() for ln in body):
-        return None
-    if any(ln.strip() for ln in rest):
-        return None
-    try:
-        arr = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if arr.shape != (rows, cols) or arr.min() <= -ENTRY_CAP or arr.max() >= ENTRY_CAP:
-        return None
-    return arr
-
-
 def read_matrix(path) -> IntMatrix:
     """Parse the text format: optional '#' comments, a 'ROWS COLS' header,
-    then ROWS lines of COLS signed decimal integers. A well-formed body goes
-    through numpy's loadtxt (_load_body); anything else takes the line walk,
-    which reports every error with its line number."""
+    then ROWS lines of COLS signed decimal integers."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
 
@@ -128,11 +104,6 @@ def read_matrix(path) -> IntMatrix:
         raise MatrixParseError("header must hold two integers", idx + 1) from None
     if rows < 1 or cols < 1:
         raise MatrixParseError("dimensions must be positive", idx + 1)
-
-    body = lines[idx + 1 : idx + 1 + rows]
-    fast = _load_body(body, lines[idx + 1 + rows :], rows, cols)
-    if fast is not None:
-        return IntMatrix._adopt(fast)
 
     # nothing is allocated for the header's shape until every line holds
     # its entries, so a bogus header fails with its line number

@@ -19,8 +19,6 @@ from matverify import (
     write_matrix,
 )
 
-import matverify.matrix as matrix_mod
-
 from helpers import oracle_matmul
 
 
@@ -110,14 +108,10 @@ def test_matrix_parse_errors(tmp_path, text):
     ("2 2\n1 #\n3 4\n", "line 2: non-integer token '#'"),     # a comment
     ("2 2\n1 2\n\n3 4\n", "line 3: expected 2 entries, got 0"),  # a blank line
     ("2 2\n1 2\n3 4\n5 6\n", "line 4: unexpected trailing content"),
+    ("2 2\n1 -2\n +3 4 \n\n", [[1, -2], [3, 4]]),          # signs, spaces
 ])
-def test_parse_fallbacks_take_the_line_walk(tmp_path, monkeypatch, text, want):
-    # each file leaves numpy's loadtxt for the line walk, which gives the
-    # values int() gives or the line-numbered error; a plain file does not
-    fast = []
-    load_body = matrix_mod._load_body
-    monkeypatch.setattr(matrix_mod, "_load_body",
-                        lambda *args: fast.append(load_body(*args)) or fast[-1])
+def test_parse_reads_tokens_as_int_does(tmp_path, text, want):
+    # the line walk gives the values int() gives or the line-numbered error
     path = tmp_path / "m.mat"
     path.write_text(text, encoding="utf-8")
     if isinstance(want, list):
@@ -126,10 +120,6 @@ def test_parse_fallbacks_take_the_line_walk(tmp_path, monkeypatch, text, want):
         with pytest.raises(MatrixParseError) as err:
             read_matrix(path)
         assert str(err.value) == want
-    assert fast == [None]
-    path.write_text("2 2\n1 -2\n +3 4 \n\n", encoding="utf-8")
-    assert read_matrix(path).data.tolist() == [[1, -2], [3, 4]]
-    assert fast[-1] is not None
 
 
 def test_parse_error_carries_line_number(tmp_path):
