@@ -1,9 +1,11 @@
 """Walkthrough: multiplying dense factors whose product is sparse.
 
 When AB is promised to have at most t nonzero entries, the product is
-assembled by repeatedly locating one nonzero entry at a time through a
-quadtree descent over cached polynomial test values. Work scales with
-t, not with the n^2 entries a dense method would touch.
+assembled from C = 0 by locating its nonzero entries: by default from the
+error locator that Berlekamp-Massey finds in 2t fingerprint values, or,
+with engine="quadtree", one entry at a time through the paper's quadtree
+descent over cached polynomial test values. Work scales with t, not with
+the n^2 entries a dense method would touch.
 """
 
 import numpy as np
@@ -24,11 +26,13 @@ prod = a @ b
 print(f"factors are fully dense; product has {np.count_nonzero(prod)} "
       f"nonzeroes out of {n * n}")
 
-res = multiply_output_sensitive(a, b, t=np.count_nonzero(prod))
-print(f"output-sensitive result exact: {np.array_equal(res.product.data, prod)}")
-print(f"entries written:               {res.correction_count}")
-print(f"max granularity reached:       {res.max_granularity}")
-print(f"field evaluations:             {res.evaluations}")
+for engine in ("prony", "quadtree"):
+    res = multiply_output_sensitive(a, b, t=np.count_nonzero(prod), engine=engine)
+    print(f"\n{engine} engine")
+    print(f"output-sensitive result exact: {np.array_equal(res.product.data, prod)}")
+    print(f"entries written:               {res.correction_count}")
+    print(f"max granularity reached:       {res.max_granularity}")
+    print(f"field evaluations:             {res.evaluations}")
 
 # identity products at a glance
 eye = np.eye(8, dtype=np.int64)

@@ -18,8 +18,12 @@ transform, and a pair of errors +d, -d in one row, which cancel in that
 sum and are refuted by the t-point fingerprint.
 
 The second table times correction with t = n planted errors at n = 128
-and 256: each granularity step of the quadtree search evaluates the four
-children of a block together.
+and 256 on both engines. The prony engine evaluates the fingerprint at
+2t points, runs Berlekamp-Massey and sweeps the locator's roots once,
+O~(n^2 + n*t + t^2) per prime; the quadtree search of the paper,
+O~(sqrt(t) n^2 + t^2), evaluates the four children of a block together
+at each granularity step. Both end with the same integer sweep at 2t
+points.
 """
 
 import time
@@ -72,7 +76,8 @@ for n in (64, 128, 256, 384, 512):
     print(f"{n:>5} {tv:>12.4f} {t8:>10.4f} {t1:>13.4f} {t2:>16.4f} {tn:>14.4f} {tn / tv:>7.2f} "
           f"{limbs:>7}")
 
-print(f"\n{'n':>5} {'t':>5} {'correct_product (s)':>20} {'evaluations':>12}")
+print(f"\n{'n':>5} {'t':>5} {'prony (s)':>10} {'quadtree (s)':>13} "
+      f"{'prony evals':>12} {'quadtree evals':>15}")
 for n in (128, 256):
     a = rng.integers(-9, 10, (n, n))
     b = rng.integers(-9, 10, (n, n))
@@ -80,8 +85,11 @@ for n in (128, 256):
     bad = c.copy()
     pos = rng.choice(n * n, size=n, replace=False)
     bad.flat[pos] += rng.integers(1, 10, size=n) * rng.choice((-1, 1), size=n)
-    s = time.perf_counter()
-    res = correct_product(a, b, bad, n)
-    elapsed = time.perf_counter() - s
-    assert np.array_equal(res.product.data, c) and res.correction_count == n
-    print(f"{n:>5} {n:>5} {elapsed:>20.3f} {res.evaluations:>12}")
+    row = []
+    for engine in ("prony", "quadtree"):
+        s = time.perf_counter()
+        res = correct_product(a, b, bad, n, engine=engine)
+        row.append((time.perf_counter() - s, res.evaluations))
+        assert np.array_equal(res.product.data, c) and res.correction_count == n
+    (tp, ep), (tq, eq) = row
+    print(f"{n:>5} {n:>5} {tp:>10.3f} {tq:>13.3f} {ep:>12} {eq:>15}")

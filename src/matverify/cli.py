@@ -199,6 +199,7 @@ def _run_correction(args, rep: _Report, osmm: bool) -> int:
     rep.emit("command", "osmm" if osmm else "correct")
     rep.emit("t", args.t)
     rep.emit("out", args.out)
+    rep.emit("engine", result.engine)
     rep.emit("corrections", result.correction_count)
     rep.emit("max_granularity", result.max_granularity)
     rep.emit("evaluations", result.evaluations)

@@ -1,16 +1,37 @@
 """Output-sensitive multiplication and product correction.
 
-A quadtree search locates nonzero entries of the augmented product using
-cached polynomial test values; every located entry is confirmed by an exact
-integer inner product, written into C, and all caches are patched
-incrementally along the containing chain rather than recomputed.
+Two engines locate the nonzero entries of the augmented product one prime
+at a time; every located entry is confirmed by an exact integer inner
+product before it is written into C, and an integer sweep over the whole
+CRT basis after each prime decides whether another prime is needed.
+
+- prony (the default): sparse interpolation. The fingerprint of AB - C has
+  one term per wrong entry, so its values at omega^0..omega^(k-1) form a
+  linear recurrence whose minimal polynomial, found by Berlekamp-Massey,
+  has the roots omega^e of the wrong exponents e; one chirp sweep of the
+  reversed locator over omega^0..omega^(m^2-1) finds them. Cost
+  O~(m^2 + m*t + t^2) per prime.
+- quadtree: the paper's search, kept as its reference. It descends a
+  quadtree of blocks using cached test values, doubling each block's
+  granularity until a child witnesses, and patches the caches along the
+  containing chain after every write. Cost O~(sqrt(t) m^2 + t^2).
+
+Both engines detect every broken promise with at most 2t wrong entries:
+the sweep runs at min(2t, m^2) points, and 2t values cannot all vanish on
+a nonzero with at most 2t terms. Beyond 2t wrong entries nothing is
+guaranteed.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalCheckError, PromiseViolationError, UsageError
+from .errors import (
+    InternalCheckError,
+    PromiseViolationError,
+    ResourceLimitError,
+    UsageError,
+)
 from .field import FieldCtx, build_crt_basis, power_sequence
 from .matrix import (
     AugmentedPair,
@@ -22,12 +43,20 @@ from .matrix import (
     pad_to_pow2,
     square_matrices,
 )
+from .poly import progression_eval
 from .verify import (
     FingerprintRep,
     eval_fingerprint_progression,
     kernel_path,
     verify_product,
 )
+
+# locator values per progression_eval call of the root search: bounds its
+# output buffer, and with _BM_VALUES its transform
+_ROOT_SEGMENT = 1 << 15
+# most values Berlekamp-Massey takes: one interpreter step each, of O(L)
+# work for a locator of degree L <= count / 2
+_BM_VALUES = 1 << 17
 
 
 @dataclass
@@ -41,6 +70,7 @@ class CorrectionResult:
     granularity_map: dict[SubmatrixId, int]
     prime_passes: int
     kernel: str          # evaluator that ran: gemm, chirp, mixed or none
+    engine: str          # prony or quadtree
 
     @property
     def correction_count(self) -> int:
@@ -48,9 +78,15 @@ class CorrectionResult:
 
 
 class CorrectionEngine:
-    """Working state for one prime: reduced factors, per-block granularity
-    tau, the computed prefix of each block's test values as one residue
-    array, and the nested queue of blocks certified to contain a nonzero."""
+    """One prime pass of correction, and the paper's quadtree engine.
+
+    The pass is shared by both engines: run() takes the positions that
+    locate() yields, confirms each by an exact inner product, writes it
+    into C and patches the field copy and any cached values. Here locate()
+    is the quadtree search, and the working state is its own: reduced
+    factors, per-block granularity tau, the computed prefix of each
+    block's test values as one residue array, and the nested queue of
+    blocks certified to contain a nonzero."""
 
     def __init__(
         self, pair: AugmentedPair, t: int, ctx: FieldCtx, stats: dict, trace=None
@@ -166,20 +202,33 @@ class CorrectionEngine:
 
     # -- driver ----------------------------------------------------------
 
-    def run(self, corrections: list, pre_write=None, post_update=None) -> None:
+    def locate(self, done: int):
+        """Yield (i, j, note) for one nonzero position after another; the
+        caller writes each before the next is searched for. The note is
+        the search's part of the trace line; done counts the corrections
+        of earlier passes, for the errors raised here."""
         self._extend_values(self.root, self.t_eff)
         if self.t_eff and self.vals[self.root].any():
             self.queue.append(self.root)
-        iteration = 0
         while self.queue:
-            s = self.queue[-1]
-            i, j, info = self.find_nonzero(s)
+            i, j, info = self.find_nonzero(self.queue[-1])
+            st = info["start"]
+            yield i, j, (f"sub=({st.i_start},{st.j_start},{st.side}) "
+                         f"tau={self.tau.get(st, 0)} nu={info['nu']}")
+
+    def unchanged(self, i: int, j: int, done: int) -> Exception:
+        """The error for a located entry that C already has right. A leaf
+        the search reaches is nonzero mod p, so here that is a fault."""
+        return InternalCheckError(
+            f"field-level witness at ({i},{j}) has zero integer value"
+        )
+
+    def run(self, corrections: list, pre_write=None, post_update=None) -> None:
+        for iteration, (i, j, note) in enumerate(self.locate(len(corrections))):
             new = self.exact_inner(i, j)
             old = self.pair.c.get(i, j)
             if new == old:
-                raise InternalCheckError(
-                    f"field-level witness at ({i},{j}) has zero integer value"
-                )
+                raise self.unchanged(i, j, len(corrections))
             if len(corrections) >= self.t:
                 raise PromiseViolationError(
                     f"more than {self.t} differing entries; "
@@ -195,19 +244,120 @@ class CorrectionEngine:
             if post_update is not None:
                 post_update(self, i, j)
             if self.trace is not None:
-                st = info["start"]
                 self.trace.write(
-                    f"prime={self.ctx.p} iter={iteration} "
-                    f"sub=({st.i_start},{st.j_start},{st.side}) "
-                    f"tau={self.tau.get(st, 0)} nu={info['nu']} "
-                    f"pos=({i},{j})\n"
+                    f"prime={self.ctx.p} iter={iteration} {note} pos=({i},{j})\n"
                 )
-            iteration += 1
+
+
+class PronyEngine(CorrectionEngine):
+    """The sparse-interpolation engine: the pass of CorrectionEngine with
+    locate() replaced; no quadtree blocks, so granularity reads 0.
+
+    With D = AB - C over the padded m x m grid, the fingerprint values
+    v_u = sum_e D_e * (omega^e)^u, e = i + m*j, satisfy the linear
+    recurrence whose connection polynomial is prod_e (1 - omega^e x) over
+    the entries with D_e != 0 mod p. Berlekamp-Massey recovers it from 2r
+    values when r entries are wrong, so k = min(2t, 2m^2) values suffice
+    under the promise (the cap is 2m^2, not m^2: r may reach m^2). The
+    roots of the reversed locator among omega^0..omega^(m^2-1) are the
+    wrong exponents.
+
+    A locator of degree L > t, a root count other than L, a root at an
+    entry that is already right, or more than t corrections in all can
+    only come from a broken promise, and each raises
+    PromiseViolationError.
+    """
+
+    def roots(self, locator: np.ndarray) -> list[int]:
+        """Exponents e < m^2 with omega^e a root of the reversed locator,
+        ascending, in segments of _ROOT_SEGMENT points; stops early once
+        more roots than the degree turned up."""
+        p, omega, total = self.ctx.p, self.ctx.omega, self.m * self.m
+        reversed_locator = locator[::-1]
+        found: list[int] = []
+        for u0 in range(0, total, _ROOT_SEGMENT):
+            count = min(_ROOT_SEGMENT, total - u0)
+            vals = progression_eval(reversed_locator, pow(omega, u0, p), omega, count, p)
+            found.extend((u0 + np.flatnonzero(vals == 0)).tolist())
+            if len(found) >= len(locator):
+                break
+        return found
+
+    def locate(self, done: int):
+        p, m, t = self.ctx.p, self.m, self.t
+        count = min(2 * t, 2 * m * m)
+        if count > _BM_VALUES:
+            raise ResourceLimitError(
+                f"{count} locator values exceed the Berlekamp-Massey budget "
+                f"of {_BM_VALUES}"
+            )
+        vals = self.scratch_values(self.root, 0, count)
+        if not vals.any():
+            return
+        locator = berlekamp_massey(vals, p)
+        degree = len(locator) - 1
+        if degree > t:
+            raise PromiseViolationError(
+                f"error locator of degree {degree} mod {p}: more than {t} "
+                "differing entries",
+                corrections=done,
+            )
+        found = self.roots(locator)
+        if len(found) != degree:
+            raise PromiseViolationError(
+                f"error locator of degree {degree} has {len(found)} roots "
+                f"mod {p}: more than {t} differing entries",
+                corrections=done,
+            )
+        for e in found:
+            j, i = divmod(e, m)
+            yield i, j, f"L={degree}"
+
+    def unchanged(self, i: int, j: int, done: int) -> Exception:
+        return PromiseViolationError(
+            f"locator root at ({i},{j}) mod {self.ctx.p}, an entry that is "
+            f"already right: more than {self.t} differing entries",
+            position=(i, j),
+            corrections=done,
+        )
+
+
+def berlekamp_massey(values: np.ndarray, p: int) -> np.ndarray:
+    """Shortest connection polynomial of a sequence over F_p (Massey 1969):
+    coefficients c[0] = 1, ..., c[L] with sum_i c[i] * values[u - i] = 0
+    for L <= u < len(values). values are residues in [0, p), p < 2^31, so
+    every product is reduced before it is summed and nothing overflows
+    int64. Each array holds exactly its L + 1 coefficients: x^gap * b
+    never reaches past degree L, so one step costs O(L)."""
+    c = np.ones(1, dtype=np.int64)       # current connection polynomial
+    b = np.ones(1, dtype=np.int64)       # the one before the last length change
+    length, gap, b_inv = 0, 1, 1
+    for u in range(len(values)):
+        d = int((c * values[u - length : u + 1][::-1] % p).sum() % p)
+        if d == 0:
+            gap += 1
+            continue
+        prev, top = c, gap + len(b)
+        c = np.zeros(max(len(prev), top), dtype=np.int64)
+        c[: len(prev)] = prev
+        c[gap:top] = (c[gap:top] - d * b_inv % p * b) % p
+        if 2 * length <= u:
+            length, b, b_inv, gap = u + 1 - length, prev, pow(d, -1, p), 1
+        else:
+            gap += 1
+    return c
+
+
+_ENGINES = {"prony": PronyEngine, "quadtree": CorrectionEngine}
 
 
 def _run_engine(
-    a, b, c_seed, t: int, trace=None, pre_write=None, post_update=None
+    a, b, c_seed, t: int, engine: str, trace=None, pre_write=None, post_update=None
 ) -> CorrectionResult:
+    if engine not in _ENGINES:
+        raise UsageError(f"engine must be one of {sorted(_ENGINES)}, not {engine!r}")
+    if engine != "quadtree" and (pre_write is not None or post_update is not None):
+        raise UsageError("pre_write and post_update need engine='quadtree'")
     a, b, c_seed, n = square_matrices(a, b, c_seed)
     if t < 0:
         raise UsageError("t must be >= 0")
@@ -220,15 +370,17 @@ def _run_engine(
     granularity: dict[SubmatrixId, int] = {}
     passes = 0
     for ctx in basis.fields:
-        engine = CorrectionEngine(pair, t, ctx, stats, trace=trace)
+        worker = _ENGINES[engine](pair, t, ctx, stats, trace=trace)
         passes += 1
-        engine.run(corrections, pre_write=pre_write, post_update=post_update)
-        for s, tv in engine.tau.items():
+        worker.run(corrections, pre_write, post_update)
+        for s, tv in worker.tau.items():
             if tv > granularity.get(s, 0):
                 granularity[s] = tv
         # integer-level sweep over the full basis; catches nonzeroes that
-        # vanish mod this pass's prime
-        if verify_product(a2, b2, c2, max(t, 1), stats=stats):
+        # vanish mod this pass's prime. At 2t points it also refutes every
+        # residue of a broken promise with at most 2t wrong entries: each
+        # write fixes one entry, so at most 2t remain wrong
+        if verify_product(a2, b2, c2, max(2 * t, 1), stats=stats):
             break
     else:
         raise PromiseViolationError(
@@ -246,26 +398,29 @@ def _run_engine(
         granularity_map=granularity,
         prime_passes=passes,
         kernel=kernel_path(stats),
+        engine=engine,
     )
 
 
 def multiply_output_sensitive(
-    a, b, t: int, *, trace=None, pre_write=None, post_update=None
+    a, b, t: int, *, engine: str = "prony", trace=None, pre_write=None,
+    post_update=None,
 ) -> CorrectionResult:
     """Compute AB exactly under the promise that it has at most t nonzero
-    entries; cost scales with t rather than with the dense product."""
+    entries; cost scales with t rather than with the dense product. engine
+    is "prony" or "quadtree"; only the quadtree takes the pre_write and
+    post_update hooks."""
     a = as_matrix(a)
     zeros = IntMatrix(np.zeros((a.rows, a.rows), dtype=np.int64))
-    return _run_engine(
-        a, b, zeros, t, trace=trace, pre_write=pre_write, post_update=post_update
-    )
+    return _run_engine(a, b, zeros, t, engine, trace, pre_write, post_update)
 
 
 def correct_product(
-    a, b, c_in, t: int, *, trace=None, pre_write=None, post_update=None
+    a, b, c_in, t: int, *, engine: str = "prony", trace=None, pre_write=None,
+    post_update=None,
 ) -> CorrectionResult:
     """Recover AB from a candidate C differing from it in at most t entries.
-    c_in is not mutated; the corrected matrix is returned."""
-    return _run_engine(
-        a, b, c_in, t, trace=trace, pre_write=pre_write, post_update=post_update
-    )
+    c_in is not mutated; the corrected matrix is returned. engine is
+    "prony" or "quadtree"; only the quadtree takes the pre_write and
+    post_update hooks."""
+    return _run_engine(a, b, c_in, t, engine, trace, pre_write, post_update)

@@ -131,7 +131,7 @@ def test_criterion_04_correction_exactness():
                 t = int(rng.integers(1, 2 * n + 1))
                 z = int(rng.integers(0, t + 1))
                 a, b, c, bad = _instance(rng, n, z)
-                res = correct_product(a, b, bad, t)
+                res = correct_product(a, b, bad, t, engine="quadtree")
                 assert np.array_equal(res.product.data, c), (n, t, z)
                 assert res.correction_count == z, (n, t, z)
                 m = 1
@@ -181,7 +181,8 @@ def test_criterion_06_incremental_update_coherence():
             z = int(rng.integers(1, t + 1))
             a, b, c, bad = _instance(rng, n, z)
             res = correct_product(
-                a, b, bad, t, pre_write=pre_write, post_update=post_update
+                a, b, bad, t, engine="quadtree", pre_write=pre_write,
+                post_update=post_update,
             )
             assert np.array_equal(res.product.data, c)
 

@@ -124,14 +124,16 @@ def test_verify_flawed_blind_spot(workdir, capsys):
 
 
 def test_correct_command(workdir, capsys):
-    # at n = 40, padded to 64, the root's 100 points run on the chirp and
-    # the searches below it on the GEMM evaluator
-    for n, z, t, kernel in ((8, 5, 5, "gemm"), (40, 9, 100, "mixed")):
+    # the prony engine evaluates 2t points and the sweep min(2t, m^2): at
+    # n = 40, padded to 64, both 200-point progressions run on the chirp,
+    # past the GEMM bound of K_GEMM * bit_length(64) = 84
+    for n, z, t, kernel in ((8, 5, 5, "gemm"), (40, 9, 100, "chirp")):
         run(capsys, "--seed", 5, "gen", n, z)
         code, rep, _ = run(
             capsys, "correct", "A.mat", "B.mat", "C.mat", t, "--out", "fixed.mat"
         )
         assert code == 0 and rep["corrections"] == str(z) and rep["kernel"] == kernel
+        assert rep["engine"] == "prony" and rep["max_granularity"] == "0"
         fixed = read_matrix("fixed.mat")
         assert fixed == naive_multiply(read_matrix("A.mat"), read_matrix("B.mat"))
 
@@ -143,7 +145,10 @@ def test_correct_promise_violation_exit_2(workdir, capsys):
     )
     assert code == 2
     assert rep["verdict"] == "promise_violation"
-    assert "corrections=4" in rep["error"]
+    # five wrong entries at t = 4: the 8 values give a locator without its
+    # roots, refused before any write (the quadtree writes four first, as
+    # test_promise_violation_raises_before_overrun pins)
+    assert rep["error"] == "promise_violation corrections=0 position=None"
 
 
 def test_osmm_zero_matrices(workdir, capsys):
@@ -265,10 +270,11 @@ def test_quiet_keeps_verdict_only(workdir, capsys):
 
 def test_trace_flag(workdir, capsys):
     run(capsys, "--seed", 5, "gen", 4, 2)
-    code, _, _ = run(
+    code, rep, _ = run(
         capsys, "--trace", "t.log", "correct", "A.mat", "B.mat", "C.mat", 2,
         "--out", "F.mat",
     )
     assert code == 0
     log = open("t.log").read()
-    assert log.count("pos=") == 2 and "prime=" in log
+    assert log.count("pos=") == 2 and "prime=" in log and log.count(" L=2 ") == 2
+    assert rep["engine"] == "prony"

@@ -22,6 +22,8 @@ from matverify.matrix import augment
 
 from helpers import plant_errors
 
+ENGINES = ("prony", "quadtree")
+
 
 def contains_block(outer, inner) -> bool:
     return (
@@ -34,32 +36,35 @@ def contains_block(outer, inner) -> bool:
 
 def test_osmm_identity_golden():
     eye = IntMatrix(np.eye(8, dtype=np.int64))
-    res = multiply_output_sensitive(eye, eye, 8)
-    assert np.array_equal(res.product.data, np.eye(8, dtype=np.int64))
-    assert res.correction_count == 8
-    assert [(i, j) for i, j, _, _ in res.corrections] == [(k, k) for k in range(8)]
+    for engine in ENGINES:
+        res = multiply_output_sensitive(eye, eye, 8, engine=engine)
+        assert np.array_equal(res.product.data, np.eye(8, dtype=np.int64))
+        assert res.correction_count == 8 and res.engine == engine
+        assert [(i, j) for i, j, _, _ in res.corrections] == [(k, k) for k in range(8)]
 
 
 def test_find_order_prefers_first_child():
     eye = IntMatrix(np.eye(2, dtype=np.int64))
-    res = multiply_output_sensitive(eye, eye, 4)
+    res = multiply_output_sensitive(eye, eye, 4, engine="quadtree")
     assert res.corrections[0][:2] == (0, 0)
 
 
 def test_osmm_zero_product():
     zero = IntMatrix(np.zeros((4, 4), dtype=np.int64))
-    res = multiply_output_sensitive(zero, zero, 1)
-    assert not res.product.data.any()
-    assert res.correction_count == 0
+    for engine in ENGINES:
+        res = multiply_output_sensitive(zero, zero, 1, engine=engine)
+        assert not res.product.data.any()
+        assert res.correction_count == 0
 
 
 def test_osmm_cancelling_product():
     # dense factors, sparse product: one nonzero entry from cancellation
     a = np.array([[1, 1], [1, -1]], dtype=np.int64)
     b = np.array([[1, 1], [-1, 1]], dtype=np.int64)
-    res = multiply_output_sensitive(a, b, 2)
-    assert np.array_equal(res.product.data, a @ b)
-    assert res.correction_count == 2
+    for engine in ENGINES:
+        res = multiply_output_sensitive(a, b, 2, engine=engine)
+        assert np.array_equal(res.product.data, a @ b)
+        assert res.correction_count == 2
 
 
 def test_correct_roundtrip_and_count():
@@ -71,10 +76,11 @@ def test_correct_roundtrip_and_count():
         for z in {0, 1, n, 2 * n}:
             t = z + int(rng.integers(0, 3))
             bad = plant_errors(c, z, rng)
-            res = correct_product(a, b, bad, t)
-            assert np.array_equal(res.product.data, c)
-            assert res.correction_count == z
-            assert all(0 <= i < n and 0 <= j < n for i, j, _, _ in res.corrections)
+            for engine in ENGINES:
+                res = correct_product(a, b, bad, t, engine=engine)
+                assert np.array_equal(res.product.data, c)
+                assert res.correction_count == z
+                assert all(0 <= i < n and 0 <= j < n for i, j, _, _ in res.corrections)
 
 
 def test_correct_does_not_mutate_input():
@@ -83,8 +89,9 @@ def test_correct_does_not_mutate_input():
     b = rng.integers(-9, 10, (4, 4))
     bad = plant_errors(naive_multiply(a, b).data, 3, rng)
     keep = bad.copy()
-    correct_product(a, b, bad, 3)
-    assert np.array_equal(bad, keep)
+    for engine in ENGINES:
+        correct_product(a, b, bad, 3, engine=engine)
+        assert np.array_equal(bad, keep)
 
 
 def test_promise_violation_raises_before_overrun():
@@ -93,7 +100,7 @@ def test_promise_violation_raises_before_overrun():
     b = rng.integers(-9, 10, (8, 8))
     bad = plant_errors(naive_multiply(a, b).data, 5, rng)
     with pytest.raises(PromiseViolationError) as err:
-        correct_product(a, b, bad, 4)
+        correct_product(a, b, bad, 4, engine="quadtree")
     assert err.value.corrections == 4
     assert err.value.position is not None
 
@@ -101,10 +108,11 @@ def test_promise_violation_raises_before_overrun():
 def test_promise_violation_t_zero():
     eye = IntMatrix(np.eye(2, dtype=np.int64))
     zero = IntMatrix(np.zeros((2, 2), dtype=np.int64))
-    res = correct_product(eye, eye, naive_multiply(eye, eye), 0)
-    assert res.correction_count == 0
-    with pytest.raises(PromiseViolationError):
-        correct_product(eye, eye, zero, 0)
+    for engine in ENGINES:
+        res = correct_product(eye, eye, naive_multiply(eye, eye), 0, engine=engine)
+        assert res.correction_count == 0
+        with pytest.raises(PromiseViolationError):
+            correct_product(eye, eye, zero, 0, engine=engine)
 
 
 def test_multi_prime_blind_spot():
@@ -115,9 +123,10 @@ def test_multi_prime_blind_spot():
     zero = IntMatrix(np.zeros((2, 2), dtype=np.int64))
     basis = build_crt_basis(2, augment(a, b, zero).magnitude_bound())
     assert [f.p for f in basis.fields][0] == 5
-    res = correct_product(a, b, zero, 1)
-    assert res.product.data.tolist() == [[5, 0], [0, 0]]
-    assert res.prime_passes == 2
+    for engine in ENGINES:
+        res = correct_product(a, b, zero, 1, engine=engine)
+        assert res.product.data.tolist() == [[5, 0], [0, 0]]
+        assert res.prime_passes == 2
 
 
 def test_third_prime_pass():
@@ -134,10 +143,11 @@ def test_third_prime_pass():
     bad = c.copy()
     bad[1, 6] += primes[0] * primes[1]
     bad[5, 2] -= 2 * primes[0] * primes[1]
-    res = correct_product(a, b, bad, 2)
-    assert np.array_equal(res.product.data, c)
-    assert res.correction_count == 2
-    assert res.prime_passes == 3
+    for engine in ENGINES:
+        res = correct_product(a, b, bad, 2, engine=engine)
+        assert np.array_equal(res.product.data, c)
+        assert res.correction_count == 2
+        assert res.prime_passes == 3
 
 
 def test_correction_on_adversarial_inputs_within_promise():
@@ -175,9 +185,10 @@ def test_correction_on_adversarial_inputs_within_promise():
         for (i, j), d in deltas.items():
             c[i, j] += d
         wrong = sum(1 for d in deltas.values() if d != 0)
-        res = correct_product(a, b, c, t)
-        assert res.product.data.tolist() == truth.tolist()
-        assert res.correction_count == wrong
+        for engine in ENGINES:
+            res = correct_product(a, b, c, t, engine=engine)
+            assert res.product.data.tolist() == truth.tolist()
+            assert res.correction_count == wrong
         assert verify_product(a, b, c, t) == (wrong == 0)
         assert verify_product(a, b, res.product, t)
 
@@ -189,7 +200,7 @@ def test_single_error_never_doubles_granularity():
     b = rng.integers(-9, 10, (8, 8))
     bad = naive_multiply(a, b).data.copy()
     bad[2, 6] += 3
-    res = correct_product(a, b, bad, 1)
+    res = correct_product(a, b, bad, 1, engine="quadtree")
     assert res.correction_count == 1
     for s, tau in res.granularity_map.items():
         assert tau <= s.side
@@ -204,7 +215,7 @@ def test_granularity_obeys_sparsity_bound():
         b = rng.integers(-9, 10, (n, n))
         c = naive_multiply(a, b).data
         bad = plant_errors(c, z, rng)
-        res = correct_product(a, b, bad, max(z, 1))
+        res = correct_product(a, b, bad, max(z, 1), engine="quadtree")
         m = 1
         while m < n:
             m *= 2
@@ -251,7 +262,8 @@ def test_cache_coherence_and_untouched_blocks():
                 assert engine.vals[s].any()
 
         res = correct_product(
-            a, b, bad, z, pre_write=pre_write, post_update=post_update
+            a, b, bad, z, engine="quadtree", pre_write=pre_write,
+            post_update=post_update,
         )
         assert res.correction_count == z
 
@@ -262,13 +274,14 @@ def test_trace_stream(tmp_path):
     b = rng.integers(-9, 10, (4, 4))
     bad = plant_errors(naive_multiply(a, b).data, 2, rng)
     path = tmp_path / "trace.txt"
-    with open(path, "w") as fh:
-        correct_product(a, b, bad, 2, trace=fh)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 2
-    for line in lines:
-        for key in ("prime=", "iter=", "sub=", "tau=", "nu=", "pos="):
-            assert key in line
+    for engine, keys in (("quadtree", ("prime=", "iter=", "sub=", "tau=", "nu=", "pos=")),
+                         ("prony", ("prime=", "iter=", "L=", "pos="))):
+        with open(path, "w") as fh:
+            correct_product(a, b, bad, 2, engine=engine, trace=fh)
+        lines = path.read_text().strip().splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            assert [key in line for key in keys] == [True] * len(keys)
 
 
 def test_input_validation():
@@ -280,13 +293,19 @@ def test_input_validation():
     sq = rng.integers(-9, 10, (4, 4))
     with pytest.raises(UsageError):
         correct_product(a, sq, naive_multiply(a, sq), -1)
+    with pytest.raises(UsageError):
+        correct_product(sq, sq, naive_multiply(sq, sq), 1, engine="dense")
+    # only the quadtree has caches for the hooks to inspect
+    with pytest.raises(UsageError):
+        correct_product(sq, sq, naive_multiply(sq, sq), 1, post_update=print)
 
 
 def test_correction_golden_counts_and_trace():
     # n = 12 pads to 16; the delta 257 vanishes mod the first prime, so the
     # integer sweep forces a second pass that finds it mod 263. The sweep
     # after the first pass ends at the all-ones probe (257 != 0), with no
-    # fingerprint evaluations
+    # fingerprint evaluations; the one after the second runs at 2t = 12
+    # points mod both primes over 24 live inner indices, 576 evaluations
     rng = seeded_rng(47)
     a = rng.integers(-9, 10, (12, 12))
     b = rng.integers(-9, 10, (12, 12))
@@ -295,8 +314,8 @@ def test_correction_golden_counts_and_trace():
                     (10, 11, 257)):
         bad[i, j] += d
     trace = io.StringIO()
-    res = correct_product(a, b, bad, 6, trace=trace)
-    assert (res.evaluations, res.max_granularity, res.prime_passes) == (4244, 16, 2)
+    res = correct_product(a, b, bad, 6, engine="quadtree", trace=trace)
+    assert (res.evaluations, res.max_granularity, res.prime_passes) == (4532, 16, 2)
     assert res.corrections == [
         (0, 0, 262, 259), (0, 1, 29, 31), (1, 0, -82, -87), (1, 1, 57, 56),
         (2, 3, 19, 23), (10, 11, 296, 39),
@@ -326,7 +345,7 @@ def test_both_evaluators_give_one_correction_run(monkeypatch, n, z, t, kernel):
     for k_gemm in (verify_mod.K_GEMM, 0):
         monkeypatch.setattr(verify_mod, "K_GEMM", k_gemm)
         trace = io.StringIO()
-        res = correct_product(a, b, bad, t, trace=trace)
+        res = correct_product(a, b, bad, t, engine="quadtree", trace=trace)
         assert np.array_equal(res.product.data, c)
         runs.append(res)
         runs.append(trace.getvalue())
@@ -338,14 +357,16 @@ def test_both_evaluators_give_one_correction_run(monkeypatch, n, z, t, kernel):
 
 
 def test_osmm_golden_counts_and_trace():
-    # two nonzero columns of B: AB has 16 nonzeroes in columns 1 and 6
+    # two nonzero columns of B: AB has 16 nonzeroes in columns 1 and 6. The
+    # sweep runs at 2t = 32 points, 16 past the root's, over 10 live inner
+    # indices mod each of the 2 basis primes: 320 of the evaluations
     rng = seeded_rng(48)
     a = rng.integers(-9, 10, (8, 8))
     b = np.zeros((8, 8), dtype=np.int64)
     b[:, [1, 6]] = rng.integers(-2, 3, (8, 2))
     trace = io.StringIO()
-    res = multiply_output_sensitive(a, b, 16, trace=trace)
-    assert (res.evaluations, res.max_granularity, res.prime_passes) == (1066, 8, 1)
+    res = multiply_output_sensitive(a, b, 16, engine="quadtree", trace=trace)
+    assert (res.evaluations, res.max_granularity, res.prime_passes) == (1386, 8, 1)
     assert res.corrections == [
         (0, 1, 0, -12), (1, 1, 0, -27), (2, 1, 0, 8), (3, 1, 0, -30),
         (0, 6, 0, -18), (1, 6, 0, -8), (2, 6, 0, -5), (3, 6, 0, -7),
@@ -427,7 +448,7 @@ def test_batched_children_match_per_block_oracle(monkeypatch, n, z, chunk_points
     a = rng.integers(-9, 10, (n, n))
     b = rng.integers(-9, 10, (n, n))
     c = naive_multiply(a, b).data
-    res = correct_product(a, b, plant_errors(c, z, rng), z)
+    res = correct_product(a, b, plant_errors(c, z, rng), z, engine="quadtree")
     assert np.array_equal(res.product.data, c)
     assert res.correction_count == z
     assert seen["searches"] == z and seen["one_half"] > 0
@@ -442,7 +463,7 @@ def test_batched_children_output_sensitive(monkeypatch):
     b[:, [3, 12]] = rng.integers(-2, 3, (16, 2))
     truth = naive_multiply(a, b).data
     t = int(np.count_nonzero(truth))
-    res = multiply_output_sensitive(a, b, t)
+    res = multiply_output_sensitive(a, b, t, engine="quadtree")
     assert np.array_equal(res.product.data, truth)
     assert seen["searches"] == t
 
@@ -458,7 +479,7 @@ def test_batched_children_second_prime_pass(monkeypatch):
     bad = c.copy()
     bad[3, 4] += 2
     bad[9, 10] += p1
-    res = correct_product(a, b, bad, 2)
+    res = correct_product(a, b, bad, 2, engine="quadtree")
     assert np.array_equal(res.product.data, c)
     assert res.prime_passes == 2 and seen["searches"] == 2
 
