@@ -5,12 +5,9 @@ at a time; every located entry is confirmed by an exact integer inner
 product before it is written into C, and an integer sweep over the whole
 CRT basis after each prime decides whether another prime is needed.
 
-- prony (the default): sparse interpolation. The fingerprint of AB - C has
-  one term per wrong entry, so its values at omega^0..omega^(k-1) form a
-  linear recurrence whose minimal polynomial, found by Berlekamp-Massey,
-  has the roots omega^e of the wrong exponents e; one chirp sweep of the
-  reversed locator over omega^0..omega^(m^2-1) finds them. Cost
-  O~(m^2 + m*t + t^2) per prime.
+- prony (the default): sparse interpolation, Berlekamp-Massey on 2t
+  fingerprint values and one sweep for the error locator's roots (see
+  PronyEngine). Cost O~(m^2 + m*t + t^2) per prime.
 - quadtree: the paper's search, kept as its reference. It descends a
   quadtree of blocks using cached test values, doubling each block's
   granularity until a child witnesses, and patches the caches along the
@@ -377,9 +374,9 @@ def _run_engine(
             if tv > granularity.get(s, 0):
                 granularity[s] = tv
         # integer-level sweep over the full basis; catches nonzeroes that
-        # vanish mod this pass's prime. At 2t points it also refutes every
-        # residue of a broken promise with at most 2t wrong entries: each
-        # write fixes one entry, so at most 2t remain wrong
+        # vanish mod this pass's prime. Each write fixes one entry, so under
+        # a broken promise with at most 2t wrong entries at most 2t remain,
+        # and 2t points refute them
         if verify_product(a2, b2, c2, max(2 * t, 1), stats=stats):
             break
     else:

@@ -163,7 +163,7 @@ def test_osmm_matches_naive(workdir, capsys):
     code, rep, _ = run(
         capsys, "osmm", "A.mat", "B.mat", 16, "--out", "P.mat"
     )
-    assert code == 0 and rep["kernel"] == "gemm"
+    assert code == 0 and rep["kernel"] == "gemm" and rep["engine"] == "prony"
     assert read_matrix("P.mat") == naive_multiply(
         read_matrix("A.mat"), read_matrix("B.mat")
     )
