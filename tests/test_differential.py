@@ -182,6 +182,23 @@ def test_cancelling_errors_at_n_8_are_refused():
     _refused(a, b, triple, 2)
 
 
+def test_locator_above_t_is_refused_before_the_root_sweep(monkeypatch):
+    # two wrong entries at t = 1 that cancel at omega^0: the values 0, v
+    # give a locator of degree 2
+    rng = seeded_rng(61)
+    a = rng.integers(-9, 10, (8, 8))
+    b = rng.integers(-9, 10, (8, 8))
+    c = _with_errors(_truth(a, b), [(1, 2), (6, 3)], [5, -5])
+
+    def no_sweep(self, locator):
+        raise AssertionError("root sweep of a locator of degree above t")
+
+    monkeypatch.setattr(correct_mod.PronyEngine, "roots", no_sweep)
+    with pytest.raises(PromiseViolationError) as err:
+        correct_product(a, b, c, 1)
+    assert (err.value.corrections, err.value.position) == (0, None)
+
+
 def test_more_than_2t_errors_guarantee_nothing():
     rng = seeded_rng(85)
     for _ in range(20):
