@@ -23,7 +23,9 @@ and 256 on both engines. The prony engine evaluates the fingerprint at
 O~(n^2 + n*t + t^2) per prime; the quadtree search of the paper,
 O~(sqrt(t) n^2 + t^2), evaluates the four children of a block together
 at each granularity step. Both end with the same integer sweep at 2t
-points.
+points; after a prony pass it evaluates only the primes no pass has
+evaluated, and reads the pass's own values, shifted by its writes, mod
+the others.
 """
 
 import time

@@ -3,7 +3,9 @@
 Two engines locate the nonzero entries of the augmented product one prime
 at a time; every located entry is confirmed by an exact integer inner
 product before it is written into C, and an integer sweep over the whole
-CRT basis after each prime decides whether another prime is needed.
+CRT basis after each prime decides whether another prime is needed. Mod
+the primes the prony passes have used, the sweep reads their own values,
+shifted by the writes since (shift_values), in place of an evaluation.
 
 - prony (the default): sparse interpolation, Berlekamp-Massey on 2t
   fingerprint values and one sweep for the error locator's roots (see
@@ -43,6 +45,7 @@ from .matrix import (
 from .poly import progression_eval
 from .verify import (
     FingerprintRep,
+    _matmul_mod,
     eval_fingerprint_progression,
     kernel_path,
     verify_product,
@@ -54,6 +57,9 @@ _ROOT_SEGMENT = 1 << 15
 # most values Berlekamp-Massey takes: one interpreter step each, of O(L)
 # work for a locator of degree L <= count / 2
 _BM_VALUES = 1 << 17
+# cells of one Vandermonde buffer of shift_values, 2 MiB in int64: t may
+# reach 2^16 writes with 2^17 values each
+_SHIFT_CELLS = 1 << 18
 
 
 @dataclass
@@ -84,6 +90,10 @@ class CorrectionEngine:
     factors, per-block granularity tau, the computed prefix of each
     block's test values as one residue array, and the nested queue of
     blocks certified to contain a nonzero."""
+
+    # the whole pair's fingerprint values at the start of the pass, which
+    # the sweep reads; the quadtree's root holds only min(t, m^2), too few
+    values: np.ndarray | None = None
 
     def __init__(
         self, pair: AugmentedPair, t: int, ctx: FieldCtx, stats: dict, trace=None
@@ -288,7 +298,9 @@ class PronyEngine(CorrectionEngine):
                 f"{count} locator values exceed the Berlekamp-Massey budget "
                 f"of {_BM_VALUES}"
             )
-        vals = self.scratch_values(self.root, 0, count)
+        # the sweep reads min(2t, m^2) of them, and at t = 0 one
+        self.values = self.scratch_values(self.root, 0, max(1, count))
+        vals = self.values[:count]
         if not vals.any():
             return
         locator = berlekamp_massey(vals, p)
@@ -345,6 +357,21 @@ def berlekamp_massey(values: np.ndarray, p: int) -> np.ndarray:
     return c
 
 
+def shift_values(values: np.ndarray, writes, ctx: FieldCtx, m: int) -> np.ndarray:
+    """Fingerprint values of the m x m pair at omega^0..omega^(k-1) moved
+    by writes (i, j, old, new) into C: each write moves value u by
+    -delta * (omega^e)^u, e = i + m*j. One GEMM per chunk of writes, whose
+    Vandermonde rows stay within _SHIFT_CELLS cells."""
+    p, k = ctx.p, len(values)
+    moves = [(pow(ctx.omega, i + m * j, p), (new - old) % p)
+             for i, j, old, new in writes]
+    step = max(1, _SHIFT_CELLS // max(k, 1))
+    for w0 in range(0, len(moves), step):
+        bases, deltas = np.array(moves[w0 : w0 + step], dtype=np.int64).T
+        values = (values - _matmul_mod(deltas, power_sequence(bases, k, p), p)) % p
+    return values
+
+
 _ENGINES = {"prony": PronyEngine, "quadtree": CorrectionEngine}
 
 
@@ -365,19 +392,26 @@ def _run_engine(
     corrections: list[tuple[int, int, int, int]] = []
     stats = {"evaluations": 0}
     granularity: dict[SubmatrixId, int] = {}
+    known: dict[int, np.ndarray] = {}   # prime -> prony values of the current pair
     passes = 0
     for ctx in basis.fields:
         worker = _ENGINES[engine](pair, t, ctx, stats, trace=trace)
         passes += 1
+        done = len(corrections)
         worker.run(corrections, pre_write, post_update)
         for s, tv in worker.tau.items():
             if tv > granularity.get(s, 0):
                 granularity[s] = tv
+        if worker.values is not None:
+            known[ctx.p] = worker.values
+            for f in basis.fields[:passes]:
+                known[f.p] = shift_values(known[f.p], corrections[done:], f, m)
         # integer-level sweep over the full basis; catches nonzeroes that
         # vanish mod this pass's prime. Each write fixes one entry, so under
         # a broken promise with at most 2t wrong entries at most 2t remain,
-        # and 2t points refute them
-        if verify_product(a2, b2, c2, max(2 * t, 1), stats=stats):
+        # and 2t points refute them. Mod the primes the prony passes used,
+        # their values shifted by the writes stand in for an evaluation
+        if verify_product(a2, b2, c2, max(2 * t, 1), stats=stats, known=known):
             break
     else:
         raise PromiseViolationError(

@@ -301,7 +301,10 @@ def _ones_probe(a: IntMatrix, b: IntMatrix, c: IntMatrix) -> int:
     return int(ab) - int(exact_dot(ones, row_c, 1, n * c.max_abs))
 
 
-def verify_product(a, b, c, t: int, stats: dict | None = None) -> bool:
+def verify_product(
+    a, b, c, t: int, stats: dict | None = None, *,
+    known: dict[int, np.ndarray] | None = None,
+) -> bool:
     """True iff C = AB, guaranteed whenever they differ in at most t entries.
     False answers are always correct.
 
@@ -310,10 +313,20 @@ def verify_product(a, b, c, t: int, stats: dict | None = None) -> bool:
     pair is augmented to (A | C), (B ; -I), a CRT basis covering the
     augmented magnitude bound is built (build_crt_basis caches it per
     (n, bound)), and the all-zeroes test must pass mod every prime.
+
+    known maps primes to the fingerprint values of the current augmented
+    pair mod that prime at omega^0, omega^1, ..., omega the basis generator
+    of that prime. Mod a basis prime in known the zero test reads the first
+    min(t, n^2) of them instead of evaluating; other primes are ignored.
+    Every array must hold that many values, or UsageError is raised.
     """
     a, b, c, n = square_matrices(a, b, c)
     if t < 1:
         raise UsageError("t must be >= 1")
+    t_eff = min(t, n * n)
+    known = known or {}
+    if any(len(vals) < t_eff for vals in known.values()):
+        raise UsageError(f"known fingerprint values must cover {t_eff} points")
     if _ones_probe(a, b, c):
         if stats is not None:
             stats["probe_exits"] = stats.get("probe_exits", 0) + 1
@@ -321,6 +334,10 @@ def verify_product(a, b, c, t: int, stats: dict | None = None) -> bool:
     pair = augment(a, b, c)
     basis = build_crt_basis(n, pair.magnitude_bound())
     for ctx in basis.fields:
+        if ctx.p in known:
+            if np.any(known[ctx.p][:t_eff]):
+                return False
+            continue
         ap, bp = pair.reduced(ctx)
         if not all_zeroes_test(ap, bp, t, ctx, stats).all_zero:
             return False

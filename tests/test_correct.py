@@ -12,10 +12,12 @@ from matverify import (
     correct_product,
     multiply_output_sensitive,
     naive_multiply,
+    power_sequence,
     seeded_rng,
     verify_product,
 )
 from matverify import poly
+import matverify.correct as correct_mod
 import matverify.verify as verify_mod
 from matverify.correct import CorrectionEngine
 from matverify.matrix import augment
@@ -482,6 +484,46 @@ def test_batched_children_second_prime_pass(monkeypatch):
     res = correct_product(a, b, bad, 2, engine="quadtree")
     assert np.array_equal(res.product.data, c)
     assert res.prime_passes == 2 and seen["searches"] == 2
+
+
+def test_batched_shift_matches_per_write_shifts_in_bounded_memory(monkeypatch):
+    # 300 writes into a 128 x 128 pair, 4096 values: the Vandermonde rows of
+    # all writes at once would take about 9.4 MiB per buffer
+    rng = seeded_rng(54)
+    m, k = 128, 4096
+    ctx = build_crt_basis(m, 1 << 40).fields[0]
+    p = ctx.p
+    values = rng.integers(0, p, k)
+    writes = [(int(e) % m, int(e) // m, int(old), int(old) + int(d))
+              for e, old, d in zip(rng.choice(m * m, 300, replace=False),
+                                   rng.integers(-99, 100, 300),
+                                   rng.integers(1, 1 << 30, 300))]
+    writes[7] = (3, 9, -(1 << 70), 1 << 65)           # object-size entries
+    one_by_one = values.copy()
+    for i, j, old, new in writes:
+        row = power_sequence(pow(ctx.omega, i + m * j, p), k, p)
+        one_by_one = (one_by_one - (new - old) % p * row) % p
+
+    chunks = []
+    real_power_sequence = correct_mod.power_sequence
+
+    def counted(base, count, q):
+        chunks.append(np.shape(base))
+        return real_power_sequence(base, count, q)
+
+    monkeypatch.setattr(correct_mod, "power_sequence", counted)
+    monkeypatch.setattr(correct_mod, "_SHIFT_CELLS", 16 * k)
+    tracemalloc.start()
+    try:
+        shifted = correct_mod.shift_values(values, writes, ctx, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chunks == [(16,)] * 18 + [(12,)]
+    assert shifted.tolist() == one_by_one.tolist()
+    assert peak < 3 << 20, peak
+    monkeypatch.undo()
+    assert correct_mod.shift_values(values, writes, ctx, m).tolist() == one_by_one.tolist()
 
 
 def test_batched_step_memory_is_bounded():

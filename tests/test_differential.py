@@ -11,6 +11,7 @@ What must hold, for a promise of t wrong entries:
 """
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,14 +19,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from matverify import (
+    FieldCtx,
     PromiseViolationError,
     ResourceLimitError,
     augment,
     build_crt_basis,
     correct_product,
+    find_generator,
     multiply_output_sensitive,
     naive_multiply,
     seeded_rng,
+    verify_product,
 )
 import matverify.correct as correct_mod
 import matverify.verify as verify_mod
@@ -277,6 +281,185 @@ def test_prony_on_both_evaluators(monkeypatch):
         runs.append((res.corrections, res.evaluations, res.prime_passes, res.kernel))
     assert runs[0][:3] == runs[1][:3]
     assert (runs[0][3], runs[1][3]) == ("gemm", "chirp")
+
+
+# -- the sweep reads the prony passes' own values ------------------------------
+
+
+@pytest.fixture
+def sweep_watch(monkeypatch):
+    """Wrap the shift helper, the sweep and both whole-pair evaluators of a
+    prony run. Every sweep checks that the values it is handed for a prime
+    are the ones the shift helper returned last for that prime, and that
+    they equal a fresh evaluation of the current pair at the pass's k
+    points. The log counts each prime's whole-pair evaluations."""
+    real_scratch = correct_mod.CorrectionEngine.scratch_values
+    real_shift = correct_mod.shift_values
+    real_verify = correct_mod.verify_product
+    real_zero_test = verify_mod.all_zeroes_test
+    log = {"evaluated": Counter(), "shifted": {}, "sweeps": [], "t": None}
+
+    def scratch(self, s, lo, hi, grid=1):
+        log["evaluated"][self.ctx.p] += 1
+        return real_scratch(self, s, lo, hi, grid)
+
+    def shift(values, writes, ctx, m):
+        out = real_shift(values, writes, ctx, m)
+        log["shifted"][ctx.p] = out
+        return out
+
+    def sweep(a, b, c, t, stats=None, *, known=None):
+        m, k = a.rows, max(1, min(2 * log["t"], 2 * a.rows ** 2))
+        for q, vals in known.items():
+            assert vals is log["shifted"][q]
+            ctx = FieldCtx(q, find_generator(q), order_lb=m * m)
+            fresh = correct_mod.CorrectionEngine(augment(a, b, c), t, ctx, {})
+            assert vals.tolist() == real_scratch(fresh, fresh.root, 0, k).tolist(), q
+        log["sweeps"].append(sorted(known))
+        return real_verify(a, b, c, t, stats, known=known)
+
+    def zero_test(left, right, t, ctx, stats=None):
+        log["evaluated"][ctx.p] += 1
+        return real_zero_test(left, right, t, ctx, stats)
+
+    monkeypatch.setattr(correct_mod.CorrectionEngine, "scratch_values", scratch)
+    monkeypatch.setattr(correct_mod, "shift_values", shift)
+    monkeypatch.setattr(correct_mod, "verify_product", sweep)
+    monkeypatch.setattr(verify_mod, "all_zeroes_test", zero_test)
+    return log
+
+
+def _sweep_cases():
+    """(a, b, c or None for multiply_output_sensitive, t, prime passes)."""
+    rng = seeded_rng(92)
+    cases = []
+    # multiples of p1 plus one entry visible to it: a write in each of two
+    # passes, so p1's values are shifted by the second pass's writes too
+    n = 12
+    a = rng.integers(-(1 << 20), (1 << 20) + 1, (n, n))
+    b = rng.integers(-(1 << 20), (1 << 20) + 1, (n, n))
+    truth = _truth(a, b)
+    p1 = build_crt_basis(16, augment(a, b, truth.astype(np.int64))
+                         .magnitude_bound()).fields[0].p
+    cells = _random_cells(rng, n, 3)
+    cases.append((a, b, _with_errors(truth, cells, [p1 + 1, -2 * p1, 3 * p1]), 6, 2))
+    # t = 0 on a right C: one value per pass, read by the sweep
+    a, b = rng.integers(-9, 10, (5, 5)), rng.integers(-9, 10, (5, 5))
+    cases.append((a, b, _truth(a, b), 0, 1))
+    # t = m^2 with every entry wrong
+    a, b = rng.integers(-9, 10, (3, 3)), rng.integers(-9, 10, (3, 3))
+    cells = [(i, j) for i in range(3) for j in range(3)]
+    cases.append((a, b, _with_errors(_truth(a, b), cells, _random_deltas(rng, 9)), 9, 1))
+    # object-dtype entries above 2^62, through the API
+    a = rng.integers(-9, 10, (6, 6)).astype(object) * (1 << 63)
+    b = rng.integers(-9, 10, (6, 6))
+    c = _with_errors(_truth(a, b), [(2, 3), (5, 0)], [1 << 70, -(1 << 64) - 1])
+    cases.append((a, b, c, 2, 1))
+    # a cancelling output-sensitive product
+    n = 16
+    a = np.tile(rng.integers(1, 5, (n, 1)), (1, n))
+    b = rng.integers(-4, 5, (n, n))
+    b[-1] -= b.sum(axis=0)
+    b[-1, 3] += 5
+    cases.append((a, b, None, int(np.count_nonzero(naive_multiply(a, b).data)), 1))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(5), ids=[
+    "p1_multiples", "t_zero", "all_wrong", "object_above_2_62", "cancelling_osmm"])
+def test_sweep_reads_shifted_values_evaluated_once_per_prime(sweep_watch, case):
+    a, b, c, t, passes = _sweep_cases()[case]
+    sweep_watch["t"] = t
+    if c is None:
+        res = multiply_output_sensitive(a, b, t)
+    else:
+        res = correct_product(a, b, c, t)
+    assert res.product.data.tolist() == _truth(a, b).tolist()
+    assert res.prime_passes == passes
+    # one sweep per pass, each with the values of every pass so far
+    assert [len(known) for known in sweep_watch["sweeps"]] == list(range(1, passes + 1))
+    # no prime's whole-pair fingerprint is computed twice in one call
+    assert max(sweep_watch["evaluated"].values()) == 1, sweep_watch["evaluated"]
+
+
+def test_between_t_and_2t_errors_with_multiples_of_p1_are_refused(sweep_watch):
+    # some wrong entries invisible to the first pass: its writes and values
+    # go to the sweep, and the second pass finds more than t in all
+    rng = seeded_rng(93)
+    n = 12
+    for _ in range(6):
+        a = rng.integers(-(1 << 20), (1 << 20) + 1, (n, n))
+        b = rng.integers(-(1 << 20), (1 << 20) + 1, (n, n))
+        truth = _truth(a, b)
+        p1 = build_crt_basis(16, augment(a, b, truth.astype(np.int64))
+                             .magnitude_bound()).fields[0].p
+        t = int(rng.integers(1, 6))
+        k = int(rng.integers(t + 1, 2 * t + 1))
+        hidden = int(rng.integers(1, k + 1))
+        deltas = _random_deltas(rng, k)
+        deltas[:hidden] = [d * p1 for d in deltas[:hidden]]
+        c = _with_errors(truth, _random_cells(rng, n, k), deltas)
+        sweep_watch["t"] = t
+        with pytest.raises(PromiseViolationError):
+            correct_product(a, b, c, t)
+    assert sweep_watch["sweeps"]
+
+
+def test_sweep_values_stay_fresh_beyond_2t(sweep_watch):
+    # past 2t wrong entries a pass may leave entries visible mod its prime
+    # for a later pass to write, so the values of earlier primes move too.
+    # Nothing is guaranteed about the outcome, but the values must be those
+    # of the current pair
+    rng = seeded_rng(95)
+    sweep_watch["t"] = 1
+    for k in (3, 4) * 100:    # at n = 2, t = 1 a few runs take two passes
+        a = rng.integers(-9, 10, (2, 2))
+        b = rng.integers(-9, 10, (2, 2))
+        c = _with_errors(_truth(a, b), _random_cells(rng, 2, k), _random_deltas(rng, k))
+        try:
+            correct_product(a, b, c, 1)
+        except PromiseViolationError:
+            pass
+    assert max(map(len, sweep_watch["sweeps"])) > 1
+
+
+# -- verify against the dense product ------------------------------------------
+
+
+def _layout_cells(layout, n, k, rng):
+    """k distinct cells of an n x n matrix, all in one quadrant, one row,
+    one column or on the diagonal."""
+    h = n // 2
+    if layout == "quadrant":
+        pool = [(i, j) for i in range(h, n) for j in range(h)]
+    elif layout == "row":
+        pool = [(h + 1, j) for j in range(n)]
+    elif layout == "column":
+        pool = [(i, h - 1) for i in range(n)]
+    else:
+        pool = [(i, i) for i in range(n)]
+    return [pool[int(e)] for e in rng.choice(len(pool), size=k, replace=False)]
+
+
+@pytest.mark.parametrize("n", [12, 33, 40])
+@pytest.mark.parametrize("layout", ["quadrant", "row", "column", "diagonal"])
+def test_verify_against_the_dense_product_by_layout(n, layout):
+    rng = seeded_rng(94 + n)
+    a = rng.integers(-9, 10, (n, n))
+    b = rng.integers(-9, 10, (n, n))
+    truth = _truth(a, b)
+    assert verify_product(a, b, truth.astype(np.int64), 1)
+    for t in (1, 3, n):
+        for k in sorted({1, (t + 1) // 2, t}):
+            c = _with_errors(truth, _layout_cells(layout, n, k, rng),
+                             _random_deltas(rng, k))
+            assert verify_product(a, b, c, t) == (c == truth).all()
+    # a pair of errors that cancels in the all-ones probe
+    d = int(rng.integers(1, 10))
+    c = _with_errors(truth, _layout_cells(layout, n, 2, rng), [d, -d])
+    stats = {}
+    assert not verify_product(a, b, c, 2, stats=stats)
+    assert "probe_exits" not in stats
 
 
 # -- resource guards ---------------------------------------------------------

@@ -403,6 +403,79 @@ def test_cancelling_errors_are_refuted_by_the_fingerprint():
         assert stats.get("probe_exits", 0) == 0 and stats["evaluations"] > 0
 
 
+def _values_mod_each_prime(a, b, c, count):
+    """Fingerprint values of the augmented pair at omega^0..omega^(count-1)
+    mod every prime of its basis."""
+    pair = augment(IntMatrix(a), IntMatrix(b), IntMatrix(c))
+    out = {}
+    for ctx in build_crt_basis(len(a), pair.magnitude_bound()).fields:
+        ap, bp = pair.reduced(ctx)
+        out[ctx.p] = eval_fingerprint_progression(fingerprint_rep(ap, bp, ctx), 0, count)
+    return out
+
+
+def test_known_values_stand_in_for_the_zero_test(monkeypatch):
+    tested = []
+    real = verify_mod.all_zeroes_test
+
+    def zero_test(left, right, t, ctx, stats=None):
+        tested.append(ctx.p)
+        return real(left, right, t, ctx, stats)
+
+    monkeypatch.setattr(verify_mod, "all_zeroes_test", zero_test)
+    rng = seeded_rng(40)
+    n, t = 4, 3
+    a = rng.integers(-(2**39), 2**39, (n, n))
+    b = rng.integers(-(2**39), 2**39, (n, n))
+    c = naive_multiply(a, b).data
+    bad = c.copy()
+    bad[0, 1] += 5       # both cancel in the all-ones probe
+    bad[3, 2] -= 5
+    fields = build_crt_basis(n, augment(IntMatrix(a), IntMatrix(b), IntMatrix(c))
+                             .magnitude_bound()).fields
+    p1 = fields[0].p
+    assert len(fields) > 1
+    for cand, want in ((c, True), (bad, False)):
+        known = _values_mod_each_prime(a, b, cand, t)
+        assert verify_product(a, b, cand, t) is want
+        # the same verdict from the values, with no zero test run
+        tested.clear()
+        assert verify_product(a, b, cand, t, known=known) is want
+        assert tested == []
+        # with p1 alone known, the zero test runs mod every other prime
+        tested.clear()
+        assert verify_product(a, b, cand, t, known={p1: known[p1]}) is want
+        assert p1 not in tested and tested == [f.p for f in fields[1 : len(tested) + 1]]
+    # the values of a wrong C refute a right one: the values are what is read
+    assert not verify_product(a, b, c, t, known={p1: _values_mod_each_prime(a, b, bad, t)[p1]})
+    # and zero values mod p1 do not excuse the other primes
+    hidden = c.copy()
+    hidden[1, 2] += p1
+    hidden[1, 3] -= p1
+    assert not verify_product(a, b, hidden, t, known={p1: np.zeros(t, dtype=np.int64)})
+
+
+def test_known_values_validation():
+    rng = seeded_rng(41)
+    n = 5
+    a = rng.integers(-9, 10, (n, n))
+    b = rng.integers(-9, 10, (n, n))
+    c = naive_multiply(a, b).data
+    p1 = next(iter(_values_mod_each_prime(a, b, c, 1)))
+    # min(t, n^2) values are needed, and a short array never falls back
+    for t, short in ((4, 3), (n * n + 7, n * n - 1)):
+        with pytest.raises(UsageError):
+            verify_product(a, b, c, t, known={p1: np.zeros(short, dtype=np.int64)})
+    assert verify_product(a, b, c, n * n + 7, known={p1: np.zeros(n * n, dtype=np.int64)})
+    # a prime outside the basis is ignored, whatever its values say
+    outside = 101
+    assert outside not in _values_mod_each_prime(a, b, c, 1)
+    assert verify_product(a, b, c, 4, known={outside: np.ones(4, dtype=np.int64)})
+    bad = c.copy()
+    bad[2, 2] += 1
+    assert not verify_product(a, b, bad, 4, known={outside: np.zeros(4, dtype=np.int64)})
+
+
 def test_probe_refutes_without_a_transform(monkeypatch):
     def no_transform(*args):
         raise AssertionError("the kernel ran")
