@@ -309,7 +309,8 @@ def sweep_watch(monkeypatch):
         return out
 
     def sweep(a, b, c, t, stats=None, *, known=None):
-        m, k = a.rows, max(1, min(2 * log["t"], 2 * a.rows ** 2))
+        m = a.rows
+        k = max(1, min(2 * log["t"], 2 * m * m))
         for q, vals in known.items():
             assert vals is log["shifted"][q]
             ctx = FieldCtx(q, find_generator(q), order_lb=m * m)
@@ -378,7 +379,10 @@ def test_sweep_reads_shifted_values_evaluated_once_per_prime(sweep_watch, case):
     assert res.prime_passes == passes
     # one sweep per pass, each with the values of every pass so far
     assert [len(known) for known in sweep_watch["sweeps"]] == list(range(1, passes + 1))
-    # no prime's whole-pair fingerprint is computed twice in one call
+    # no prime's whole-pair fingerprint is computed twice in one call. (A
+    # sweep that fails here fails on the all-ones probe; had the probe
+    # cancelled, the sweep would have evaluated the next prime, and its
+    # pass would evaluate it again)
     assert max(sweep_watch["evaluated"].values()) == 1, sweep_watch["evaluated"]
 
 
