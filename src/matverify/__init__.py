@@ -21,10 +21,8 @@ from .field import (
 )
 from .poly import (
     Poly,
-    eval_on_progression,
     horner_eval,
     multipoint_eval,
-    poly_divrem,
     poly_mul,
 )
 from .matrix import (
@@ -102,7 +100,6 @@ __all__ = [
     "eval_circuit",
     "eval_fingerprint",
     "eval_fingerprint_progression",
-    "eval_on_progression",
     "find_generator",
     "fingerprint_rep",
     "flawed_bilinear_test",
@@ -113,7 +110,6 @@ __all__ = [
     "multiply_output_sensitive",
     "naive_multiply",
     "pad_to_pow2",
-    "poly_divrem",
     "poly_mul",
     "power_sequence",
     "read_matrix",

@@ -5,11 +5,12 @@ at a time; every located entry is confirmed by an exact integer inner
 product before it is written into C, and an integer sweep over the whole
 CRT basis after each prime decides whether another prime is needed. Mod
 the primes the prony passes have used, the sweep reads their own values,
-shifted by the writes since (shift_values), in place of an evaluation.
+shifted by the writes since (shift_values), in place of an evaluation;
+the values of a prime it does evaluate go on to the next prony pass.
 
 - prony (the default): sparse interpolation, Berlekamp-Massey on 2t
-  fingerprint values and one sweep for the error locator's roots (see
-  PronyEngine). Cost O~(m^2 + m*t + t^2) per prime.
+  fingerprint values and one GEMM sweep for the error locator's roots
+  (see PronyEngine). Cost O~(m^2 + m*t + t^2) per prime.
 - quadtree: the paper's search, kept as its reference. It descends a
   quadtree of blocks using cached test values, doubling each block's
   granularity until a child witnesses, and patches the caches along the
@@ -42,6 +43,7 @@ from .matrix import (
     pad_to_pow2,
     square_matrices,
 )
+from . import verify as _verify
 from .poly import progression_eval
 from .verify import (
     FingerprintRep,
@@ -51,8 +53,7 @@ from .verify import (
     verify_product,
 )
 
-# locator values per progression_eval call of the root search: bounds its
-# output buffer, and with _BM_VALUES its transform
+# points per chirp transform of the root sweep, which bounds its buffers
 _ROOT_SEGMENT = 1 << 15
 # most values Berlekamp-Massey takes: one interpreter step each, of O(L)
 # work for a locator of degree L <= count / 2
@@ -267,7 +268,7 @@ class PronyEngine(CorrectionEngine):
     values when r entries are wrong, so k = min(2t, 2m^2) values suffice
     under the promise (the cap is 2m^2, not m^2: r may reach m^2). The
     roots of the reversed locator among omega^0..omega^(m^2-1) are the
-    wrong exponents.
+    wrong exponents. A pass reads values the last sweep evaluated, if any.
 
     A locator of degree L > t, a root count other than L, a root at an
     entry that is already right, or more than t corrections in all can
@@ -277,15 +278,10 @@ class PronyEngine(CorrectionEngine):
 
     def roots(self, locator: np.ndarray) -> list[int]:
         """Exponents e < m^2 with omega^e a root of the reversed locator,
-        ascending, in segments of _ROOT_SEGMENT points; stops early once
-        more roots than the degree turned up."""
-        p, omega, total = self.ctx.p, self.ctx.omega, self.m * self.m
-        reversed_locator = locator[::-1]
+        ascending; stops early once more roots than the degree turned up."""
         found: list[int] = []
-        for u0 in range(0, total, _ROOT_SEGMENT):
-            count = min(_ROOT_SEGMENT, total - u0)
-            vals = progression_eval(reversed_locator, pow(omega, u0, p), omega, count, p)
-            found.extend((u0 + np.flatnonzero(vals == 0)).tolist())
+        for e0, vals in sweep_values(locator[::-1], self.ctx, self.m):
+            found.extend((e0 + np.flatnonzero(vals == 0)).tolist())
             if len(found) >= len(locator):
                 break
         return found
@@ -299,7 +295,8 @@ class PronyEngine(CorrectionEngine):
                 f"of {_BM_VALUES}"
             )
         # the sweep reads min(2t, m^2) of them, and at t = 0 one
-        self.values = self.scratch_values(self.root, 0, max(1, count))
+        if self.values is None or len(self.values) < max(1, count):
+            self.values = self.scratch_values(self.root, 0, max(1, count))
         vals = self.values[:count]
         if not vals.any():
             return
@@ -357,6 +354,26 @@ def berlekamp_massey(values: np.ndarray, p: int) -> np.ndarray:
     return c
 
 
+def sweep_values(coeffs: np.ndarray, ctx: FieldCtx, m: int):
+    """(e0, values) chunks, ascending, of the polynomial with residue
+    coefficients coeffs at omega^e for e < m^2. The value at omega^(i + m*j)
+    is sum_l c_l (omega^i)^l ((omega^m)^j)^l: entry (i, j) of one exact GEMM
+    of Vandermonde factors, run in chunks of columns (exponents m*j..) that
+    stay within _GEMM_CELLS cells. That is O(m^2 log m) work up to K_GEMM *
+    bit_length(m^2) coefficients; longer ones take the chirp in segments."""
+    p, omega, total = ctx.p, ctx.omega, m * m
+    if len(coeffs) > _verify.K_GEMM * total.bit_length():
+        for e0 in range(0, total, _ROOT_SEGMENT):
+            count = min(_ROOT_SEGMENT, total - e0)
+            yield e0, progression_eval(coeffs, pow(omega, e0, p), omega, count, p)
+        return
+    rows = power_sequence(power_sequence(omega, m, p), len(coeffs), p) * coeffs % p
+    cols = power_sequence(power_sequence(pow(omega, m, p), m, p), len(coeffs), p)
+    step = max(1, _verify._GEMM_CELLS // m)
+    for j0 in range(0, m, step):
+        yield m * j0, _matmul_mod(rows, cols[j0 : j0 + step].T, p).T.ravel()
+
+
 def shift_values(values: np.ndarray, writes, ctx: FieldCtx, m: int) -> np.ndarray:
     """Fingerprint values of the m x m pair at omega^0..omega^(k-1) moved
     by writes (i, j, old, new) into C: each write moves value u by
@@ -392,25 +409,29 @@ def _run_engine(
     corrections: list[tuple[int, int, int, int]] = []
     stats = {"evaluations": 0}
     granularity: dict[SubmatrixId, int] = {}
-    known: dict[int, np.ndarray] = {}   # prime -> prony values of the current pair
+    # prime -> values of the current pair; the quadtree's writes leave them stale
+    known: dict[int, np.ndarray] | None = {} if engine == "prony" else None
     passes = 0
     for ctx in basis.fields:
         worker = _ENGINES[engine](pair, t, ctx, stats, trace=trace)
+        if known is not None:
+            worker.values = known.pop(ctx.p, None)   # the last sweep's, if any
         passes += 1
         done = len(corrections)
         worker.run(corrections, pre_write, post_update)
         for s, tv in worker.tau.items():
             if tv > granularity.get(s, 0):
                 granularity[s] = tv
-        if worker.values is not None:
+        if known is not None:
             known[ctx.p] = worker.values
-            for f in basis.fields[:passes]:
-                known[f.p] = shift_values(known[f.p], corrections[done:], f, m)
+            for f in basis.fields:
+                if f.p in known:
+                    known[f.p] = shift_values(known[f.p], corrections[done:], f, m)
         # integer-level sweep over the full basis; catches nonzeroes that
         # vanish mod this pass's prime. Each write fixes one entry, so under
         # a broken promise with at most 2t wrong entries at most 2t remain,
-        # and 2t points refute them. Mod the primes the prony passes used,
-        # their values shifted by the writes stand in for an evaluation
+        # and 2t points refute them. Mod the primes in known, the values
+        # shifted by the writes stand in for an evaluation; it adds the rest
         if verify_product(a2, b2, c2, max(2 * t, 1), stats=stats, known=known):
             break
     else:

@@ -1,15 +1,15 @@
-"""Univariate polynomials over F_p: multiplication, long division,
-evaluation at arbitrary points by Horner's scheme vectorised over the
-points, and batch evaluation along geometric progressions by the chirp
-transform. The chirp tables (kernel residues, kernel spectrum, inverse
-chirp) are cached per (p, ratio, transform length) in one bounded LRU; a
-ProgressionPlan adds the per-call scales and returns raw outputs, which
-callers that sum many rows post-scale once. The chirp and poly_mul run on
-one exact float64 FFT convolution of small-width limbs: one operand holds
-residues in [0, p), the other balanced residues in [-p/2, p/2], and the
-limb count follows from a rounding bound on those true magnitudes. Moduli
-are below field.WORD = 2^31, so residue products fit in int64 and all
-arithmetic runs on int64 arrays."""
+"""Univariate polynomials over F_p: multiplication, evaluation at
+arbitrary points by Horner's scheme vectorised over the points, and batch
+evaluation along geometric progressions by the chirp transform. The chirp
+tables (kernel residues, kernel spectrum, inverse chirp) are cached per
+(p, ratio, transform length) in one bounded LRU; a ProgressionPlan adds
+the per-call scales and returns raw outputs, which callers that sum many
+rows post-scale once. The chirp and poly_mul run on one exact float64 FFT
+convolution of small-width limbs: one operand holds residues in [0, p),
+the other balanced residues in [-p/2, p/2], and the limb count follows
+from a rounding bound on those true magnitudes. Moduli are below
+field.WORD = 2^31, so residue products fit in int64 and all arithmetic
+runs on int64 arrays."""
 
 from functools import lru_cache
 
@@ -60,11 +60,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.coeffs.tolist()}, p={self.ctx.p})"
-
-
-def _same_ctx(f: Poly, g: Poly) -> None:
-    if f.ctx.p != g.ctx.p:
-        raise UsageError("mismatched field contexts")
 
 
 def _check_length(length: int) -> None:
@@ -127,26 +122,38 @@ def _spectral_product(xs, ys, length: int, lo: int, hi: int, p: int) -> np.ndarr
 
     Output weight s sums the limb products with i + j = s; each weight is
     transformed back, rounded, checked to lie within 1/4 of an integer, and
-    folded in with the factor 2^(width*s) mod p.
+    folded in with the factor 2^(width*s) mod p, all in place. xs has the
+    output's shape and is consumed: xs[i] takes the product of its last
+    weight, i + limbs - 1 (with one limb, the only one).
     """
     limbs, width = _limb_plan(p, length)
     for s in range(2 * limbs - 1):
-        pairs = range(max(0, s - limbs + 1), min(s, limbs - 1) + 1)
-        spec = sum(xs[i] * ys[s - i] for i in pairs)
+        i0 = max(0, s - limbs + 1)
+        last = xs[i0] if s == i0 + limbs - 1 else None
+        spec = np.multiply(xs[i0], ys[s - i0], out=last)
+        for i in range(i0 + 1, min(s, limbs - 1) + 1):
+            spec += xs[i] * ys[s - i]
         z = np.fft.irfft(spec, length)[..., lo:hi]
         r = np.rint(z)
-        if z.size and np.abs(z - r).max() >= 0.25:
+        z -= r
+        if z.size and max(z.max(), -z.min()) >= 0.25:
             raise InternalCheckError(
                 f"FFT rounding residual above 1/4 (length {length}, p {p})"
             )
-        v = r.astype(np.int64) % p
-        out = v if s == 0 else (out + v * pow(2, width * s, p)) % p
+        v = r.astype(np.int64)
+        v %= p
+        if s:
+            v *= pow(2, width * s, p)
+            v += out
+            v %= p
+        out = v
     return out
 
 
 def poly_mul(f: Poly, g: Poly) -> Poly:
     """Exact product over F_p."""
-    _same_ctx(f, g)
+    if f.ctx.p != g.ctx.p:
+        raise UsageError("mismatched field contexts")
     p = f.ctx.p
     total = len(f.coeffs) + len(g.coeffs) - 1
     length = next_pow2(total)
@@ -154,27 +161,6 @@ def poly_mul(f: Poly, g: Poly) -> Poly:
     xs = _limb_spectra(f.coeffs, length, p)
     ys = _limb_spectra(_balanced(g.coeffs, p), length, p)
     return Poly(_spectral_product(xs, ys, length, 0, total, p), f.ctx)
-
-
-def poly_divrem(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder with f = q*g + r and deg r < deg g."""
-    _same_ctx(f, g)
-    if g.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    p = f.ctx.p
-    dg = g.degree
-    if f.is_zero or f.degree < dg:
-        return Poly([0], f.ctx), f
-    lead_inv = pow(int(g.coeffs[-1]), -1, p)
-    rem = f.coeffs.copy()
-    div = g.coeffs
-    q = np.zeros(f.degree - dg + 1, dtype=np.int64)
-    for i in range(f.degree, dg - 1, -1):
-        c = int(rem[i]) * lead_inv % p
-        if c:
-            q[i - dg] = c
-            rem[i - dg : i + 1] = (rem[i - dg : i + 1] - c * div) % p
-    return Poly(q, f.ctx), Poly(rem[:dg] if dg else [0], f.ctx)
 
 
 def horner_eval(f: Poly, x: int) -> int:
@@ -301,7 +287,8 @@ class ProgressionPlan:
                 out[mono, u0 : u0 + cnt] = coef[:, None] * kslice % p
             for r0 in range(0, dense.size, step):
                 idx = dense[r0 : r0 + step]
-                b = rows[idx, :n] * scale % p
+                b = rows[idx, :n] * scale
+                b %= p
                 xs = _limb_spectra(b[:, ::-1], self.length, p)
                 out[idx, u0 : u0 + cnt] = _spectral_product(
                     xs, self.spectrum, self.length, n - 1, n - 1 + cnt, p
@@ -343,8 +330,3 @@ def progression_eval(coeffs, first: int, ratio: int, count: int, p: int) -> np.n
         return np.zeros(shape, dtype=np.int64)
     plan = ProgressionPlan(int(used[-1]) + 1, first, ratio, count, p)
     return (plan.raw(rows) * plan.post % p).reshape(shape)
-
-
-def eval_on_progression(f: Poly, first: int, ratio: int, count: int) -> list[int]:
-    """Poly-level wrapper over progression_eval."""
-    return [int(v) for v in progression_eval(f.coeffs, first, ratio, count, f.ctx.p)]

@@ -30,7 +30,7 @@ crossover, sets K_GEMM. On the correction engine's blocks (side 2 to
 every count tried up to 256.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -262,6 +262,8 @@ class ZeroVerdict:
     all_zero: bool
     witness: int | None   # least exponent nu with a nonzero value
     checked: int          # points actually evaluated (after clamping)
+    # the checked values themselves, at omega^0..omega^(checked-1)
+    values: np.ndarray = field(repr=False, compare=False)
 
 
 def all_zeroes_test(
@@ -282,9 +284,8 @@ def all_zeroes_test(
     t_eff = min(t, side * side)
     vals = eval_fingerprint_progression(rep, 0, t_eff, stats)
     nz = np.nonzero(vals)[0]
-    if nz.size:
-        return ZeroVerdict(all_zero=False, witness=int(nz[0]), checked=t_eff)
-    return ZeroVerdict(all_zero=True, witness=None, checked=t_eff)
+    witness = int(nz[0]) if nz.size else None
+    return ZeroVerdict(not nz.size, witness, t_eff, vals)
 
 
 def _ones_probe(a: IntMatrix, b: IntMatrix, c: IntMatrix) -> int:
@@ -318,13 +319,14 @@ def verify_product(
     pair mod that prime at omega^0, omega^1, ..., omega the basis generator
     of that prime. Mod a basis prime in known the zero test reads the first
     min(t, n^2) of them instead of evaluating; other primes are ignored.
-    Every array must hold that many values, or UsageError is raised.
+    Every array must hold that many values, or UsageError is raised; the
+    values of each prime the zero test evaluates are added to known.
     """
     a, b, c, n = square_matrices(a, b, c)
     if t < 1:
         raise UsageError("t must be >= 1")
     t_eff = min(t, n * n)
-    known = known or {}
+    known = {} if known is None else known
     if any(len(vals) < t_eff for vals in known.values()):
         raise UsageError(f"known fingerprint values must cover {t_eff} points")
     if _ones_probe(a, b, c):
@@ -334,12 +336,10 @@ def verify_product(
     pair = augment(a, b, c)
     basis = build_crt_basis(n, pair.magnitude_bound())
     for ctx in basis.fields:
-        if ctx.p in known:
-            if np.any(known[ctx.p][:t_eff]):
-                return False
-            continue
-        ap, bp = pair.reduced(ctx)
-        if not all_zeroes_test(ap, bp, t, ctx, stats).all_zero:
+        if ctx.p not in known:
+            ap, bp = pair.reduced(ctx)
+            known[ctx.p] = all_zeroes_test(ap, bp, t, ctx, stats).values
+        if np.any(known[ctx.p][:t_eff]):
             return False
     return True
 

@@ -37,20 +37,6 @@ def oracle_poly_mul(f, g, p: int) -> list[int]:
     return trim(out)
 
 
-def oracle_poly_divrem(f, g, p: int):
-    f = [v % p for v in f]
-    g = trim([v % p for v in g])
-    inv_lead = pow(g[-1], p - 2, p)
-    quo = [0] * max(len(f) - len(g) + 1, 1)
-    rem = list(f)
-    for k in range(len(f) - len(g), -1, -1):
-        c = rem[k + len(g) - 1] * inv_lead % p
-        quo[k] = c
-        for s in range(len(g)):
-            rem[k + s] = (rem[k + s] - c * g[s]) % p
-    return trim(quo), trim(rem[: len(g) - 1] or [0])
-
-
 def oracle_eval(f, x: int, p: int) -> int:
     acc = 0
     for c in reversed(f):

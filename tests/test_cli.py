@@ -4,7 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matverify import IntMatrix, naive_multiply, read_matrix, write_matrix
+from matverify import (
+    IntMatrix,
+    correct_product,
+    naive_multiply,
+    read_matrix,
+    verify_product,
+    write_matrix,
+)
 import matverify.verify as verify_mod
 from matverify.cli import build_parser, main
 
@@ -136,6 +143,80 @@ def test_correct_command(workdir, capsys):
         assert rep["engine"] == "prony" and rep["max_granularity"] == "0"
         fixed = read_matrix("fixed.mat")
         assert fixed == naive_multiply(read_matrix("A.mat"), read_matrix("B.mat"))
+
+
+# -- entries at the file format's cap, 2^40 - 1 ----------------------------------
+
+CAP = (1 << 40) - 1
+# rows of A and columns of B as sign patterns: rows 0-1 and 2-3 of A are
+# orthogonal to columns 0-1 of B and meet columns 2 and 3 in 4 CAP^2
+_ROWS = [[1, 1, 1, 1], [1, 1, 1, 1], [1, -1, 1, -1], [1, -1, 1, -1]]
+_COLS = [[1, 1, -1, -1], [1, -1, -1, 1], [1, 1, 1, 1], [1, -1, 1, -1]]
+
+
+def _write_text(path, rows):
+    Path(path).write_text(f"{len(rows)} {len(rows[0])}\n"
+                          + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+
+
+def _int_rows(path):
+    return [[int(v) for v in ln.split()] for ln in Path(path).read_text().splitlines()[1:]]
+
+
+def test_verify_entries_at_the_cap_from_files(workdir, capsys):
+    # every sum of A @ B passes 2^80 on the way; the product is the zero
+    # matrix (cancelling columns) or A's columns permuted with signs, which
+    # C holds at +-CAP. The last C of each B differs in two entries whose
+    # differences cancel in the all-ones sum, so the fingerprint decides
+    a = CAP * np.array(_ROWS)
+    zero_b = CAP * np.array([_COLS[0], _COLS[1], _COLS[0], _COLS[1]]).T
+    perm = np.array([[0, 0, -1, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, -1, 0, 0]])
+    _write_text("A.mat", a.tolist())
+    for b, changes in (
+        (zero_b, [{}, {(1, 2): CAP}, {(3, 0): -CAP}, {(2, 2): 1},
+                  {(0, 1): CAP, (2, 3): -CAP}]),
+        (perm, [{}, {(0, 0): -CAP}, {(3, 3): CAP - 1}, {(0, 0): -CAP, (0, 2): CAP}]),
+    ):
+        truth = a.astype(object).dot(b.astype(object))
+        assert set(truth.flat) <= {0, CAP, -CAP}
+        for change in changes:
+            c = truth.copy()
+            for cell, value in change.items():
+                assert c[cell] != value
+                c[cell] = value
+            _write_text("B.mat", b.tolist())
+            _write_text("C.mat", c.tolist())
+            t = max(1, len(change))
+            equal = not change
+            files = [read_matrix(f) for f in ("A.mat", "B.mat", "C.mat")]
+            assert verify_product(*files, t) == equal
+            code, rep, _ = run(capsys, "verify", "A.mat", "B.mat", "C.mat", t)
+            assert (code, rep["verdict"]) == ((0, "equal") if equal else (1, "not_equal"))
+        assert (truth - c).sum() == 0      # the last change cancels
+
+
+def test_correct_entries_at_the_cap_from_files(workdir, capsys):
+    # four entries of AB are 4 CAP^2 > 2^62, which no file C can hold: C
+    # has 0 there, and +-CAP at two entries where AB is 0
+    a, b = CAP * np.array(_ROWS), CAP * np.array(_COLS).T
+    truth = a.astype(object).dot(b.astype(object))
+    big = [(0, 2), (1, 2), (2, 3), (3, 3)]
+    assert sorted(zip(*np.nonzero(truth))) == big and truth[0, 2] == 4 * CAP**2 > 1 << 62
+    c = np.zeros((4, 4), dtype=np.int64)
+    c[0, 0], c[3, 1] = CAP, -CAP
+    for name, m in (("A.mat", a), ("B.mat", b), ("C.mat", c)):
+        _write_text(name, m.tolist())
+    files = [read_matrix(f) for f in ("A.mat", "B.mat", "C.mat")]
+    for engine in ("prony", "quadtree"):
+        res = correct_product(*files, 6, engine=engine)
+        assert res.product.data.tolist() == truth.tolist()
+        assert sorted(res.corrections) == sorted(
+            [(0, 0, CAP, 0), (3, 1, -CAP, 0)] + [(i, j, 0, 4 * CAP**2) for i, j in big])
+    code, rep, _ = run(capsys, "correct", "A.mat", "B.mat", "C.mat", 6, "--out", "F.mat")
+    assert code == 0 and rep["corrections"] == "6"
+    assert _int_rows("F.mat") == truth.tolist()
+    code, rep, _ = run(capsys, "correct", "A.mat", "B.mat", "C.mat", 5, "--out", "G.mat")
+    assert code == 2 and rep["verdict"] == "promise_violation"
 
 
 def test_correct_promise_violation_exit_2(workdir, capsys):

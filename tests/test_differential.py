@@ -35,6 +35,8 @@ import matverify.correct as correct_mod
 import matverify.verify as verify_mod
 from matverify.correct import berlekamp_massey
 
+from helpers import oracle_eval
+
 ENGINES = ("prony", "quadtree")
 
 
@@ -344,6 +346,7 @@ def _sweep_cases():
                          .magnitude_bound()).fields[0].p
     cells = _random_cells(rng, n, 3)
     cases.append((a, b, _with_errors(truth, cells, [p1 + 1, -2 * p1, 3 * p1]), 6, 2))
+    n12 = a, b, truth, p1
     # t = 0 on a right C: one value per pass, read by the sweep
     a, b = rng.integers(-9, 10, (5, 5)), rng.integers(-9, 10, (5, 5))
     cases.append((a, b, _truth(a, b), 0, 1))
@@ -363,11 +366,18 @@ def _sweep_cases():
     b[-1] -= b.sum(axis=0)
     b[-1, 3] += 5
     cases.append((a, b, None, int(np.count_nonzero(naive_multiply(a, b).data)), 1))
+    # +p1 and -p1: the all-ones probe cancels and p1 sees nothing, so the
+    # sweep after the first pass evaluates p2, and the second pass reads
+    # those values
+    a, b, truth, p1 = n12
+    cells = _random_cells(rng, 12, 2)
+    cases.append((a, b, _with_errors(truth, cells, [p1, -p1]), 2, 2))
     return cases
 
 
-@pytest.mark.parametrize("case", range(5), ids=[
-    "p1_multiples", "t_zero", "all_wrong", "object_above_2_62", "cancelling_osmm"])
+@pytest.mark.parametrize("case", range(6), ids=[
+    "p1_multiples", "t_zero", "all_wrong", "object_above_2_62", "cancelling_osmm",
+    "p1_cancelling"])
 def test_sweep_reads_shifted_values_evaluated_once_per_prime(sweep_watch, case):
     a, b, c, t, passes = _sweep_cases()[case]
     sweep_watch["t"] = t
@@ -379,10 +389,8 @@ def test_sweep_reads_shifted_values_evaluated_once_per_prime(sweep_watch, case):
     assert res.prime_passes == passes
     # one sweep per pass, each with the values of every pass so far
     assert [len(known) for known in sweep_watch["sweeps"]] == list(range(1, passes + 1))
-    # no prime's whole-pair fingerprint is computed twice in one call. (A
-    # sweep that fails here fails on the all-ones probe; had the probe
-    # cancelled, the sweep would have evaluated the next prime, and its
-    # pass would evaluate it again)
+    # no prime's whole-pair fingerprint is computed twice in one call, also
+    # when the sweep evaluated the next pass's prime
     assert max(sweep_watch["evaluated"].values()) == 1, sweep_watch["evaluated"]
 
 
@@ -499,6 +507,96 @@ def test_root_search_in_small_segments(monkeypatch):
     whole = correct_product(a, b, c, 9).corrections
     monkeypatch.setattr(correct_mod, "_ROOT_SEGMENT", 7)
     assert correct_product(a, b, c, 9).corrections == whole
+
+
+# -- the root sweep: one Vandermonde GEMM, the chirp past the crossover -------
+
+
+def _sweep(coeffs, ctx, m):
+    return np.concatenate([vals for _, vals in correct_mod.sweep_values(coeffs, ctx, m)])
+
+
+def _engine(m, ctx, t=1):
+    zero = np.zeros((m, m), dtype=np.int64)
+    return correct_mod.PronyEngine(augment(zero, zero, zero), t, ctx, {})
+
+
+def _locator(exps, ctx):
+    """prod_e (1 - omega^e x), whose reversal has the roots omega^e."""
+    out = [1]
+    for e in exps:
+        root = pow(ctx.omega, int(e), ctx.p)
+        out = [(x - root * y) % ctx.p for x, y in zip(out + [0], [0] + out)]
+    return np.array(out, dtype=np.int64)
+
+
+@pytest.mark.parametrize("m", [1, 2, 64, 128, 256])
+def test_gemm_sweep_matches_the_chirp_on_every_exponent(monkeypatch, m):
+    # the default path runs the GEMM up to L + 1 = K_GEMM * bit_length(m^2)
+    # coefficients and the chirp past it; both give every value, on a prime
+    # just above m^2 and on 2^31 - 1, where _matmul_mod splits into limbs
+    rng = seeded_rng(96 + m)
+    default_k = verify_mod.K_GEMM
+    cross = default_k * (m * m).bit_length()
+    chirps = []
+    real_eval = correct_mod.progression_eval
+    monkeypatch.setattr(correct_mod, "progression_eval",
+                        lambda *args: chirps.append(1) or real_eval(*args))
+    big = FieldCtx((1 << 31) - 1, 7, order_lb=m * m)
+    for ctx in (build_crt_basis(m, 1).fields[0], big):
+        for degree in (0, 1, 8, cross - 1, cross, cross + 1):
+            coeffs = rng.integers(0, ctx.p, degree + 1)
+            runs = []
+            for k_gemm in (1 << 30, 0, default_k):
+                monkeypatch.setattr(verify_mod, "K_GEMM", k_gemm)
+                del chirps[:]
+                runs.append(_sweep(coeffs, ctx, m))
+            assert bool(chirps) == (degree + 1 > cross), degree
+            gemm, chirp, default = runs
+            assert len(gemm) == m * m
+            assert gemm.tolist() == chirp.tolist() == default.tolist(), (ctx.p, degree)
+            for e in rng.choice(m * m, size=min(m * m, 5), replace=False):
+                x = pow(ctx.omega, int(e), ctx.p)
+                assert gemm[e] == oracle_eval(coeffs.tolist(), x, ctx.p)
+    assert (big.p - 1) ** 2 >= 1 << 53     # one coefficient takes the limb split
+
+
+def test_gemm_sweep_finds_roots_across_column_chunks(monkeypatch):
+    # chunks of 3 columns of 16 exponents each: roots on both sides of every
+    # chunk edge come back ascending, as from one chunk and from the chirp
+    m = 16
+    ctx = build_crt_basis(m, 1).fields[0]
+    exps = [0, 47, 48, 95, 96, 200, 255]
+    locator = _locator(exps[::-1], ctx)
+    engine = _engine(m, ctx)
+    whole = engine.roots(locator)
+    monkeypatch.setattr(verify_mod, "_GEMM_CELLS", 3 * m)
+    starts = [e0 for e0, _ in correct_mod.sweep_values(locator[::-1], ctx, m)]
+    assert starts == list(range(0, m * m, 3 * m))
+    assert engine.roots(locator) == whole == exps
+    monkeypatch.setattr(verify_mod, "K_GEMM", 0)
+    assert engine.roots(locator) == exps
+
+
+def test_root_count_other_than_the_degree_is_refused(monkeypatch):
+    m = 16
+    ctx = build_crt_basis(m, 1).fields[0]
+    monkeypatch.setattr(verify_mod, "_GEMM_CELLS", 3 * m)
+    engine = _engine(m, ctx, t=3)
+    # a locator that vanishes everywhere: the sweep stops after the first
+    # chunk, with more roots than the degree
+    assert engine.roots(np.zeros(3, dtype=np.int64)) == list(range(3 * m))
+    # the root 0 of (x - omega^5) * x lies off the grid: one root of two
+    beyond = np.append(_locator([5], ctx), 0)
+    assert engine.roots(beyond) == [5]
+    rng = seeded_rng(97)
+    a = rng.integers(-9, 10, (m, m))
+    b = rng.integers(-9, 10, (m, m))
+    c = _with_errors(_truth(a, b), [(1, 2)], [4])
+    for locator in (np.zeros(3, dtype=np.int64), beyond):
+        monkeypatch.setattr(correct_mod, "berlekamp_massey", lambda vals, p: locator)
+        with pytest.raises(PromiseViolationError, match="error locator of degree 2 has"):
+            correct_product(a, b, c, 3)
 
 
 # -- hypothesis ---------------------------------------------------------------

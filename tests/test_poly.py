@@ -8,11 +8,9 @@ from matverify import (
     ResourceLimitError,
     UsageError,
     build_crt_basis,
-    eval_on_progression,
     horner_eval,
     multiplicative_order,
     multipoint_eval,
-    poly_divrem,
     poly_mul,
     power_sequence,
     seeded_rng,
@@ -20,7 +18,7 @@ from matverify import (
 from matverify import poly
 from matverify.poly import progression_eval
 
-from helpers import oracle_eval, oracle_poly_divrem, oracle_poly_mul, trim
+from helpers import oracle_eval, oracle_poly_mul
 
 F17 = FieldCtx(17, 3, order_lb=16)
 F5 = FieldCtx(5, 2, order_lb=4)
@@ -51,13 +49,6 @@ def test_mul_goldens():
     assert list(poly_mul(Poly([1, 1, 1], F5), Poly([1, 1], F5)).coeffs) == [1, 2, 2, 1]
 
 
-def test_divrem_goldens():
-    q, r = poly_divrem(Poly([0, 0, 1], F17), Poly([16, 1], F17))
-    assert list(q.coeffs) == [1, 1] and list(r.coeffs) == [1]
-    q, r = poly_divrem(Poly([1, 2, 0, 1], F5), Poly([1, 0, 1], F5))
-    assert list(q.coeffs) == [0, 1] and list(r.coeffs) == [1, 1]
-
-
 def test_mul_matches_schoolbook_across_sizes():
     rng = seeded_rng(101)
     for ctx in (F17, F5, BIG, FieldCtx(2, 1), FieldCtx(3, 2)):
@@ -66,26 +57,6 @@ def test_mul_matches_schoolbook_across_sizes():
             g = [int(x) for x in rng.integers(0, ctx.p, db + 1)]
             got = poly_mul(Poly(f, ctx), Poly(g, ctx))
             assert [int(v) for v in got.coeffs] == oracle_poly_mul(f, g, ctx.p)
-
-
-def test_divrem_reconstructs():
-    rng = seeded_rng(7)
-    for ctx in (F17, BIG):
-        for _ in range(40):
-            df, dg = int(rng.integers(0, 40)), int(rng.integers(0, 20))
-            f = [int(x) for x in rng.integers(0, ctx.p if ctx.p < 100 else 10**6, df + 1)]
-            g = trim([int(x) for x in rng.integers(0, ctx.p if ctx.p < 100 else 10**6, dg + 1)])
-            if all(v % ctx.p == 0 for v in g):
-                g[-1] = 1
-            q, r = poly_divrem(Poly(f, ctx), Poly(g, ctx))
-            oq, orr = oracle_poly_divrem(f, g, ctx.p)
-            assert [int(v) for v in q.coeffs] == oq
-            assert [int(v) for v in r.coeffs] == orr
-
-
-def test_divrem_zero_divisor():
-    with pytest.raises(ZeroDivisionError):
-        poly_divrem(Poly([1, 1], F17), Poly([0], F17))
 
 
 def test_multipoint_golden():
@@ -103,7 +74,7 @@ def test_multipoint_matches_horner_incl_tree_path():
 
 def test_progression_golden():
     f = Poly([1, 0, 0, 1], F17)
-    assert list(eval_on_progression(f, 1, 3, 4)) == [2, 11, 16, 15]
+    assert progression_eval(f.coeffs, 1, 3, 4, f.ctx.p).tolist() == [2, 11, 16, 15]
 
 
 def test_progression_matches_horner():
@@ -114,7 +85,7 @@ def test_progression_matches_horner():
         f = Poly([int(x) for x in rng.integers(0, p, deg + 1)], ctx)
         first = int(rng.integers(1, p))
         ratio = int(rng.integers(2, p))
-        got = eval_on_progression(f, first, ratio, count)
+        got = progression_eval(f.coeffs, first, ratio, count, p)
         want = [
             oracle_eval([int(v) for v in f.coeffs], first * pow(ratio, k, p) % p, p)
             for k in range(count)
@@ -126,14 +97,14 @@ def test_progression_sparse_and_edge_dispatch():
     p = 262147
     ctx = FieldCtx(p, 2, order_lb=p - 1)
     lone = Poly([0] * 100 + [5], ctx)
-    got = eval_on_progression(lone, 3, 7, 40)
+    got = progression_eval(lone.coeffs, 3, 7, 40, p)
     want = [5 * pow(3 * pow(7, k, p) % p, 100, p) % p for k in range(40)]
     assert [int(v) for v in got] == want
     zero = Poly([0], ctx)
-    assert [int(v) for v in eval_on_progression(zero, 3, 7, 6)] == [0] * 6
+    assert progression_eval(zero.coeffs, 3, 7, 6, p).tolist() == [0] * 6
     # ratio 0 degenerates to two distinct points
     f = Poly([4, 1, 1], ctx)
-    got = eval_on_progression(f, 2, 0, 4)
+    got = progression_eval(f.coeffs, 2, 0, 4, p)
     assert [int(v) for v in got] == [oracle_eval([4, 1, 1], 2, p)] + [4] * 3
 
 
@@ -159,7 +130,7 @@ def test_progression_at_largest_word_prime():
     coeffs[::97] = [p - 1] * len(coeffs[::97])
     f = Poly(coeffs, ctx)
     first, ratio, count = 5, int(rng.integers(2, p)), 2048
-    got = eval_on_progression(f, first, ratio, count)
+    got = progression_eval(f.coeffs, first, ratio, count, p).tolist()
     want = [oracle_eval(coeffs, first * pow(ratio, k, p) % p, p) for k in range(count)]
     assert got == want
 
@@ -208,7 +179,7 @@ def test_kernel_checks_transform_size(monkeypatch):
     ctx = FieldCtx(262147, 2, order_lb=2)
     f = Poly(list(range(1, 100)), ctx)
     with pytest.raises(ResourceLimitError):
-        eval_on_progression(f, 1, 3, 10)
+        progression_eval(f.coeffs, 1, 3, 10, ctx.p)
     with pytest.raises(ResourceLimitError):
         poly_mul(f, f)
 
@@ -219,7 +190,7 @@ def test_kernel_rejects_inexact_rounding(monkeypatch):
     ctx = FieldCtx(262147, 2, order_lb=2)
     f = Poly(list(range(1, 100)), ctx)
     with pytest.raises(InternalCheckError):
-        eval_on_progression(f, 1, 3, 50)
+        progression_eval(f.coeffs, 1, 3, 50, ctx.p)
     with pytest.raises(InternalCheckError):
         poly_mul(f, f)
 
