@@ -3,9 +3,11 @@
 Verification work grows near-quadratically with n (t = n test values,
 each a polynomial evaluation), while recomputing the product grows
 cubically. The crossover on this machine typically lands around a few
-hundred; run with larger sizes to push the gap further. The limbs column
-gives, per CRT prime, how many float64 limbs the chirp kernel splits each
-residue into: one limb serves t = n up to n = 426.
+hundred; run with larger sizes to push the gap further. The primes and
+limbs columns are what the t = n verification reports in its stats: the
+size of its CRT basis, and the most float64 limbs its chirp transforms
+split a residue into (0 where no chirp ran). One limb serves t = n up to
+n = 512.
 
 The t = 8 column verifies the same equal C under a promise of 8 errors.
 Its 8 points run on the Vandermonde GEMM evaluator, whose cost falls with
@@ -33,15 +35,11 @@ import time
 import numpy as np
 
 from matverify import (
-    augment,
-    build_crt_basis,
     correct_product,
     naive_multiply,
     seeded_rng,
     verify_product,
 )
-from matverify.matrix import next_pow2
-from matverify.poly import _limb_plan
 
 
 def median_of(fn, reps=3):
@@ -55,7 +53,7 @@ def median_of(fn, reps=3):
 
 rng = seeded_rng(12)
 print(f"{'n':>5} {'verify (s)':>12} {'t = 8 (s)':>10} {'refute 1 (s)':>13} {'refute pair (s)':>16} "
-      f"{'recompute (s)':>14} {'ratio':>7} {'limbs':>7}")
+      f"{'recompute (s)':>14} {'ratio':>7} {'primes':>7} {'limbs':>6}")
 for n in (64, 128, 256, 384, 512):
     a = rng.integers(-9, 10, (n, n))
     b = rng.integers(-9, 10, (n, n))
@@ -64,19 +62,16 @@ for n in (64, 128, 256, 384, 512):
     one[n // 3, n // 2] += 1
     pair[n // 3, 1] += 7
     pair[n // 3, n - 1] -= 7
-    verify_product(a, b, c, n)  # warm caches before timing
+    stats = {}
+    verify_product(a, b, c, n, stats=stats)  # warm caches before timing
     tv = median_of(lambda: verify_product(a, b, c, n))
     t8 = median_of(lambda: verify_product(a, b, c, 8))
     assert not verify_product(a, b, one, n) and not verify_product(a, b, pair, n)
     t1 = median_of(lambda: verify_product(a, b, one, n))
     t2 = median_of(lambda: verify_product(a, b, pair, n))
     tn = median_of(lambda: naive_multiply(a, b))
-    basis = build_crt_basis(n, augment(a, b, c).magnitude_bound())
-    # t = n points against n coefficients: transforms of length 2n - 1
-    length = next_pow2(2 * n - 1)
-    limbs = ",".join(str(_limb_plan(f.p, length)[0]) for f in basis.fields)
     print(f"{n:>5} {tv:>12.4f} {t8:>10.4f} {t1:>13.4f} {t2:>16.4f} {tn:>14.4f} {tn / tv:>7.2f} "
-          f"{limbs:>7}")
+          f"{stats['primes']:>7} {stats.get('limbs', 0):>6}")
 
 print(f"\n{'n':>5} {'t':>5} {'prony (s)':>10} {'quadtree (s)':>13} "
       f"{'prony evals':>12} {'quadtree evals':>15}")

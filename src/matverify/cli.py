@@ -160,6 +160,10 @@ def cmd_verify(args, rep: _Report) -> int:
         equal = verify_product(a, b, c, args.t, stats=stats)
         rep.emit("evaluations", stats["evaluations"])
         rep.emit("kernel", kernel_path(stats))
+        # CRT primes of the basis (0 when the probe refuted C before one
+        # was built) and the most limbs of a chirp transform (0 without one)
+        rep.emit("primes", stats.get("primes", 0))
+        rep.emit("limbs", stats.get("limbs", 0))
         # nonzero: the all-ones sum refuted C; zero: the fingerprint decided
         rep.emit("probe", "nonzero" if stats.get("probe_exits") else "zero")
     elif args.mode == "freivalds":

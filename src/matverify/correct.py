@@ -183,24 +183,29 @@ class CorrectionEngine:
         """Patch the field copy and every cached value on the containing
         chain after C[i, j] changed from old to new. Only the root and the
         children of searched blocks hold values, so the walk stops at the
-        first block on the chain without them."""
+        first block on the chain without them. The write moves each block
+        fingerprint by -delta * X^e, and one power_sequence call gives the
+        powers of every block's omega^e."""
         p = self.ctx.p
         delta = (new - old) % p
         self.ap[i, self.m + j] = new % p
+        chain = []
         s = self.root
         while (stored := self.vals.get(s)) is not None:
-            if delta:
-                # the write moves the block fingerprint by -delta * X^e
-                e = (i - s.i_start) + s.side * (j - s.j_start)
-                stored += (p - delta) * power_sequence(
-                    pow(self.ctx.omega, e, p), len(stored), p
-                )
-                stored %= p
-            if not stored.any() and s in self.queue:
-                self.queue.remove(s)
+            chain.append((s, stored))
             if s.is_leaf:
                 break
             s = s.child_containing(i, j)
+        if delta and chain:
+            exps = [(i - b.i_start) + b.side * (j - b.j_start) for b, _ in chain]
+            bases = np.array([pow(self.ctx.omega, e, p) for e in exps], dtype=np.int64)
+            moves = (p - delta) * power_sequence(bases, max(len(v) for _, v in chain), p)
+        for k, (s, stored) in enumerate(chain):
+            if delta:
+                stored += moves[k, : len(stored)]
+                stored %= p
+            if not stored.any() and s in self.queue:
+                self.queue.remove(s)
 
     # -- integer side ----------------------------------------------------
 

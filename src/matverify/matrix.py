@@ -3,6 +3,7 @@ power-of-two padding, quadtree block geometry, and the augmentation that
 turns product verification into an all-zeroes test."""
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -148,6 +149,15 @@ def exact_dot(x: np.ndarray, y: np.ndarray, x_max: int, y_max: int):
     return np.dot(x.astype(object), y.astype(object))
 
 
+def _max_square_norm(m: IntMatrix, axis: int) -> int:
+    """The largest sum of squared entries along axis (1: rows, 0: columns),
+    in int64 while no sum can reach 2^62, in Python ints otherwise."""
+    x = m.data
+    if x.dtype == object or x.shape[axis] * m.max_abs**2 >= _I64_SAFE:
+        x = x.astype(object)
+    return int((x * x).sum(axis=axis).max())
+
+
 def naive_multiply(a, b) -> IntMatrix:
     """Exact integer product; the cubic ground-truth oracle."""
     a, b = as_matrix(a), as_matrix(b)
@@ -259,10 +269,14 @@ class AugmentedPair:
         return self.a.rows
 
     def magnitude_bound(self) -> int:
-        """Upper bound on |entry| of the augmented product, valid even after
-        C is overwritten with true inner products during correction."""
-        prod = self.a.cols * self.a.max_abs * self.b.max_abs
-        return max(prod + max(self.c.max_abs, prod), 1)
+        """Upper bound on |entry| of the augmented product AB - C: by
+        Cauchy-Schwarz, the largest row 2-norm of A times the largest column
+        2-norm of B (the square root rounded up), plus max|C|. An entry
+        written during correction is an exact product and leaves a zero in
+        AB - C, so writes raise the bound only through max|C|."""
+        squares = _max_square_norm(self.a, 1) * _max_square_norm(self.b, 0)
+        root = isqrt(squares)
+        return max(root + (root * root < squares) + self.c.max_abs, 1)
 
     def materialize(self) -> tuple[np.ndarray, np.ndarray]:
         """Explicit (A | C) and (B ; -I) arrays, for oracles and audits."""

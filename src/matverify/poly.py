@@ -2,16 +2,16 @@
 arbitrary points by Horner's scheme vectorised over the points, and batch
 evaluation along geometric progressions by the chirp transform. The chirp
 tables (kernel residues, kernel spectrum, inverse chirp) are cached per
-(p, ratio, transform length) in one bounded LRU; a ProgressionPlan adds
-the per-call scales and returns raw outputs, which callers that sum many
-rows post-scale once. The chirp and poly_mul run on one exact float64 FFT
-convolution of small-width limbs: one operand holds residues in [0, p),
-the other balanced residues in [-p/2, p/2], and the limb count follows
-from a rounding bound on those true magnitudes. Moduli are below
-field.WORD = 2^31, so residue products fit in int64 and all arithmetic
-runs on int64 arrays."""
+(p, ratio, transform length, limb plan) in one bounded LRU; a
+ProgressionPlan adds the per-call scales and returns raw outputs, which
+callers that sum many rows post-scale once. The chirp and poly_mul run on
+one exact float64 FFT convolution of small-width limbs: both operands hold
+balanced residues in [-p/2, p/2], and the limb count follows from a
+rounding bound on their 2-norms. Moduli are below field.WORD = 2^31, so
+residue products fit in int64 and all arithmetic runs on int64 arrays."""
 
 from functools import lru_cache
+from math import sqrt
 
 import numpy as np
 
@@ -70,28 +70,31 @@ def _check_length(length: int) -> None:
 
 
 @lru_cache(maxsize=256)
-def _limb_plan(p: int, length: int) -> tuple[int, int]:
+def _limb_plan(p: int, length: int, support: int) -> tuple[int, int]:
     """Fewest limbs, and their bit width, that make a float64 FFT
-    convolution of length `length` exact when one operand holds residues in
-    [0, p) and the other balanced residues in [-p/2, p/2].
+    convolution of length `length` exact when both operands hold balanced
+    residues in [-p/2, p/2] and one of them has at most `support` nonzero
+    entries.
 
-    Percival's bound for an FFT convolution of length L = 2^m whose inputs
-    are bounded by A and B is about L*A*B*eps*(13m + 3) to first order, for
-    eps = 2^-53 and twiddle factors correct to eps. A and B are the largest
-    limb magnitudes: p - 1 and p // 2 for a single limb, 2^width each for
-    several (the top limb of a balanced residue is an arithmetic shift, so
-    it stays within 2^width too). One output weight sums up to `limbs` limb
-    products, which multiplies A*B by that factor. The plan keeps the bound
-    below 1/4: rounding is then exact, the exact sums stay below 2^47 where
-    a residual shows, and the check in _spectral_product does not fire on a
-    correct transform.
+    Percival's bound for an FFT convolution of x and y of length L = 2^m
+    is about |x|_2 * |y|_2 * eps * (13m + 3) to first order, for eps =
+    2^-53 and twiddle factors correct to eps. With one limb, |x|_2 * |y|_2
+    <= sqrt(support * L) * (p // 2)^2. With several, every limb is bounded
+    by 2^width (the top limb of a balanced residue is an arithmetic shift,
+    so it stays within 2^width too), so one limb product has 2-norms below
+    L * 4^width, and one output weight sums up to `limbs` of them. The plan
+    keeps the bound below 1/4: rounding is then exact, the exact sums stay
+    below 2^47 where a residual shows, and the check in _spectral_product
+    does not fire on a correct transform.
     """
     bits = (p - 1).bit_length()
     m = max(length.bit_length() - 1, 1)
-    for limbs in range(1, bits + 1):
+    scale = (13 * m + 3) * 2.0**-53
+    if sqrt(support * length) * (p // 2) ** 2 * scale < 0.25:
+        return 1, bits
+    for limbs in range(2, bits + 1):
         width = -(-bits // limbs)
-        mags = (p - 1) * (p // 2) if limbs == 1 else 4**width
-        if limbs * length * mags * (13 * m + 3) * 2.0**-53 < 0.25:
+        if limbs * length * 4**width * scale < 0.25:
             return limbs, width
     raise ResourceLimitError(f"no exact limb split at transform length {length}")
 
@@ -110,23 +113,28 @@ def _limbs(x: np.ndarray, limbs: int, width: int) -> list[np.ndarray]:
     return low + [x >> (width * (limbs - 1))]
 
 
-def _limb_spectra(x: np.ndarray, length: int, p: int) -> list[np.ndarray]:
-    """rfft, zero-padded to `length`, of each limb of the residues x (taken
-    along the last axis); x may hold balanced residues."""
-    return [np.fft.rfft(part, length) for part in _limbs(x, *_limb_plan(p, length))]
+def _limb_spectra(x: np.ndarray, length: int, plan: tuple[int, int]) -> list[np.ndarray]:
+    """rfft, zero-padded to `length`, of each limb of the balanced residues
+    x (taken along the last axis), split by the (limbs, width) plan."""
+    return [np.fft.rfft(part, length) for part in _limbs(x, *plan)]
 
 
-def _spectral_product(xs, ys, length: int, lo: int, hi: int, p: int) -> np.ndarray:
-    """Entries [lo, hi) mod p of the cyclic convolution of two residue
-    vectors (or batches of them) given by their limb spectra.
+def _spectral_product(xs, ys, length: int, lo: int, hi: int, p: int,
+                      plan: tuple[int, int]) -> np.ndarray:
+    """Entries [lo, hi) mod p of the cyclic convolution of two balanced
+    residue vectors (or batches of them) given by their limb spectra under
+    the (limbs, width) plan.
 
     Output weight s sums the limb products with i + j = s; each weight is
     transformed back, rounded, checked to lie within 1/4 of an integer, and
-    folded in with the factor 2^(width*s) mod p, all in place. xs has the
-    output's shape and is consumed: xs[i] takes the product of its last
-    weight, i + limbs - 1 (with one limb, the only one).
+    folded in with the factor 2^(width*s) mod p, all in place. The rounded
+    weights lie within the plan's 2^47 and take a multiple of p above that
+    before they are reduced, since numpy's % runs slower on mixed signs.
+    xs has the output's shape and is consumed: xs[i] takes the product of
+    its last weight, i + limbs - 1 (with one limb, the only one).
     """
-    limbs, width = _limb_plan(p, length)
+    limbs, width = plan
+    lift = -(-(1 << 47) // p) * p
     for s in range(2 * limbs - 1):
         i0 = max(0, s - limbs + 1)
         last = xs[i0] if s == i0 + limbs - 1 else None
@@ -141,6 +149,7 @@ def _spectral_product(xs, ys, length: int, lo: int, hi: int, p: int) -> np.ndarr
                 f"FFT rounding residual above 1/4 (length {length}, p {p})"
             )
         v = r.astype(np.int64)
+        v += lift
         v %= p
         if s:
             v *= pow(2, width * s, p)
@@ -158,9 +167,10 @@ def poly_mul(f: Poly, g: Poly) -> Poly:
     total = len(f.coeffs) + len(g.coeffs) - 1
     length = next_pow2(total)
     _check_length(length)
-    xs = _limb_spectra(f.coeffs, length, p)
-    ys = _limb_spectra(_balanced(g.coeffs, p), length, p)
-    return Poly(_spectral_product(xs, ys, length, 0, total, p), f.ctx)
+    plan = _limb_plan(p, length, min(len(f.coeffs), len(g.coeffs)))
+    xs = _limb_spectra(_balanced(f.coeffs, p), length, plan)
+    ys = _limb_spectra(_balanced(g.coeffs, p), length, plan)
+    return Poly(_spectral_product(xs, ys, length, 0, total, p, plan), f.ctx)
 
 
 def horner_eval(f: Poly, x: int) -> int:
@@ -191,15 +201,15 @@ def multipoint_eval(f: Poly, points) -> list[int]:
 
 
 @lru_cache(maxsize=64)
-def _chirp(p: int, ratio: int, length: int):
-    """Chirp table of a nonzero ratio at one transform length: the limb
-    spectra of the kernel ratio^T(k) as balanced residues, the inverse chirp
-    ratio^-T(k), and the kernel residues ratio^T(k) in [0, p) themselves,
-    for k < length. A row with one nonzero coefficient reads its raw
-    outputs straight off the kernel residues."""
+def _chirp(p: int, ratio: int, length: int, plan: tuple[int, int]):
+    """Chirp table of a nonzero ratio at one transform length and limb
+    plan: the limb spectra of the kernel ratio^T(k) as balanced residues,
+    the inverse chirp ratio^-T(k), and the kernel residues ratio^T(k) in
+    [0, p) themselves, for k < length. A row with one nonzero coefficient
+    reads its raw outputs straight off the kernel residues."""
     kernel = _triangular_powers(ratio, length, p)
     inv = _triangular_powers(pow(ratio, -1, p), length, p)
-    return _limb_spectra(_balanced(kernel, p), length, p), inv, kernel
+    return _limb_spectra(_balanced(kernel, p), length, plan), inv, kernel
 
 
 def _triangular_powers(base: int, length: int, p: int) -> np.ndarray:
@@ -247,14 +257,16 @@ class ProgressionPlan:
     many rows applies post once, to the sum.
     """
 
-    __slots__ = ("p", "n", "length", "spectrum", "kernel", "segments", "post")
+    __slots__ = ("p", "n", "length", "plan", "spectrum", "kernel", "segments", "post")
 
     def __init__(self, n: int, first: int, ratio: int, count: int, p: int):
         ratio %= p
         if ratio == 0:
             raise UsageError("the chirp transform needs a nonzero ratio")
         seg, length = _segment(n, count)
-        self.spectrum, inv, self.kernel = _chirp(p, ratio, length)
+        # rows hold at most n nonzero coefficients
+        self.plan = _limb_plan(p, length, n)
+        self.spectrum, inv, self.kernel = _chirp(p, ratio, length, self.plan)
         self.p, self.n, self.length = p, n, length
         self.segments = []   # (u0, cnt, scale) for each segment of points
         for u0 in range(0, count, seg):
@@ -266,11 +278,11 @@ class ProgressionPlan:
         """Z for every row of a 2-d int64 array of residues whose columns
         from n on are zero: shape (rows, count), entries in [0, p).
 
-        Rows with several nonzero coefficients are correlated against the
-        kernel by batched float64 FFTs, in blocks of rows so the workspace
-        stays bounded. A row whose one nonzero coefficient c sits at e has
-        Z[u] = c * scale[e] * kernel[e + u - u0], a slice of the kernel
-        residues; all-zero rows give zeros.
+        Rows with several nonzero coefficients are scaled, balanced and
+        correlated against the kernel by batched float64 FFTs, in blocks of
+        rows so the workspace stays bounded. A row whose one nonzero
+        coefficient c sits at e has Z[u] = c * scale[e] * kernel[e + u -
+        u0], a slice of the kernel residues; all-zero rows give zeros.
         """
         p, n = self.p, self.n
         out = np.zeros((len(rows), len(self.post)), dtype=np.int64)
@@ -289,9 +301,10 @@ class ProgressionPlan:
                 idx = dense[r0 : r0 + step]
                 b = rows[idx, :n] * scale
                 b %= p
-                xs = _limb_spectra(b[:, ::-1], self.length, p)
+                np.subtract(b, p, out=b, where=b > p // 2)
+                xs = _limb_spectra(b[:, ::-1], self.length, self.plan)
                 out[idx, u0 : u0 + cnt] = _spectral_product(
-                    xs, self.spectrum, self.length, n - 1, n - 1 + cnt, p
+                    xs, self.spectrum, self.length, n - 1, n - 1 + cnt, p, self.plan
                 )
         return out
 

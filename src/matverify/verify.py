@@ -20,14 +20,14 @@ augmented pair at t points, GEMM / chirp in ms:
 
     n = 128:  t = 16: 0.8 / 3.3     t = 128: 2.2 / 4.8
     n = 384:  t = 48: 4.7 / 18.3    t = 384: 33.6 / 32.6
-    n = 512:  t = 64: 9.3 / 95.5    t = 512: 58.7 / 102.9
+    n = 512:  t = 64: 11.8 / 53.5   t = 512: 60.0 / 65.0
     n = 1024: t = 128: 105 / 407    t = 1024: 807 / 486
 
-so the crossover lies near t = n (n = 384, 1024) or past it (n = 128,
-512, where the chirp needs two limbs), and the cost bound, not the
-crossover, sets K_GEMM. On the correction engine's blocks (side 2 to
-128, counts of 1 to 128) the GEMM ran 1.5-6x faster than the chirp at
-every count tried up to 256.
+so the crossover lies near t = n (n = 384, 512, 1024) or past it (n =
+128), and the cost bound, not the crossover, sets K_GEMM. The chirp runs
+in one limb at t = n up to n = 512 (poly._limb_plan). On the correction
+engine's blocks (side 2 to 128, counts of 1 to 128) the GEMM ran 1.5-6x
+faster than the chirp at every count tried up to 256.
 """
 
 from dataclasses import dataclass, field
@@ -204,7 +204,8 @@ def eval_fingerprint_progression(
     applied once to the total. stats["evaluations"] counts count times the
     live (inner index, sub-block) pairs; stats["gemm_points"] and
     stats["chirp_points"] count the values each path computed, count per
-    sub-block.
+    sub-block, and stats["limbs"] keeps the most limbs a chirp plan split
+    its transforms into.
     """
     ctx = rep.ctx
     p = ctx.p
@@ -246,6 +247,8 @@ def eval_fingerprint_progression(
         acc %= p
         acc *= plan_q.post * plan_r.post % p
         acc %= p
+        if stats is not None:   # both sides share one limb plan
+            stats["limbs"] = max(stats.get("limbs", 0), plan_q.plan[0])
     if stats is not None:
         stats["evaluations"] = stats.get("evaluations", 0) + count * int(live.sum())
         if path is not None:
@@ -313,7 +316,8 @@ def verify_product(
     once per call; it is counted in stats["probe_exits"]. Otherwise the
     pair is augmented to (A | C), (B ; -I), a CRT basis covering the
     augmented magnitude bound is built (build_crt_basis caches it per
-    (n, bound)), and the all-zeroes test must pass mod every prime.
+    (n, bound); its size goes to stats["primes"]), and the all-zeroes test
+    must pass mod every prime.
 
     known maps primes to the fingerprint values of the current augmented
     pair mod that prime at omega^0, omega^1, ..., omega the basis generator
@@ -335,6 +339,8 @@ def verify_product(
         return False
     pair = augment(a, b, c)
     basis = build_crt_basis(n, pair.magnitude_bound())
+    if stats is not None:
+        stats["primes"] = len(basis.fields)
     for ctx in basis.fields:
         if ctx.p not in known:
             ap, bp = pair.reduced(ctx)

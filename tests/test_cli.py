@@ -116,6 +116,28 @@ def test_verify_names_the_probe_path(workdir, capsys, monkeypatch):
     assert (rep["verdict"], rep["kernel"]) == ("not_equal", "chirp")
 
 
+def test_verify_reports_primes_and_limbs(workdir, capsys):
+    # primes= is the CRT basis size, limbs= the most limbs of a chirp
+    # transform: t = n = 512 runs one prime in one limb; entries up to 2^14
+    # need three primes, and 64 points at n = 64 take the GEMM; the probe
+    # exit builds no basis
+    rng = np.random.default_rng(5)
+    for n, cap, t, primes, limbs in ((512, 9, 512, 1, 1), (64, 1 << 14, 64, 3, 0)):
+        a = rng.integers(-cap, cap + 1, (n, n))
+        b = rng.integers(-cap, cap + 1, (n, n))
+        c = naive_multiply(a, b).data
+        for name, m in (("A", a), ("B", b), ("C", c)):
+            write_matrix(f"{name}.mat", IntMatrix(m))
+        code, rep, _ = run(capsys, "verify", "A.mat", "B.mat", "C.mat", t)
+        assert code == 0 and rep["probe"] == "zero"
+        assert (int(rep["primes"]), int(rep["limbs"])) == (primes, limbs), n
+    c[0, 0] += 1
+    write_matrix("C.mat", IntMatrix(c))
+    code, rep, _ = run(capsys, "verify", "A.mat", "B.mat", "C.mat", t)
+    assert code == 1 and rep["probe"] == "nonzero"
+    assert (rep["primes"], rep["limbs"]) == ("0", "0")
+
+
 def test_verify_flawed_blind_spot(workdir, capsys):
     d, eye = skew_pair()
     write_matrix("D.mat", IntMatrix(d))

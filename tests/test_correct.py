@@ -20,6 +20,7 @@ from matverify import poly
 import matverify.correct as correct_mod
 import matverify.verify as verify_mod
 from matverify.correct import CorrectionEngine
+from matverify.verify import all_zeroes_test
 from matverify.matrix import augment
 
 from helpers import plant_errors
@@ -548,3 +549,70 @@ def test_batched_step_memory_is_bounded():
     assert vals.shape == (2, 2, count)
     assert engine.stats["evaluations"] == 4 * count * (n + 64)
     assert peak < 16 << 20, peak
+
+
+def test_one_prime_at_n_128_entries_9():
+    # the 2-norm bound of +-9 factors at n = 128 stays below (n^2 + 1) / 2,
+    # so verification and the integer sweep run on one prime
+    rng = seeded_rng(71)
+    n = 128
+    a = rng.integers(-9, 10, (n, n))
+    b = rng.integers(-9, 10, (n, n))
+    c = naive_multiply(a, b).data
+    assert len(build_crt_basis(n, augment(a, b, c).magnitude_bound()).fields) == 1
+    stats = {}
+    assert verify_product(a, b, c, n, stats=stats) and stats["primes"] == 1
+    bad = plant_errors(c, 20, rng)
+    for engine in ENGINES:
+        res = correct_product(a, b, bad, 32, engine=engine)
+        assert np.array_equal(res.product.data, c)
+        assert res.prime_passes == 1
+
+
+def test_largest_error_the_one_prime_basis_covers():
+    # C[i, j] raised until the bound sits at (n^2 + 1 - 1) / 2, the most
+    # one prime covers: that single error is refuted mod the prime and
+    # corrected in one pass; one more unit takes a second prime
+    rng = seeded_rng(72)
+    n = 32
+    a = rng.integers(-3, 4, (n, n))
+    b = rng.integers(-3, 4, (n, n))
+    c = naive_multiply(a, b).data
+    base = n * n + 1
+    cs = augment(a, b, np.zeros_like(c)).magnitude_bound()
+    bad = c.copy()
+    bad[7, 19] = (base - 1) // 2 - cs
+    assert bad[7, 19] > np.abs(c).max()
+    (ctx,) = build_crt_basis(n, augment(a, b, bad).magnitude_bound()).fields
+    delta = int(c[7, 19]) - int(bad[7, 19])
+    assert abs(delta) < ctx.p and delta % ctx.p
+    ap, bp = augment(a, b, bad).reduced(ctx)
+    assert not all_zeroes_test(ap, bp, 1, ctx).all_zero
+    assert not verify_product(a, b, bad, 1)
+    for engine in ENGINES:
+        res = correct_product(a, b, bad, 1, engine=engine)
+        assert np.array_equal(res.product.data, c)
+        assert res.corrections == [(7, 19, int(bad[7, 19]), int(c[7, 19]))]
+        assert res.prime_passes == 1
+    bad[7, 19] += 1
+    assert len(build_crt_basis(n, augment(a, b, bad).magnitude_bound()).fields) == 2
+
+
+def test_osmm_from_zero_as_writes_raise_the_bound():
+    # C starts at 0, so the basis covers the 2-norm bound alone; each
+    # written product raises max|C| and, with it, the sweep's basis to two
+    # primes. The result stays exact
+    n = 128
+    a = np.zeros((n, n), dtype=np.int64)
+    b = np.zeros((n, n), dtype=np.int64)
+    a[5], a[90, :64] = 7, -7
+    b[:, 17], b[:64, 100] = 7, 7
+    truth = naive_multiply(a, b)
+    assert np.count_nonzero(truth.data) == 4 and truth.max_abs == n * 49
+    zero = IntMatrix(np.zeros((n, n), dtype=np.int64))
+    assert len(build_crt_basis(n, augment(a, b, zero).magnitude_bound()).fields) == 1
+    assert len(build_crt_basis(n, augment(a, b, truth).magnitude_bound()).fields) == 2
+    for engine in ENGINES:
+        res = multiply_output_sensitive(a, b, 4, engine=engine)
+        assert res.product == truth
+        assert res.correction_count == 4 and res.prime_passes == 1

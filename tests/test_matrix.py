@@ -258,3 +258,53 @@ def test_augmented_pair_reduction():
     assert ap.dtype == np.int64 and bp.dtype == np.int64
     assert ((ap @ bp) % 17 == 0).all()
     assert pair.magnitude_bound() >= int(np.abs(c.data).max())
+
+
+def _old_bound(a, b, c):
+    # n * max|A| * max|B|, doubled: the bound before the 2-norm form
+    prod = a.cols * a.max_abs * b.max_abs
+    return prod + max(c.max_abs, prod)
+
+
+@pytest.mark.parametrize("top", [9, (1 << 40) - 1])
+def test_magnitude_bound_tight_on_one_full_row_and_column(top):
+    # one row of A and one column of B at full magnitude with matching
+    # signs meet Cauchy-Schwarz with equality; at 2^40 - 1 the squares
+    # are summed in Python ints, at 9 in int64
+    n = 8
+    rng = seeded_rng(15)
+    signs = rng.choice([-1, 1], n)
+    a = np.zeros((n, n), dtype=np.int64)
+    b = np.zeros((n, n), dtype=np.int64)
+    a[3] = top * signs
+    b[:, 5] = top * signs
+    a, b = IntMatrix(a), IntMatrix(b)
+    ab = a.data.astype(object).dot(b.data.astype(object))
+    assert ab[3, 5] == n * top * top
+    others = rng.integers(-top, top + 1, (n, n)).astype(object)
+    for c, tight in ((np.zeros((n, n), dtype=np.int64), True), (-ab, True),
+                     (others, False)):
+        c = IntMatrix(c)
+        bound = augment(a, b, c).magnitude_bound()
+        diff = max(abs(v) for v in (ab - c.data.astype(object)).flat)
+        assert diff <= bound <= _old_bound(a, b, c)
+        assert bound == n * top * top + c.max_abs
+        assert (bound == diff) == tight
+    # random factors: still sound, and never above the old bound
+    for dtype_top in (9, top):
+        x = IntMatrix(rng.integers(-dtype_top, dtype_top + 1, (n, n)))
+        y = IntMatrix(rng.integers(-dtype_top, dtype_top + 1, (n, n)))
+        c = IntMatrix(rng.integers(-dtype_top, dtype_top + 1, (n, n)))
+        xy = x.data.astype(object).dot(y.data.astype(object))
+        diff = max(abs(v) for v in (xy - c.data.astype(object)).flat)
+        assert diff <= augment(x, y, c).magnitude_bound() <= _old_bound(x, y, c)
+
+
+def test_magnitude_bound_rounds_the_root_up():
+    # row norm^2 2, column norm^2 1: the bound is ceil(sqrt(2)) = 2, and
+    # the all-zero pair still gets a bound of 1
+    a = IntMatrix(np.array([[1, 1], [0, 0]]))
+    b = IntMatrix(np.array([[1, 0], [0, 0]]))
+    zero = IntMatrix(np.zeros((2, 2), dtype=np.int64))
+    assert augment(a, b, zero).magnitude_bound() == 2
+    assert augment(zero, zero, zero).magnitude_bound() == 1

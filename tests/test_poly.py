@@ -1,3 +1,5 @@
+from math import sqrt
+
 import numpy as np
 import pytest
 
@@ -196,48 +198,47 @@ def test_kernel_rejects_inexact_rounding(monkeypatch):
 
 
 def test_limb_plan_pins():
-    # one limb serves t = n up to 426 at L = 1024; wider primes and the
+    # one limb serves t = n up to 512 at L = 1024, where the rows' support
+    # is n; n = 513 needs L = 2048 and two limbs. Wider primes and the
     # largest word prime at L = 4096 keep their split
-    assert poly._limb_plan(147457, 1024) == (1, 18)      # n = 384
-    assert poly._limb_plan(181499, 1024) == (1, 18)      # n = 426
-    assert poly._limb_plan(182333, 1024)[0] == 2         # n = 427
-    assert poly._limb_plan(262147, 1024)[0] == 2         # n = 512
-    assert poly._limb_plan((1 << 31) - 1, 4096)[0] == 3
+    assert poly._limb_plan(147457, 1024, 384) == (1, 18)     # n = 384
+    assert poly._limb_plan(182333, 1024, 427) == (1, 18)     # n = 427
+    assert poly._limb_plan(262147, 1024, 512) == (1, 19)     # n = 512
+    assert poly._limb_plan(263171, 2048, 513)[0] == 2        # n = 513
+    assert poly._limb_plan((1 << 31) - 1, 4096, 2048)[0] == 3
 
 
-def _assumed_magnitudes(p, limbs, width):
-    # largest limb of a residue in [0, p) and of a balanced residue
-    return (p - 1, p // 2) if limbs == 1 else (1 << width, 1 << width)
-
-
-def _bound(limbs, length, a, b):
+def _bound(limbs, width, length, support, p):
+    # Percival's first-order bound on the 2-norms the plan assumes: one
+    # limb of balanced residues over `support` and `length` entries, or
+    # `limbs` limb products of entries within 2^width
     m = length.bit_length() - 1
-    return limbs * length * a * b * (13 * m + 3) * 2.0**-53
+    norms = (sqrt(support * length) * (p // 2) ** 2 if limbs == 1
+             else limbs * length * 4**width)
+    return norms * (13 * m + 3) * 2.0**-53
 
 
 def test_limb_plans_meet_the_bound_on_the_magnitudes_they_assume():
     primes = {(1 << 31) - 1}
-    for n in (96, 128, 256, 320, 384, 426, 427, 512, 1024):
+    for n in (96, 128, 256, 320, 384, 426, 427, 512, 513, 1024):
         primes.update(f.p for f in build_crt_basis(n, 10**30).fields)
     for p in sorted(primes):
         bits = (p - 1).bit_length()
-        extremes = np.array([0, p - 1])
         balanced = np.array([-(p // 2), p // 2])
         edges = poly._balanced(np.array([0, p // 2, p // 2 + 1, p - 1]), p)
         assert np.array_equal(edges, [0, p // 2, -(p // 2), -1])
         for length in (1 << m for m in range(4, 23)):
-            limbs, width = poly._limb_plan(p, length)
-            a, b = _assumed_magnitudes(p, limbs, width)
-            assert _bound(limbs, length, a, b) < 0.25, (p, length)
-            for x, bound in ((extremes, a), (balanced, b)):
-                parts = poly._limbs(x, limbs, width)
-                assert max(int(np.abs(part).max()) for part in parts) <= bound
+            for support in {1, length // 4, length // 2, length}:
+                limbs, width = poly._limb_plan(p, length, support)
+                assert _bound(limbs, width, length, support, p) < 0.25, (p, length)
+                parts = poly._limbs(balanced, limbs, width)
+                limit = p // 2 if limbs == 1 else 1 << width
+                assert max(int(np.abs(part).max()) for part in parts) <= limit
                 weights = [1 << (width * j) for j in range(limbs)]
-                assert np.array_equal(sum(w * q for w, q in zip(weights, parts)), x)
-            if limbs > 1:   # and no fewer limbs would do
-                fewer = -(-bits // (limbs - 1))
-                a, b = _assumed_magnitudes(p, limbs - 1, fewer)
-                assert _bound(limbs - 1, length, a, b) >= 0.25, (p, length)
+                assert np.array_equal(sum(w * q for w, q in zip(weights, parts)), balanced)
+                if limbs > 1:   # and no fewer limbs would do
+                    fewer = -(-bits // (limbs - 1))
+                    assert _bound(limbs - 1, fewer, length, support, p) >= 0.25, (p, length)
 
 
 def _cyclic(x, y):
@@ -252,15 +253,38 @@ def test_spectral_product_exact_at_worst_case_magnitudes():
     # output sums L products of the largest magnitudes the one-limb plan
     # allows; the second kernel scrambles the signs
     p, length = 147457, 1024
-    assert poly._limb_plan(p, length)[0] == 1
+    plan = poly._limb_plan(p, length, length)
+    assert plan[0] == 1
     rng = seeded_rng(35)
-    rows = np.full((2, length), p - 1, dtype=np.int64)
+    rows = np.full((2, length), p // 2, dtype=np.int64)
     rows[1, rng.random(length) < 0.5] = 0
     for kernel in (np.full(length, -(p // 2)),
                    rng.choice([-(p // 2), p // 2], length)):
-        xs = poly._limb_spectra(rows, length, p)
-        ys = poly._limb_spectra(kernel, length, p)
-        got = poly._spectral_product(xs, ys, length, 0, length, p)
+        xs = poly._limb_spectra(rows, length, plan)
+        ys = poly._limb_spectra(kernel, length, plan)
+        got = poly._spectral_product(xs, ys, length, 0, length, p, plan)
+        for row, vals in zip(rows, got):
+            assert np.array_equal(vals, _cyclic(row, kernel) % p)
+
+
+def test_one_limb_exact_at_n_512():
+    # t = n = 512: rows of 512 coefficients at +-p//2 against kernels of
+    # 1024 entries at +-p//2 with scrambled signs, in one limb, where the
+    # 2-norm bound reads 0.18
+    p, length, support = 262147, 1024, 512
+    plan = poly._limb_plan(p, length, support)
+    assert plan[0] == 1
+    assert _bound(1, plan[1], length, support, p) < 0.19
+    rng = seeded_rng(37)
+    rows = np.zeros((3, length), dtype=np.int64)
+    rows[0, :support] = p // 2
+    rows[1, :support] = -(p // 2)
+    rows[2, :support] = rng.choice([-(p // 2), p // 2], support)
+    for kernel in (np.full(length, p // 2), rng.choice([-(p // 2), p // 2], length),
+                   rng.choice([-(p // 2), p // 2], length)):
+        xs = poly._limb_spectra(rows, length, plan)
+        ys = poly._limb_spectra(kernel, length, plan)
+        got = poly._spectral_product(xs, ys, length, 0, length, p, plan)
         for row, vals in zip(rows, got):
             assert np.array_equal(vals, _cyclic(row, kernel) % p)
 
@@ -271,20 +295,20 @@ def test_poly_mul_worst_case_in_one_limb():
     p = 147457
     ctx = FieldCtx(p, 10, order_lb=2)
     f = [p - 1] * 500
-    assert poly._limb_plan(p, 1024)[0] == 1
+    assert poly._limb_plan(p, 1024, 500)[0] == 1
     got = poly_mul(Poly(f, ctx), Poly(f, ctx))
     assert [int(v) for v in got.coeffs] == oracle_poly_mul(f, f, p)
 
 
 def test_convolution_operands_have_the_planned_magnitudes(monkeypatch):
-    # every caller of the convolution feeds one operand of residues in
-    # [0, p) and one of balanced residues, as _limb_plan assumes
+    # every caller of the convolution feeds two operands of balanced
+    # residues, as _limb_plan assumes
     seen = []
     limb_spectra = poly._limb_spectra
 
-    def record(x, length, p):
+    def record(x, length, plan):
         seen.append((int(np.min(x)), int(np.max(x))))
-        return limb_spectra(x, length, p)
+        return limb_spectra(x, length, plan)
 
     monkeypatch.setattr(poly, "_limb_spectra", record)
     poly._chirp.cache_clear()   # the kernel spectrum too
@@ -295,9 +319,7 @@ def test_convolution_operands_have_the_planned_magnitudes(monkeypatch):
     f = Poly([p - 1] * 100 + [p // 2 + 1] * 100, FieldCtx(p, 10, order_lb=2))
     poly_mul(f, f)
     assert len(seen) == 4       # kernel and rows, then both factors
-    for pair in (seen[:2], seen[2:]):
-        assert all(-(p // 2) <= lo and hi < p for lo, hi in pair)
-        assert min(max(-lo, hi) for lo, hi in pair) <= p // 2
+    assert all(-(p // 2) <= lo and hi <= p // 2 for lo, hi in seen)
 
 
 def test_one_cached_chirp_table_per_transform(monkeypatch):
