@@ -299,9 +299,11 @@ class ProgressionPlan:
                 out[mono, u0 : u0 + cnt] = coef[:, None] * kslice % p
             for r0 in range(0, dense.size, step):
                 idx = dense[r0 : r0 + step]
+                # (x + p//2) mod p - p//2 balances x; every step stays in place
                 b = rows[idx, :n] * scale
+                b += p // 2
                 b %= p
-                np.subtract(b, p, out=b, where=b > p // 2)
+                b -= p // 2
                 xs = _limb_spectra(b[:, ::-1], self.length, self.plan)
                 out[idx, u0 : u0 + cnt] = _spectral_product(
                     xs, self.spectrum, self.length, n - 1, n - 1 + cnt, p, self.plan
