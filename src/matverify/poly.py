@@ -100,8 +100,13 @@ def _limb_plan(p: int, length: int, support: int) -> tuple[int, int]:
 
 
 def _balanced(x: np.ndarray, p: int) -> np.ndarray:
-    """Residues in [0, p) mapped to their representatives in [-p/2, p/2]."""
-    return np.where(x > p // 2, x - p, x)
+    """Nonnegative int64 integers x reduced mod p to their representatives
+    in [-p/2, p/2], as (x + p//2) mod p - p//2: a shift and a reduction on
+    nonnegative values, with no mask."""
+    out = x + p // 2
+    out %= p
+    out -= p // 2
+    return out
 
 
 def _limbs(x: np.ndarray, limbs: int, width: int) -> list[np.ndarray]:
@@ -299,11 +304,7 @@ class ProgressionPlan:
                 out[mono, u0 : u0 + cnt] = coef[:, None] * kslice % p
             for r0 in range(0, dense.size, step):
                 idx = dense[r0 : r0 + step]
-                # (x + p//2) mod p - p//2 balances x; every step stays in place
-                b = rows[idx, :n] * scale
-                b += p // 2
-                b %= p
-                b -= p // 2
+                b = _balanced(rows[idx, :n] * scale, p)
                 xs = _limb_spectra(b[:, ::-1], self.length, self.plan)
                 out[idx, u0 : u0 + cnt] = _spectral_product(
                     xs, self.spectrum, self.length, n - 1, n - 1 + cnt, p, self.plan
