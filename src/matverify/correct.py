@@ -4,9 +4,11 @@ Two engines locate the nonzero entries of the augmented product one prime
 at a time; every located entry is confirmed by an exact integer inner
 product before it is written into C, and an integer sweep over the whole
 CRT basis after each prime decides whether another prime is needed. Mod
-the primes the prony passes have used, the sweep reads their own values,
-shifted by the writes since (shift_values), in place of an evaluation;
-the values of a prime it does evaluate go on to the next prony pass.
+the primes whose values are known, from a prony pass or an earlier sweep,
+the sweep reads them, shifted by the writes since (shift_values), in
+place of an evaluation; the values of a prime it does evaluate go on to
+later sweeps and to a prony pass mod that prime. The engines differ only
+in how they locate (and in the error a located right entry raises).
 
 - prony (the default): sparse interpolation, Berlekamp-Massey on 2t
   fingerprint values and one GEMM sweep for the error locator's roots
@@ -44,6 +46,7 @@ from .matrix import (
     square_matrices,
 )
 from . import verify as _verify
+from . import poly as _poly
 from .poly import progression_eval
 from .verify import (
     FingerprintRep,
@@ -53,14 +56,9 @@ from .verify import (
     verify_product,
 )
 
-# points per chirp transform of the root sweep, which bounds its buffers
-_ROOT_SEGMENT = 1 << 15
 # most values Berlekamp-Massey takes: one interpreter step each, of O(L)
 # work for a locator of degree L <= count / 2
 _BM_VALUES = 1 << 17
-# cells of one Vandermonde buffer of shift_values, 2 MiB in int64: t may
-# reach 2^16 writes with 2^17 values each
-_SHIFT_CELLS = 1 << 18
 
 
 @dataclass
@@ -91,10 +89,6 @@ class CorrectionEngine:
     factors, per-block granularity tau, the computed prefix of each
     block's test values as one residue array, and the nested queue of
     blocks certified to contain a nonzero."""
-
-    # the whole pair's fingerprint values at the start of the pass, which
-    # the sweep reads; the quadtree's root holds only min(t, m^2), too few
-    values: np.ndarray | None = None
 
     def __init__(
         self, pair: AugmentedPair, t: int, ctx: FieldCtx, stats: dict, trace=None
@@ -215,11 +209,13 @@ class CorrectionEngine:
 
     # -- driver ----------------------------------------------------------
 
-    def locate(self, done: int):
+    def locate(self, done: int, known: dict):
         """Yield (i, j, note) for one nonzero position after another; the
         caller writes each before the next is searched for. The note is
         the search's part of the trace line; done counts the corrections
-        of earlier passes, for the errors raised here."""
+        of earlier passes, for the errors raised here. known maps primes
+        to the whole pair's values at the start of the pass, for the
+        sweep; the quadtree's root holds only min(t, m^2), too few to add."""
         self._extend_values(self.root, self.t_eff)
         if self.t_eff and self.vals[self.root].any():
             self.queue.append(self.root)
@@ -236,8 +232,8 @@ class CorrectionEngine:
             f"field-level witness at ({i},{j}) has zero integer value"
         )
 
-    def run(self, corrections: list, pre_write=None, post_update=None) -> None:
-        for iteration, (i, j, note) in enumerate(self.locate(len(corrections))):
+    def run(self, corrections: list, known: dict) -> None:
+        for iteration, (i, j, note) in enumerate(self.locate(len(corrections), known)):
             new = self.exact_inner(i, j)
             old = self.pair.c.get(i, j)
             if new == old:
@@ -249,13 +245,9 @@ class CorrectionEngine:
                     position=(i, j),
                     corrections=len(corrections),
                 )
-            if pre_write is not None:
-                pre_write(self, i, j, old, new)
             corrections.append((i, j, old, new))
             self.pair.c.set(i, j, new)
             self.apply_write(i, j, old, new)
-            if post_update is not None:
-                post_update(self, i, j)
             if self.trace is not None:
                 self.trace.write(
                     f"prime={self.ctx.p} iter={iteration} {note} pos=({i},{j})\n"
@@ -273,7 +265,8 @@ class PronyEngine(CorrectionEngine):
     values when r entries are wrong, so k = min(2t, 2m^2) values suffice
     under the promise (the cap is 2m^2, not m^2: r may reach m^2). The
     roots of the reversed locator among omega^0..omega^(m^2-1) are the
-    wrong exponents. A pass reads values the last sweep evaluated, if any.
+    wrong exponents. A pass reads the values of its prime in known, if a
+    sweep evaluated them, and adds them there otherwise.
 
     A locator of degree L > t, a root count other than L, a root at an
     entry that is already right, or more than t corrections in all can
@@ -291,7 +284,7 @@ class PronyEngine(CorrectionEngine):
                 break
         return found
 
-    def locate(self, done: int):
+    def locate(self, done: int, known: dict):
         p, m, t = self.ctx.p, self.m, self.t
         count = min(2 * t, 2 * m * m)
         if count > _BM_VALUES:
@@ -300,9 +293,9 @@ class PronyEngine(CorrectionEngine):
                 f"of {_BM_VALUES}"
             )
         # the sweep reads min(2t, m^2) of them, and at t = 0 one
-        if self.values is None or len(self.values) < max(1, count):
-            self.values = self.scratch_values(self.root, 0, max(1, count))
-        vals = self.values[:count]
+        if len(known.get(p, ())) < max(1, count):
+            known[p] = self.scratch_values(self.root, 0, max(1, count))
+        vals = known[p][:count]
         if not vals.any():
             return
         locator = berlekamp_massey(vals, p)
@@ -365,11 +358,12 @@ def sweep_values(coeffs: np.ndarray, ctx: FieldCtx, m: int):
     is sum_l c_l (omega^i)^l ((omega^m)^j)^l: entry (i, j) of one exact GEMM
     of Vandermonde factors, run in chunks of columns (exponents m*j..) that
     stay within _GEMM_CELLS cells. That is O(m^2 log m) work up to K_GEMM *
-    bit_length(m^2) coefficients; longer ones take the chirp in segments."""
+    bit_length(m^2) coefficients; longer ones take the chirp in segments of
+    poly._SEGMENT points."""
     p, omega, total = ctx.p, ctx.omega, m * m
     if len(coeffs) > _verify.K_GEMM * total.bit_length():
-        for e0 in range(0, total, _ROOT_SEGMENT):
-            count = min(_ROOT_SEGMENT, total - e0)
+        for e0 in range(0, total, _poly._SEGMENT):
+            count = min(_poly._SEGMENT, total - e0)
             yield e0, progression_eval(coeffs, pow(omega, e0, p), omega, count, p)
         return
     rows = power_sequence(power_sequence(omega, m, p), len(coeffs), p) * coeffs % p
@@ -383,11 +377,12 @@ def shift_values(values: np.ndarray, writes, ctx: FieldCtx, m: int) -> np.ndarra
     """Fingerprint values of the m x m pair at omega^0..omega^(k-1) moved
     by writes (i, j, old, new) into C: each write moves value u by
     -delta * (omega^e)^u, e = i + m*j. One GEMM per chunk of writes, whose
-    Vandermonde rows stay within _SHIFT_CELLS cells."""
+    Vandermonde rows stay within _GEMM_CELLS cells (2 MiB in int64: t may
+    reach 2^16 writes with 2^17 values each)."""
     p, k = ctx.p, len(values)
     moves = [(pow(ctx.omega, i + m * j, p), (new - old) % p)
              for i, j, old, new in writes]
-    step = max(1, _SHIFT_CELLS // max(k, 1))
+    step = max(1, _verify._GEMM_CELLS // max(k, 1))
     for w0 in range(0, len(moves), step):
         bases, deltas = np.array(moves[w0 : w0 + step], dtype=np.int64).T
         values = (values - _matmul_mod(deltas, power_sequence(bases, k, p), p)) % p
@@ -397,13 +392,9 @@ def shift_values(values: np.ndarray, writes, ctx: FieldCtx, m: int) -> np.ndarra
 _ENGINES = {"prony": PronyEngine, "quadtree": CorrectionEngine}
 
 
-def _run_engine(
-    a, b, c_seed, t: int, engine: str, trace=None, pre_write=None, post_update=None
-) -> CorrectionResult:
+def _run_engine(a, b, c_seed, t: int, engine: str, trace=None) -> CorrectionResult:
     if engine not in _ENGINES:
         raise UsageError(f"engine must be one of {sorted(_ENGINES)}, not {engine!r}")
-    if engine != "quadtree" and (pre_write is not None or post_update is not None):
-        raise UsageError("pre_write and post_update need engine='quadtree'")
     a, b, c_seed, n = square_matrices(a, b, c_seed)
     if t < 0:
         raise UsageError("t must be >= 0")
@@ -414,24 +405,20 @@ def _run_engine(
     corrections: list[tuple[int, int, int, int]] = []
     stats = {"evaluations": 0}
     granularity: dict[SubmatrixId, int] = {}
-    # prime -> values of the current pair; the quadtree's writes leave them stale
-    known: dict[int, np.ndarray] | None = {} if engine == "prony" else None
+    # prime -> fingerprint values of the pair, made current after each pass
+    known: dict[int, np.ndarray] = {}
     passes = 0
     for ctx in basis.fields:
         worker = _ENGINES[engine](pair, t, ctx, stats, trace=trace)
-        if known is not None:
-            worker.values = known.pop(ctx.p, None)   # the last sweep's, if any
         passes += 1
         done = len(corrections)
-        worker.run(corrections, pre_write, post_update)
+        worker.run(corrections, known)
         for s, tv in worker.tau.items():
             if tv > granularity.get(s, 0):
                 granularity[s] = tv
-        if known is not None:
-            known[ctx.p] = worker.values
-            for f in basis.fields:
-                if f.p in known:
-                    known[f.p] = shift_values(known[f.p], corrections[done:], f, m)
+        for f in basis.fields:
+            if f.p in known:
+                known[f.p] = shift_values(known[f.p], corrections[done:], f, m)
         # integer-level sweep over the full basis; catches nonzeroes that
         # vanish mod this pass's prime. Each write fixes one entry, so under
         # a broken promise with at most 2t wrong entries at most 2t remain,
@@ -460,24 +447,20 @@ def _run_engine(
 
 
 def multiply_output_sensitive(
-    a, b, t: int, *, engine: str = "prony", trace=None, pre_write=None,
-    post_update=None,
+    a, b, t: int, *, engine: str = "prony", trace=None
 ) -> CorrectionResult:
     """Compute AB exactly under the promise that it has at most t nonzero
     entries; cost scales with t rather than with the dense product. engine
-    is "prony" or "quadtree"; only the quadtree takes the pre_write and
-    post_update hooks."""
+    is "prony" or "quadtree"."""
     a = as_matrix(a)
     zeros = IntMatrix(np.zeros((a.rows, a.rows), dtype=np.int64))
-    return _run_engine(a, b, zeros, t, engine, trace, pre_write, post_update)
+    return _run_engine(a, b, zeros, t, engine, trace)
 
 
 def correct_product(
-    a, b, c_in, t: int, *, engine: str = "prony", trace=None, pre_write=None,
-    post_update=None,
+    a, b, c_in, t: int, *, engine: str = "prony", trace=None
 ) -> CorrectionResult:
     """Recover AB from a candidate C differing from it in at most t entries.
     c_in is not mutated; the corrected matrix is returned. engine is
-    "prony" or "quadtree"; only the quadtree takes the pre_write and
-    post_update hooks."""
-    return _run_engine(a, b, c_in, t, engine, trace, pre_write, post_update)
+    "prony" or "quadtree"."""
+    return _run_engine(a, b, c_in, t, engine, trace)

@@ -176,10 +176,6 @@ class FieldCtx:
         if not 0 < self.omega < self.p:
             raise UsageError("omega must be a nonzero residue")
 
-    def powers(self, count: int) -> np.ndarray:
-        """omega^0..omega^(count-1)."""
-        return power_sequence(self.omega, count, self.p)
-
 
 @dataclass(frozen=True)
 class CrtBasis:
@@ -187,7 +183,6 @@ class CrtBasis:
     generator, so field-level zero tests lift to integer zero tests."""
 
     fields: tuple[FieldCtx, ...]
-    bound: int
 
     @property
     def modulus_product(self) -> int:
@@ -225,5 +220,5 @@ def build_crt_basis(n: int, bound: int) -> CrtBasis:
     fields = tuple(
         FieldCtx(p, find_generator(p), order_lb=side * side) for p in primes[:d]
     )
-    return CrtBasis(fields=fields, bound=bound)
+    return CrtBasis(fields=fields)
 

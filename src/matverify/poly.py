@@ -319,10 +319,9 @@ def progression_eval(coeffs, first: int, ratio: int, count: int, p: int) -> np.n
     fingerprint_rep reduce once at the public entry, so the row blocks that
     callers feed through here are not scanned again.
 
-    A nonzero ratio takes the chirp transform of a ProgressionPlan sized to
-    the rows' last nonzero column, and each raw output is post-scaled here.
-    Ratio 0 leaves at most two distinct points, which Horner evaluates in
-    int64.
+    The ratio must be nonzero mod p: the chirp transform of a
+    ProgressionPlan sized to the rows' last nonzero column runs, and each
+    raw output is post-scaled here.
     """
     if count < 0:
         raise UsageError("count must be >= 0")
@@ -334,12 +333,7 @@ def progression_eval(coeffs, first: int, ratio: int, count: int, p: int) -> np.n
     first = int(first) % p
     ratio = int(ratio) % p
     if ratio == 0:
-        pts = power_sequence(ratio, count, p) * first % p
-        out = np.empty((len(rows), count), dtype=np.int64)
-        for k, row in enumerate(rows):
-            out[k] = horner_many(row, pts, p)
-        return out.reshape(shape)
-
+        raise UsageError("the chirp transform needs a nonzero ratio")
     rows = rows.astype(np.int64, copy=False)
     used = np.nonzero(rows.any(axis=0))[0]
     if count == 0 or not used.size:

@@ -72,28 +72,19 @@ class FingerprintRep:
     right_polys: np.ndarray  # (K, side), reduced mod p
 
 
-def fingerprint_rep(
-    left: np.ndarray,
-    right: np.ndarray,
-    ctx: FieldCtx,
-    i_start: int = 0,
-    j_start: int = 0,
-    side: int | None = None,
-) -> FingerprintRep:
-    """Slice per-inner-index coefficient vectors out of the factors.
-    Entries already reduced to int64 in [0, p) pass through as views."""
+def fingerprint_rep(left: np.ndarray, right: np.ndarray, ctx: FieldCtx) -> FingerprintRep:
+    """The rep of the whole product left @ right, which must be square and
+    nonempty; a block's rep is that of the factors' slices. Entries already
+    reduced to int64 in [0, p) pass through as views."""
     left = left.data if isinstance(left, IntMatrix) else np.asarray(left)
     right = right.data if isinstance(right, IntMatrix) else np.asarray(right)
     if left.ndim != 2 or right.ndim != 2 or left.shape[1] != right.shape[0]:
         raise UsageError("factors must be 2-d with matching inner dimension")
-    if side is None:
-        side = left.shape[0]
-    if side < 1 or i_start < 0 or j_start < 0:
-        raise UsageError("block needs side >= 1 and nonnegative starts")
-    if i_start + side > left.shape[0] or j_start + side > right.shape[1]:
-        raise UsageError("block exceeds factor dimensions")
-    lp = reduce_mod(left[i_start : i_start + side, :].T, ctx.p)
-    rp = reduce_mod(right[:, j_start : j_start + side], ctx.p)
+    side = left.shape[0]
+    if side < 1 or right.shape[1] != side:
+        raise UsageError("product of the pair must be square and nonempty")
+    lp = reduce_mod(left.T, ctx.p)
+    rp = reduce_mod(right, ctx.p)
     return FingerprintRep(ctx=ctx, side=side, left_polys=lp, right_polys=rp)
 
 
@@ -277,11 +268,8 @@ def all_zeroes_test(
     correct whenever the product has at most t nonzero entries."""
     if t < 1:
         raise UsageError("t must be >= 1")
-    right = right.data if isinstance(right, IntMatrix) else np.asarray(right)
     rep = fingerprint_rep(left, right, ctx)   # checks the dimensions first
     side = rep.side
-    if right.shape[1] != side:
-        raise UsageError("product of the pair must be square")
     if ctx.order_lb < side * side:
         raise UsageError("omega order bound below side^2")
     t_eff = min(t, side * side)

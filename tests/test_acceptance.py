@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 
+import matverify.correct as correct_mod
 from matverify import (
     IntMatrix,
     augment,
@@ -25,6 +26,7 @@ from matverify import (
     multipoint_eval,
     multiplicative_order,
     naive_multiply,
+    power_sequence,
     sampling_verify,
     seeded_rng,
     three_sum_bruteforce,
@@ -114,7 +116,7 @@ def test_criterion_03_vandermonde_completeness():
                 coeffs = fingerprint_coeffs(
                     ap.tolist(), bp.tolist(), ctx.p
                 )
-                pts = ctx.powers(min(t, m * m))
+                pts = power_sequence(ctx.omega, min(t, m * m), ctx.p)
                 want = [oracle_eval(coeffs, int(x), ctx.p) for x in pts]
                 assert [int(v) for v in vals] == want, (n, t, z, ctx.p)
                 any_nonzero = any_nonzero or any(want)
@@ -157,33 +159,28 @@ def test_criterion_05_granularity_bound():
     _line(5, "granularity never exceeds max(|I|, 2z) on any block", check)
 
 
-def test_criterion_06_incremental_update_coherence():
+def test_criterion_06_incremental_update_coherence(monkeypatch):
     def check():
         rng = seeded_rng(1006)
-        snapshots = {}
+        real_apply_write = correct_mod.CorrectionEngine.apply_write
 
-        def pre_write(engine, i, j, old, new):
-            snapshots.clear()
-            for s, stored in engine.vals.items():
-                if not s.contains(i, j):
-                    snapshots[s] = stored.copy()
-
-        def post_update(engine, i, j):
+        def apply_write(engine, i, j, old, new):
+            snapshots = {s: stored.copy() for s, stored in engine.vals.items()
+                         if not s.contains(i, j)}
+            real_apply_write(engine, i, j, old, new)
             for s, stored in engine.vals.items():
                 scratch = engine.scratch_values(s, 0, len(stored))
                 assert np.array_equal(stored, scratch)
             for s, before in snapshots.items():
                 assert np.array_equal(engine.vals[s], before)
 
+        monkeypatch.setattr(correct_mod.CorrectionEngine, "apply_write", apply_write)
         for _ in range(50):
             n = int(rng.integers(2, 17))
             t = int(rng.integers(1, 2 * n + 1))
             z = int(rng.integers(1, t + 1))
             a, b, c, bad = _instance(rng, n, z)
-            res = correct_product(
-                a, b, bad, t, engine="quadtree", pre_write=pre_write,
-                post_update=post_update,
-            )
+            res = correct_product(a, b, bad, t, engine="quadtree")
             assert np.array_equal(res.product.data, c)
 
     _line(6, "every cached value matches scratch recomputation after writes",

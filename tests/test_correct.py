@@ -234,40 +234,35 @@ def test_granularity_obeys_sparsity_bound():
             assert tau <= max(s.side, 2 * block_z)
 
 
-def test_cache_coherence_and_untouched_blocks():
+def test_cache_coherence_and_untouched_blocks(monkeypatch):
     rng = seeded_rng(46)
+    real_apply_write = CorrectionEngine.apply_write
+
+    def apply_write(engine, i, j, old, new):
+        snapshots = {s: stored.copy() for s, stored in engine.vals.items()
+                     if not s.contains(i, j)}
+        real_apply_write(engine, i, j, old, new)
+        for s, stored in engine.vals.items():
+            scratch = engine.scratch_values(s, 0, len(stored))
+            assert stored.dtype == np.int64
+            assert np.array_equal(stored, scratch), (s, i, j)
+        for s, before in snapshots.items():
+            assert np.array_equal(engine.vals[s], before)
+        # the queue stays a nested chain of certified-nonzero blocks
+        q = engine.queue
+        for outer, inner in zip(q, q[1:]):
+            assert contains_block(outer, inner)
+        for s in q:
+            assert engine.vals[s].any()
+
+    monkeypatch.setattr(CorrectionEngine, "apply_write", apply_write)
     for _ in range(6):
         n = int(rng.integers(2, 13))
         z = int(rng.integers(1, min(n * n, 2 * n) + 1))
         a = rng.integers(-9, 10, (n, n))
         b = rng.integers(-9, 10, (n, n))
         bad = plant_errors(naive_multiply(a, b).data, z, rng)
-        snapshots = {}
-
-        def pre_write(engine, i, j, old, new):
-            snapshots.clear()
-            for s, stored in engine.vals.items():
-                if not s.contains(i, j):
-                    snapshots[s] = stored.copy()
-
-        def post_update(engine, i, j):
-            for s, stored in engine.vals.items():
-                scratch = engine.scratch_values(s, 0, len(stored))
-                assert stored.dtype == np.int64
-                assert np.array_equal(stored, scratch), (s, i, j)
-            for s, before in snapshots.items():
-                assert np.array_equal(engine.vals[s], before)
-            # the queue stays a nested chain of certified-nonzero blocks
-            q = engine.queue
-            for outer, inner in zip(q, q[1:]):
-                assert contains_block(outer, inner)
-            for s in q:
-                assert engine.vals[s].any()
-
-        res = correct_product(
-            a, b, bad, z, engine="quadtree", pre_write=pre_write,
-            post_update=post_update,
-        )
+        res = correct_product(a, b, bad, z, engine="quadtree")
         assert res.correction_count == z
 
 
@@ -298,9 +293,6 @@ def test_input_validation():
         correct_product(a, sq, naive_multiply(a, sq), -1)
     with pytest.raises(UsageError):
         correct_product(sq, sq, naive_multiply(sq, sq), 1, engine="dense")
-    # only the quadtree has caches for the hooks to inspect
-    with pytest.raises(UsageError):
-        correct_product(sq, sq, naive_multiply(sq, sq), 1, post_update=print)
 
 
 def test_correction_golden_counts_and_trace():
@@ -513,7 +505,7 @@ def test_batched_shift_matches_per_write_shifts_in_bounded_memory(monkeypatch):
         return real_power_sequence(base, count, q)
 
     monkeypatch.setattr(correct_mod, "power_sequence", counted)
-    monkeypatch.setattr(correct_mod, "_SHIFT_CELLS", 16 * k)
+    monkeypatch.setattr(verify_mod, "_GEMM_CELLS", 16 * k)
     tracemalloc.start()
     try:
         shifted = correct_mod.shift_values(values, writes, ctx, m)

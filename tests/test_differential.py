@@ -31,6 +31,7 @@ from matverify import (
     seeded_rng,
     verify_product,
 )
+from matverify import poly
 import matverify.correct as correct_mod
 import matverify.verify as verify_mod
 from matverify.correct import berlekamp_massey
@@ -394,6 +395,31 @@ def test_sweep_reads_shifted_values_evaluated_once_per_prime(sweep_watch, case):
     assert max(sweep_watch["evaluated"].values()) == 1, sweep_watch["evaluated"]
 
 
+def test_quadtree_sweeps_evaluate_each_prime_once(monkeypatch):
+    # +p1 and -p1 on the quadtree: the first sweep evaluates p1 and p2, and
+    # the second reads both, shifted by the second pass's writes
+    rng = seeded_rng(97)
+    n = 12
+    a = rng.integers(-(1 << 20), (1 << 20) + 1, (n, n))
+    b = rng.integers(-(1 << 20), (1 << 20) + 1, (n, n))
+    truth = _truth(a, b)
+    p1 = build_crt_basis(16, augment(a, b, truth.astype(np.int64))
+                         .magnitude_bound()).fields[0].p
+    c = _with_errors(truth, _random_cells(rng, n, 2), [p1, -p1])
+    tested = Counter()
+    real_zero_test = verify_mod.all_zeroes_test
+
+    def zero_test(left, right, t, ctx, stats=None):
+        tested[ctx.p] += 1
+        return real_zero_test(left, right, t, ctx, stats)
+
+    monkeypatch.setattr(verify_mod, "all_zeroes_test", zero_test)
+    res = correct_product(a, b, c, 2, engine="quadtree")
+    assert res.product.data.tolist() == truth.tolist()
+    assert res.prime_passes == 2
+    assert tested[p1] == 1 and set(tested.values()) == {1}, tested
+
+
 def test_between_t_and_2t_errors_with_multiples_of_p1_are_refused(sweep_watch):
     # some wrong entries invisible to the first pass: its writes and values
     # go to the sweep, and the second pass finds more than t in all
@@ -497,7 +523,8 @@ def test_locator_budget_refuses_before_evaluating(monkeypatch):
 
 def test_root_search_in_small_segments(monkeypatch):
     # segments of 7 points: roots on segment edges and several segments
-    # per pass give the same corrections as one segment
+    # per pass give the same corrections as one segment; K_GEMM = 0 sends
+    # the locator's 10 coefficients to the chirp, which runs in segments
     rng = seeded_rng(91)
     n = 12
     a = rng.integers(-9, 10, (n, n))
@@ -505,7 +532,8 @@ def test_root_search_in_small_segments(monkeypatch):
     truth = _truth(a, b)
     c = _with_errors(truth, _random_cells(rng, n, 9), _random_deltas(rng, 9))
     whole = correct_product(a, b, c, 9).corrections
-    monkeypatch.setattr(correct_mod, "_ROOT_SEGMENT", 7)
+    monkeypatch.setattr(poly, "_SEGMENT", 7)
+    monkeypatch.setattr(verify_mod, "K_GEMM", 0)
     assert correct_product(a, b, c, 9).corrections == whole
 
 

@@ -127,4 +127,4 @@ def test_field_ctx_validation():
     with pytest.raises(UsageError):
         FieldCtx(17, 17)
     ctx = FieldCtx(17, 3, order_lb=16)
-    assert list(ctx.powers(5)) == [1, 3, 9, 10, 13]
+    assert list(power_sequence(ctx.omega, 5, ctx.p)) == [1, 3, 9, 10, 13]

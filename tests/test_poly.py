@@ -104,10 +104,11 @@ def test_progression_sparse_and_edge_dispatch():
     assert [int(v) for v in got] == want
     zero = Poly([0], ctx)
     assert progression_eval(zero.coeffs, 3, 7, 6, p).tolist() == [0] * 6
-    # ratio 0 degenerates to two distinct points
+    # the chirp transform needs a nonzero ratio, also with nothing to transform
     f = Poly([4, 1, 1], ctx)
-    got = progression_eval(f.coeffs, 2, 0, 4, p)
-    assert [int(v) for v in got] == [oracle_eval([4, 1, 1], 2, p)] + [4] * 3
+    for ratio, count in ((0, 4), (p, 4), (0, 0)):
+        with pytest.raises(UsageError):
+            progression_eval(f.coeffs, 2, ratio, count, p)
 
 
 def test_moduli_outside_the_word_are_refused():

@@ -77,7 +77,7 @@ def test_fingerprint_progression_in_row_blocks(monkeypatch, segment, chunk_point
     c = rng.integers(-999, 1000, (n, n))
     left, right = augment(a, b, c).materialize()
     ctx = build_crt_basis(n, 10**6).fields[0]
-    rep = fingerprint_rep(left, right, ctx, i_start=4, j_start=8, side=side)
+    rep = fingerprint_rep(left[4 : 4 + side], right[:, 8 : 8 + side], ctx)
     active = np.count_nonzero(rep.left_polys.any(1) & rep.right_polys.any(1))
     step = poly.rows_per_block(side, count)
     assert active == n + side and active % step and active > step
@@ -96,7 +96,7 @@ def test_fingerprint_progression_grid_matches_sub_blocks():
     c = rng.integers(-999, 1000, (n, n))
     left, right = augment(a, b, c).materialize()
     ctx = build_crt_basis(n, 10**6).fields[0]
-    rep = fingerprint_rep(left, right, ctx, i_start=4, j_start=8, side=side)
+    rep = fingerprint_rep(left[4 : 4 + side], right[:, 8 : 8 + side], ctx)
     stats = {}
     vals = eval_fingerprint_progression(rep, 7, count, stats, grid=2)
     assert vals.shape == (2, 2, count)
@@ -105,7 +105,8 @@ def test_fingerprint_progression_grid_matches_sub_blocks():
     sub_stats = {}
     for ai in range(2):
         for bi in range(2):
-            sub = fingerprint_rep(left, right, ctx, 4 + ai * h, 8 + bi * h, h)
+            i0, j0 = 4 + ai * h, 8 + bi * h
+            sub = fingerprint_rep(left[i0 : i0 + h], right[:, j0 : j0 + h], ctx)
             assert [int(v) for v in vals[ai, bi]] == eval_fingerprint(sub, pts)
             one = eval_fingerprint_progression(sub, 7, count, sub_stats)
             assert np.array_equal(one, vals[ai, bi])
@@ -281,21 +282,19 @@ def test_gemm_workspace_is_bounded():
 
 
 def test_fingerprint_block_slicing():
+    # a block's rep is that of the factors' slices; the rep of a product
+    # that is not square, or empty, is a usage error, not a numpy failure
+    # later
     rng = seeded_rng(23)
     left = rng.integers(0, 17, (8, 8))
     right = rng.integers(0, 17, (8, 8))
-    rep = fingerprint_rep(left, right, F17, i_start=4, j_start=0, side=4)
-    block_l = left[4:8, :]
-    block_r = right[:, 0:4]
-    coeffs = fingerprint_coeffs(block_l.tolist(), block_r.tolist(), 17)
+    rep = fingerprint_rep(left[4:8], right[:, 0:4], F17)
+    coeffs = fingerprint_coeffs(left[4:8].tolist(), right[:, 0:4].tolist(), 17)
     pts = [1, 2, 5]
     assert eval_fingerprint(rep, pts) == [oracle_eval(coeffs, x, 17) for x in pts]
-    # a negative start must not wrap around to a block further down, and an
-    # empty or negative side is a usage error, not a numpy failure later
-    for kwargs in ({"i_start": -3, "side": 2}, {"j_start": -1, "side": 2},
-                   {"side": 0}, {"side": -1}):
+    for l, r in ((left[4:8], right), (left, right[:, :4]), (left[:0], right[:, :0])):
         with pytest.raises(UsageError):
-            fingerprint_rep(left[:4, :4], right[:4, :4], F17, **kwargs)
+            fingerprint_rep(l, r, F17)
 
 
 def test_all_zeroes_identity_golden():
