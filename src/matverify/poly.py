@@ -319,9 +319,9 @@ def progression_eval(coeffs, first: int, ratio: int, count: int, p: int) -> np.n
     fingerprint_rep reduce once at the public entry, so the row blocks that
     callers feed through here are not scanned again.
 
-    The ratio must be nonzero mod p: the chirp transform of a
-    ProgressionPlan sized to the rows' last nonzero column runs, and each
-    raw output is post-scaled here.
+    The ratio must be nonzero mod p. The chirp transform of a
+    ProgressionPlan sized to the rows' last nonzero column computes the
+    values, and each raw output is post-scaled here.
     """
     if count < 0:
         raise UsageError("count must be >= 0")
