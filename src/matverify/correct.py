@@ -3,12 +3,13 @@
 Two engines locate the nonzero entries of the augmented product one prime
 at a time; every located entry is confirmed by an exact integer inner
 product before it is written into C, and an integer sweep over the whole
-CRT basis after each prime decides whether another prime is needed. Mod
-the primes whose values are known, from a prony pass or an earlier sweep,
-the sweep reads them, shifted by the writes since (shift_values), in
-place of an evaluation; the values of a prime it does evaluate go on to
-later sweeps and to a prony pass mod that prime. The engines differ only
-in how they locate (and in the error a located right entry raises).
+CRT basis after each prime decides whether another prime is needed.
+Each prime's whole-pair fingerprint values are evaluated once per run
+(but see PronyEngine) into one table, known: a pass reads its prime's
+there (root_values), the sweep reads them shifted by the writes since
+(shift_values), and either adds the primes it evaluates. The engines
+differ only in how they locate (and in the error a located right entry
+raises).
 
 - prony (the default): sparse interpolation, Berlekamp-Massey on 2t
   fingerprint values and one GEMM sweep for the error locator's roots
@@ -125,17 +126,25 @@ class CorrectionEngine:
         )
         return eval_fingerprint_progression(rep, lo, hi - lo, self.stats, grid=grid)
 
-    def _extend_values(self, s: SubmatrixId, target: int, grid: int = 1) -> None:
-        """Extend the stored values of s (grid=1), or of its four children
-        (grid=2), to the prefix 0..target-1. Siblings are always extended
-        together, so they share one prefix."""
-        blocks = s.split() if grid == 2 else (s,)
-        have = len(self.vals.get(blocks[0], ()))
+    def _extend_values(self, s: SubmatrixId, target: int) -> None:
+        """Extend the stored values of the four children of s to the prefix
+        0..target-1. Siblings are always extended together, so they share
+        one prefix."""
+        kids = s.split()
+        have = len(self.vals.get(kids[0], ()))
         if have >= target:
             return
-        fresh = self.scratch_values(s, have, target, grid).reshape(len(blocks), -1)
-        for block, row in zip(blocks, fresh):
-            self.vals[block] = np.concatenate((self.vals.get(block, row[:0]), row))
+        fresh = self.scratch_values(s, have, target, grid=2).reshape(len(kids), -1)
+        for kid, row in zip(kids, fresh):
+            self.vals[kid] = np.concatenate((self.vals.get(kid, row[:0]), row))
+
+    def root_values(self, known: dict, count: int) -> np.ndarray:
+        """The whole pair's first count values mod this pass's prime, from
+        known; the root is evaluated into known only when it holds fewer."""
+        p = self.ctx.p
+        if len(known.get(p, ())) < count:
+            known[p] = self.scratch_values(self.root, 0, count)
+        return known[p][:count]
 
     # -- search ----------------------------------------------------------
 
@@ -151,7 +160,7 @@ class CorrectionEngine:
             kids = s.split()
             while True:
                 target = self.tau[s]
-                self._extend_values(s, target, grid=2)
+                self._extend_values(s, target)
                 best = None
                 for idx, child in enumerate(kids):
                     nz = np.flatnonzero(self.vals[child])
@@ -214,10 +223,12 @@ class CorrectionEngine:
         caller writes each before the next is searched for. The note is
         the search's part of the trace line; done counts the corrections
         of earlier passes, for the errors raised here. known maps primes
-        to the whole pair's values at the start of the pass, for the
-        sweep; the quadtree's root holds only min(t, m^2), too few to add."""
-        self._extend_values(self.root, self.t_eff)
-        if self.t_eff and self.vals[self.root].any():
+        to the whole pair's values at the start of the pass; the root reads
+        the sweep's min(max(2t, 1), m^2) of them and caches a copy of the
+        first min(t, m^2), which apply_write patches."""
+        sweep = min(max(2 * self.t, 1), self.m * self.m)
+        self.vals[self.root] = self.root_values(known, sweep)[: self.t_eff].copy()
+        if self.vals[self.root].any():
             self.queue.append(self.root)
         while self.queue:
             i, j, info = self.find_nonzero(self.queue[-1])
@@ -265,8 +276,8 @@ class PronyEngine(CorrectionEngine):
     values when r entries are wrong, so k = min(2t, 2m^2) values suffice
     under the promise (the cap is 2m^2, not m^2: r may reach m^2). The
     roots of the reversed locator among omega^0..omega^(m^2-1) are the
-    wrong exponents. A pass reads the values of its prime in known, if a
-    sweep evaluated them, and adds them there otherwise.
+    wrong exponents. Its values come through root_values, as the
+    quadtree's root's do; only when 2t > m^2 are a sweep's m^2 too few.
 
     A locator of degree L > t, a root count other than L, a root at an
     entry that is already right, or more than t corrections in all can
@@ -293,9 +304,7 @@ class PronyEngine(CorrectionEngine):
                 f"of {_BM_VALUES}"
             )
         # the sweep reads min(2t, m^2) of them, and at t = 0 one
-        if len(known.get(p, ())) < max(1, count):
-            known[p] = self.scratch_values(self.root, 0, max(1, count))
-        vals = known[p][:count]
+        vals = self.root_values(known, max(1, count))[:count]
         if not vals.any():
             return
         locator = berlekamp_massey(vals, p)

@@ -41,8 +41,6 @@ def sieve_primes_in_range(lo: int, hi: int) -> list[int]:
             base[q * q :: q] = False
 
     flags = np.ones(hi - lo + 1, dtype=bool)
-    if lo < 2:
-        flags[: 2 - lo] = False
     for q in np.nonzero(base)[0]:
         q = int(q)
         start = max(q * q, ((lo + q - 1) // q) * q)

@@ -67,9 +67,6 @@ class IntMatrix:
         if abs(value) > self.max_abs:
             self.max_abs = abs(value)
 
-    def copy(self) -> "IntMatrix":
-        return IntMatrix(self.data, max_abs=self.max_abs)
-
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented

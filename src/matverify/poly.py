@@ -188,21 +188,16 @@ def horner_eval(f: Poly, x: int) -> int:
     return acc
 
 
-def horner_many(coeffs, pts: np.ndarray, p: int) -> np.ndarray:
-    """Horner's scheme run across a whole vector of points at once."""
-    acc = np.zeros(len(pts), dtype=np.int64)
-    for c in coeffs[::-1]:
-        acc = (acc * pts + int(c)) % p
-    return acc
-
-
 def multipoint_eval(f: Poly, points) -> list[int]:
     """f at every point, reduced mod p, by Horner's scheme run across all
     points at once. Points along a geometric progression go through
     progression_eval instead."""
     p = f.ctx.p
     pts = np.array([int(x) % p for x in points], dtype=np.int64)
-    return [int(v) for v in horner_many(f.coeffs, pts, p)]
+    acc = np.zeros(len(pts), dtype=np.int64)
+    for c in f.coeffs[::-1]:
+        acc = (acc * pts + int(c)) % p
+    return [int(v) for v in acc]
 
 
 @lru_cache(maxsize=64)

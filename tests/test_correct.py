@@ -21,7 +21,7 @@ import matverify.correct as correct_mod
 import matverify.verify as verify_mod
 from matverify.correct import CorrectionEngine
 from matverify.verify import all_zeroes_test
-from matverify.matrix import augment
+from matverify.matrix import SubmatrixId, augment
 
 from helpers import plant_errors
 
@@ -211,14 +211,33 @@ def test_single_error_never_doubles_granularity():
 
 def test_granularity_obeys_sparsity_bound():
     rng = seeded_rng(45)
+    cases = []
     for _ in range(20):
         n = int(rng.integers(2, 17))
         z = int(rng.integers(0, n + 1))
         a = rng.integers(-9, 10, (n, n))
         b = rng.integers(-9, 10, (n, n))
         c = naive_multiply(a, b).data
-        bad = plant_errors(c, z, rng)
-        res = correct_product(a, b, bad, max(z, 1), engine="quadtree")
+        cases.append((a, b, c, plant_errors(c, z, rng), max(z, 1)))
+    # a doubling: at n = 8, p1 = 67 and omega = 2. The 9 balanced
+    # coefficients of prod_{u<8} (x - 2^u) mod 67, placed at the local
+    # exponents e = i + 4j of block (0,0,4), make that child's first 8
+    # values vanish, so the root's tau doubles to 16 <= max(8, 2 * 9)
+    coeffs = [1]
+    for u in range(8):
+        coeffs = [(hi - pow(2, u, 67) * lo) % 67
+                  for hi, lo in zip([0] + coeffs, coeffs + [0])]
+    a = rng.integers(-9, 10, (8, 8))
+    b = rng.integers(-9, 10, (8, 8))
+    c = naive_multiply(a, b).data
+    bad = c.copy()
+    for e, coeff in enumerate(coeffs):
+        bad[e % 4, e // 4] += coeff if coeff <= 33 else coeff - 67
+    cases.append((a, b, c, bad, 9))
+    for a, b, c, bad, t in cases:
+        n = len(a)
+        res = correct_product(a, b, bad, t, engine="quadtree")
+        assert np.array_equal(res.product.data, c)
         m = 1
         while m < n:
             m *= 2
@@ -232,6 +251,7 @@ def test_granularity_obeys_sparsity_bound():
                 )
             )
             assert tau <= max(s.side, 2 * block_z)
+    assert res.granularity_map[SubmatrixId(0, 0, 8)] == 16
 
 
 def test_cache_coherence_and_untouched_blocks(monkeypatch):
@@ -297,10 +317,11 @@ def test_input_validation():
 
 def test_correction_golden_counts_and_trace():
     # n = 12 pads to 16; the delta 257 vanishes mod the first prime, so the
-    # integer sweep forces a second pass that finds it mod 263. The sweep
-    # after the first pass ends at the all-ones probe (257 != 0), with no
-    # fingerprint evaluations; the one after the second runs at 2t = 12
-    # points mod both primes over 24 live inner indices, 576 evaluations
+    # integer sweep forces a second pass that finds it mod 263. Each pass's
+    # root evaluates its prime at the sweep's 2t = 12 points over 24 live
+    # inner indices, 288 evaluations each. The sweep after the first pass
+    # ends at the all-ones probe (257 != 0); the one after the second reads
+    # both primes' values from the table, with no fingerprint evaluations
     rng = seeded_rng(47)
     a = rng.integers(-9, 10, (12, 12))
     b = rng.integers(-9, 10, (12, 12))
@@ -310,7 +331,7 @@ def test_correction_golden_counts_and_trace():
         bad[i, j] += d
     trace = io.StringIO()
     res = correct_product(a, b, bad, 6, engine="quadtree", trace=trace)
-    assert (res.evaluations, res.max_granularity, res.prime_passes) == (4532, 16, 2)
+    assert (res.evaluations, res.max_granularity, res.prime_passes) == (4244, 16, 2)
     assert res.corrections == [
         (0, 0, 262, 259), (0, 1, 29, 31), (1, 0, -82, -87), (1, 1, 57, 56),
         (2, 3, 19, 23), (10, 11, 296, 39),
@@ -353,15 +374,17 @@ def test_both_evaluators_give_one_correction_run(monkeypatch, n, z, t, kernel):
 
 def test_osmm_golden_counts_and_trace():
     # two nonzero columns of B: AB has 16 nonzeroes in columns 1 and 6. The
-    # sweep runs at 2t = 32 points, 16 past the root's, over 10 live inner
-    # indices mod each of the 2 basis primes: 320 of the evaluations
+    # root evaluates the sweep's 2t = 32 points mod 67 over the 8 live inner
+    # indices of (A | 0), 256 evaluations; the sweep reads those values,
+    # shifted by the writes, and evaluates the second basis prime at 32
+    # points over 10 live inner indices, 320 more
     rng = seeded_rng(48)
     a = rng.integers(-9, 10, (8, 8))
     b = np.zeros((8, 8), dtype=np.int64)
     b[:, [1, 6]] = rng.integers(-2, 3, (8, 2))
     trace = io.StringIO()
     res = multiply_output_sensitive(a, b, 16, engine="quadtree", trace=trace)
-    assert (res.evaluations, res.max_granularity, res.prime_passes) == (1386, 8, 1)
+    assert (res.evaluations, res.max_granularity, res.prime_passes) == (1194, 8, 1)
     assert res.corrections == [
         (0, 1, 0, -12), (1, 1, 0, -27), (2, 1, 0, 8), (3, 1, 0, -30),
         (0, 6, 0, -18), (1, 6, 0, -8), (2, 6, 0, -5), (3, 6, 0, -7),

@@ -292,18 +292,21 @@ def test_prony_on_both_evaluators(monkeypatch):
 @pytest.fixture
 def sweep_watch(monkeypatch):
     """Wrap the shift helper, the sweep and both whole-pair evaluators of a
-    prony run. Every sweep checks that the values it is handed for a prime
-    are the ones the shift helper returned last for that prime, and that
-    they equal a fresh evaluation of the current pair at the pass's k
-    points. The log counts each prime's whole-pair evaluations."""
+    run on either engine. Every sweep checks that the values it is handed
+    for a prime are the ones the shift helper returned last for that prime,
+    and that they equal a fresh evaluation of the current pair at as many
+    points. The log counts each prime's whole-pair evaluations: the zero
+    test's, and the root's from exponent 0; the quadtree's evaluations of
+    the root's children are not counted."""
     real_scratch = correct_mod.CorrectionEngine.scratch_values
     real_shift = correct_mod.shift_values
     real_verify = correct_mod.verify_product
     real_zero_test = verify_mod.all_zeroes_test
-    log = {"evaluated": Counter(), "shifted": {}, "sweeps": [], "t": None}
+    log = {"evaluated": Counter(), "shifted": {}, "sweeps": []}
 
     def scratch(self, s, lo, hi, grid=1):
-        log["evaluated"][self.ctx.p] += 1
+        if s == self.root and lo == 0 and grid == 1:
+            log["evaluated"][self.ctx.p] += 1
         return real_scratch(self, s, lo, hi, grid)
 
     def shift(values, writes, ctx, m):
@@ -313,12 +316,11 @@ def sweep_watch(monkeypatch):
 
     def sweep(a, b, c, t, stats=None, *, known=None):
         m = a.rows
-        k = max(1, min(2 * log["t"], 2 * m * m))
         for q, vals in known.items():
             assert vals is log["shifted"][q]
             ctx = FieldCtx(q, find_generator(q), order_lb=m * m)
             fresh = correct_mod.CorrectionEngine(augment(a, b, c), t, ctx, {})
-            assert vals.tolist() == real_scratch(fresh, fresh.root, 0, k).tolist(), q
+            assert vals.tolist() == real_scratch(fresh, fresh.root, 0, len(vals)).tolist(), q
         log["sweeps"].append(sorted(known))
         return real_verify(a, b, c, t, stats, known=known)
 
@@ -376,48 +378,28 @@ def _sweep_cases():
     return cases
 
 
-@pytest.mark.parametrize("case", range(6), ids=[
-    "p1_multiples", "t_zero", "all_wrong", "object_above_2_62", "cancelling_osmm",
-    "p1_cancelling"])
-def test_sweep_reads_shifted_values_evaluated_once_per_prime(sweep_watch, case):
+_SWEEP_CASE_IDS = ("p1_multiples", "t_zero", "all_wrong", "object_above_2_62",
+                   "cancelling_osmm", "p1_cancelling")
+
+
+# the default engine's ids are the bare case names
+@pytest.mark.parametrize("engine, case", [
+    pytest.param(engine, case, id=name if engine == "prony" else f"{name}-{engine}")
+    for engine in ("prony", "quadtree") for case, name in enumerate(_SWEEP_CASE_IDS)])
+def test_sweep_reads_shifted_values_evaluated_once_per_prime(sweep_watch, engine, case):
     a, b, c, t, passes = _sweep_cases()[case]
-    sweep_watch["t"] = t
     if c is None:
-        res = multiply_output_sensitive(a, b, t)
+        res = multiply_output_sensitive(a, b, t, engine=engine)
     else:
-        res = correct_product(a, b, c, t)
+        res = correct_product(a, b, c, t, engine=engine)
     assert res.product.data.tolist() == _truth(a, b).tolist()
     assert res.prime_passes == passes
     # one sweep per pass, each with the values of every pass so far
     assert [len(known) for known in sweep_watch["sweeps"]] == list(range(1, passes + 1))
     # no prime's whole-pair fingerprint is computed twice in one call, also
-    # when the sweep evaluated the next pass's prime
+    # when the sweep evaluated the next pass's prime or an earlier sweep
+    # evaluated this pass's
     assert max(sweep_watch["evaluated"].values()) == 1, sweep_watch["evaluated"]
-
-
-def test_quadtree_sweeps_evaluate_each_prime_once(monkeypatch):
-    # +p1 and -p1 on the quadtree: the first sweep evaluates p1 and p2, and
-    # the second reads both, shifted by the second pass's writes
-    rng = seeded_rng(97)
-    n = 12
-    a = rng.integers(-(1 << 20), (1 << 20) + 1, (n, n))
-    b = rng.integers(-(1 << 20), (1 << 20) + 1, (n, n))
-    truth = _truth(a, b)
-    p1 = build_crt_basis(16, augment(a, b, truth.astype(np.int64))
-                         .magnitude_bound()).fields[0].p
-    c = _with_errors(truth, _random_cells(rng, n, 2), [p1, -p1])
-    tested = Counter()
-    real_zero_test = verify_mod.all_zeroes_test
-
-    def zero_test(left, right, t, ctx, stats=None):
-        tested[ctx.p] += 1
-        return real_zero_test(left, right, t, ctx, stats)
-
-    monkeypatch.setattr(verify_mod, "all_zeroes_test", zero_test)
-    res = correct_product(a, b, c, 2, engine="quadtree")
-    assert res.product.data.tolist() == truth.tolist()
-    assert res.prime_passes == 2
-    assert tested[p1] == 1 and set(tested.values()) == {1}, tested
 
 
 def test_between_t_and_2t_errors_with_multiples_of_p1_are_refused(sweep_watch):
@@ -437,7 +419,6 @@ def test_between_t_and_2t_errors_with_multiples_of_p1_are_refused(sweep_watch):
         deltas = _random_deltas(rng, k)
         deltas[:hidden] = [d * p1 for d in deltas[:hidden]]
         c = _with_errors(truth, _random_cells(rng, n, k), deltas)
-        sweep_watch["t"] = t
         with pytest.raises(PromiseViolationError):
             correct_product(a, b, c, t)
     assert sweep_watch["sweeps"]
@@ -449,7 +430,6 @@ def test_sweep_values_stay_fresh_beyond_2t(sweep_watch):
     # Nothing is guaranteed about the outcome, but the values must be those
     # of the current pair
     rng = seeded_rng(95)
-    sweep_watch["t"] = 1
     for k in (3, 4) * 100:    # at n = 2, t = 1 a few runs take two passes
         a = rng.integers(-9, 10, (2, 2))
         b = rng.integers(-9, 10, (2, 2))
