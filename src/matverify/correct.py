@@ -104,7 +104,6 @@ class CorrectionEngine:
 
         self.ap, self.bp = pair.reduced(ctx)
         self.root = SubmatrixId(0, 0, m)
-        self.t_eff = min(t, m * m)
 
         self.tau: dict[SubmatrixId, int] = {}
         self.vals: dict[SubmatrixId, np.ndarray] = {}
@@ -226,8 +225,9 @@ class CorrectionEngine:
         to the whole pair's values at the start of the pass; the root reads
         the sweep's min(max(2t, 1), m^2) of them and caches a copy of the
         first min(t, m^2), which apply_write patches."""
-        sweep = min(max(2 * self.t, 1), self.m * self.m)
-        self.vals[self.root] = self.root_values(known, sweep)[: self.t_eff].copy()
+        cells = self.m * self.m
+        values = self.root_values(known, min(max(2 * self.t, 1), cells))
+        self.vals[self.root] = values[: min(self.t, cells)].copy()
         if self.vals[self.root].any():
             self.queue.append(self.root)
         while self.queue:
