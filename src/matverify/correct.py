@@ -85,8 +85,8 @@ class CorrectionEngine:
 
     The pass is shared by both engines: run() takes the positions that
     locate() yields, confirms each by an exact inner product, writes it
-    into C and patches the field copy and any cached values. Here locate()
-    is the quadtree search, and the working state is its own: reduced
+    into C and patches C's residues and any cached values. Here locate()
+    is the quadtree search, and the working state is its own: the
     factors, per-block granularity tau, the computed prefix of each
     block's test values as one residue array, and the nested queue of
     blocks certified to contain a nonzero."""
@@ -102,7 +102,8 @@ class CorrectionEngine:
         self.stats = stats
         self.trace = trace
 
-        self.ap, self.bp = pair.reduced(ctx)
+        self.ap, self.bp, c, _ = pair.reduced(ctx)
+        self.cp = c % ctx.p   # a copy that apply_write patches
         self.root = SubmatrixId(0, 0, m)
 
         self.tau: dict[SubmatrixId, int] = {}
@@ -117,11 +118,12 @@ class CorrectionEngine:
         """Block test values at exponents lo..hi-1 recomputed from the
         current factors; the oracle the caches must agree with. With grid=2
         they are the values of the four children of s, shape (2, 2, hi-lo).
-        The factors are already reduced, so their slices go to the kernel
-        as they are."""
+        The factors are in the form the evaluators take, so their slices go
+        to the kernel as they are."""
         i0, j0, side = s.i_start, s.j_start, s.side
+        rows, cols = slice(i0, i0 + side), slice(j0, j0 + side)
         rep = FingerprintRep(
-            self.ctx, side, self.ap[i0 : i0 + side].T, self.bp[:, j0 : j0 + side]
+            self.ctx, side, self.ap[rows].T, self.bp[:, cols], self.cp[rows, cols]
         )
         return eval_fingerprint_progression(rep, lo, hi - lo, self.stats, grid=grid)
 
@@ -139,10 +141,12 @@ class CorrectionEngine:
 
     def root_values(self, known: dict, count: int) -> np.ndarray:
         """The whole pair's first count values mod this pass's prime, from
-        known; the root is evaluated into known only when it holds fewer."""
+        known, which the root's values at the missing exponents extend."""
         p = self.ctx.p
-        if len(known.get(p, ())) < count:
-            known[p] = self.scratch_values(self.root, 0, count)
+        vals = known.get(p, np.zeros(0, dtype=np.int64))
+        if len(vals) < count:
+            more = self.scratch_values(self.root, len(vals), count)
+            known[p] = np.concatenate((vals, more))
         return known[p][:count]
 
     # -- search ----------------------------------------------------------
@@ -190,7 +194,7 @@ class CorrectionEngine:
         powers of every block's omega^e."""
         p = self.ctx.p
         delta = (new - old) % p
-        self.ap[i, self.m + j] = new % p
+        self.cp[i, j] = new % p
         chain = []
         s = self.root
         while (stored := self.vals.get(s)) is not None:
@@ -409,6 +413,7 @@ def _run_engine(a, b, c_seed, t: int, engine: str, trace=None) -> CorrectionResu
         raise UsageError("t must be >= 0")
     a2, b2, c2, m = pad_to_pow2(a, b, c_seed)
     pair = augment(a2, b2, c2)
+    # every write leaves a zero in AB - C, so this basis covers it to the end
     basis = build_crt_basis(m, pair.magnitude_bound())
 
     corrections: list[tuple[int, int, int, int]] = []
@@ -433,7 +438,8 @@ def _run_engine(a, b, c_seed, t: int, engine: str, trace=None) -> CorrectionResu
         # a broken promise with at most 2t wrong entries at most 2t remain,
         # and 2t points refute them. Mod the primes in known, the values
         # shifted by the writes stand in for an evaluation; it adds the rest
-        if verify_product(a2, b2, c2, max(2 * t, 1), stats=stats, known=known):
+        if verify_product(a2, b2, c2, max(2 * t, 1), stats=stats, known=known,
+                          basis=basis):
             break
     else:
         raise PromiseViolationError(

@@ -245,7 +245,7 @@ class AugmentedPair:
     equals AB exactly when the pair multiplies to all zeroes.
 
     C is held by reference: entries written to C later are immediately
-    visible through the left factor.
+    visible through the pair.
     """
 
     __slots__ = ("a", "b", "c")
@@ -285,15 +285,15 @@ class AugmentedPair:
         right = np.vstack([self.b.data, eye])
         return left, right
 
-    def reduced(self, ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
-        """(A | C) and (B ; -I) reduced mod p as int64 arrays."""
+    def reduced(self, ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """A, B and C as the fingerprint evaluators take them mod ctx.p, and
+        a bound below p on all their |entries|: a factor below p in
+        magnitude as it is (nonzero mod p just where it is nonzero), any
+        other reduced into [0, p)."""
         p = ctx.p
-        n = self.a.cols
-        left = np.hstack([reduce_mod(self.a.data, p), reduce_mod(self.c.data, p)])
-        right = np.zeros((2 * n, n), dtype=np.int64)
-        right[:n] = reduce_mod(self.b.data, p)
-        np.fill_diagonal(right[n:], p - 1)
-        return left, right
+        mats = (self.a, self.b, self.c)
+        out = tuple(m.data if m.max_abs < p else reduce_mod(m.data, p) for m in mats)
+        return out + (min(max(m.max_abs for m in mats), p - 1),)
 
 
 def augment(a, b, c) -> AugmentedPair:

@@ -78,16 +78,19 @@ def _limb_plan(p: int, length: int, support: int) -> tuple[int, int]:
 
     Percival's bound for an FFT convolution of x and y of length L = 2^m
     is about |x|_2 * |y|_2 * eps * (13m + 3) to first order, for eps =
-    2^-53 and twiddle factors correct to eps. With one limb, |x|_2 * |y|_2
-    <= sqrt(support * L) * (p // 2)^2. With several, every limb is bounded
-    by 2^width (the top limb of a balanced residue is an arithmetic shift,
-    so it stays within 2^width too), so one limb product has 2-norms below
-    L * 4^width, and one output weight sums up to `limbs` of them. The plan
+    2^-53 and twiddle factors correct to eps; a length of 3 * 2^a or 5 *
+    2^a takes the plan of the power of two above it (a radix-3 stage counts
+    as two radix-2 stages, a radix-5 stage as three). With one limb, |x|_2
+    * |y|_2 <= sqrt(support * L) * (p // 2)^2. With several, every limb is
+    bounded by 2^width (the top limb of a balanced residue is an arithmetic
+    shift, so it stays within 2^width too), so one limb product has 2-norms
+    below L * 4^width, and one output weight sums up to `limbs` of them. The plan
     keeps the bound below 1/4: rounding is then exact, the exact sums stay
     below 2^47 where a residual shows, and the check in _spectral_product
     does not fire on a correct transform.
     """
     bits = (p - 1).bit_length()
+    length = next_pow2(length)
     m = max(length.bit_length() - 1, 1)
     scale = (13 * m + 3) * 2.0**-53
     if sqrt(support * length) * (p // 2) ** 2 * scale < 0.25:
@@ -100,10 +103,10 @@ def _limb_plan(p: int, length: int, support: int) -> tuple[int, int]:
 
 
 def _balanced(x: np.ndarray, p: int) -> np.ndarray:
-    """Nonnegative int64 integers x reduced mod p to their representatives
-    in [-p/2, p/2], as (x + p//2) mod p - p//2: a shift and a reduction on
-    nonnegative values, with no mask."""
-    out = x + p // 2
+    """int64 integers x, |x| < p^2, reduced mod p to their representatives
+    in [-p/2, p/2], as (x + p^2 + p//2) mod p - p//2: a shift that makes
+    them nonnegative (% runs twice as fast there) and a reduction."""
+    out = x + (p * p + p // 2)
     out %= p
     out -= p // 2
     return out
@@ -170,7 +173,7 @@ def poly_mul(f: Poly, g: Poly) -> Poly:
         raise UsageError("mismatched field contexts")
     p = f.ctx.p
     total = len(f.coeffs) + len(g.coeffs) - 1
-    length = next_pow2(total)
+    length = fft_length(total)
     _check_length(length)
     plan = _limb_plan(p, length, min(len(f.coeffs), len(g.coeffs)))
     xs = _limb_spectra(_balanced(f.coeffs, p), length, plan)
@@ -223,12 +226,17 @@ def _triangular_powers(base: int, length: int, p: int) -> np.ndarray:
     return out[:length]
 
 
+def fft_length(x: int) -> int:
+    """The least 2^a, 3 * 2^a or 5 * 2^a at or above x >= 1 (below 4/3 x)."""
+    return min(f * next_pow2(-(-x // f)) for f in (1, 3, 5))
+
+
 def _segment(n: int, count: int) -> tuple[int, int]:
     """Progression points per transform and the transform length for rows
-    of n coefficients. A cyclic length of at least n + seg - 1 leaves the
-    kept outputs [n - 1, n - 1 + seg) free of wraparound."""
+    of n coefficients. The least smooth length of at least n + seg - 1
+    leaves the kept outputs [n - 1, n - 1 + seg) free of wraparound."""
     seg = min(int(count), max(n, _SEGMENT))
-    length = next_pow2(n + seg - 1)
+    length = fft_length(n + seg - 1)
     _check_length(length)
     return seg, length
 
@@ -275,8 +283,8 @@ class ProgressionPlan:
         self.post = np.concatenate([inv[:cnt] for _, cnt, _ in self.segments])
 
     def raw(self, rows: np.ndarray) -> np.ndarray:
-        """Z for every row of a 2-d int64 array of residues whose columns
-        from n on are zero: shape (rows, count), entries in [0, p).
+        """Z for every row of a 2-d int64 array of entries below p in
+        magnitude, zero from column n on: shape (rows, count), in [0, p).
 
         Rows with several nonzero coefficients are scaled, balanced and
         correlated against the kernel by batched float64 FFTs, in blocks of
@@ -310,9 +318,9 @@ class ProgressionPlan:
 def progression_eval(coeffs, first: int, ratio: int, count: int, p: int) -> np.ndarray:
     """Values sum_i c[i] * (first * ratio^u)^i for u = 0..count-1, for one
     coefficient vector (shape (count,)) or for every row of a 2-d array
-    (shape (rows, count)). Coefficients are residues in [0, p): Poly and
-    fingerprint_rep reduce once at the public entry, so the row blocks that
-    callers feed through here are not scanned again.
+    (shape (rows, count)). Coefficients are int64 below p in magnitude:
+    Poly and AugmentedPair.reduced reduce once at the public entry, so the
+    row blocks that callers feed through here are not scanned again.
 
     The ratio must be nonzero mod p. The chirp transform of a
     ProgressionPlan sized to the rows' last nonzero column computes the

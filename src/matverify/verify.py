@@ -1,8 +1,8 @@
 """Deciding whether a claimed product is correct: an exact all-ones sum
 that refutes most wrong products at once, the deterministic all-zeroes
-test on the augmented pair, its integer-level lift through a CRT basis,
-randomized baselines, and a deliberately flawed bilinear probe kept as a
-negative control.
+test on AB - C taken straight from A, B and C, its integer-level lift
+through a CRT basis, randomized baselines, and a deliberately flawed
+bilinear probe kept as a negative control.
 
 Fingerprint values come from two evaluators. For count points and a
 block of side h over K inner indices, Vandermonde GEMMs (_gemm_values:
@@ -15,16 +15,17 @@ bound the GEMM work stays O(K h log h) too, so verify_product keeps its
 O~(n^2) cost at every t, and t = n stays on the chirp for every n >= 128
 (12 * bit_length(n) < n there).
 
-Measured on one core (OpenBLAS, numpy 2.4), the fingerprint of a whole
-augmented pair at t points, GEMM / chirp in ms:
+Measured on one core (OpenBLAS, numpy 2.4, least of 7 calls, 3 at n =
+1024), the fingerprint of AB - C for entries in [-9, 9] at t points,
+GEMM / chirp in ms:
 
-    n = 128:  t = 16: 0.8 / 3.3     t = 128: 2.2 / 4.8
-    n = 384:  t = 48: 4.7 / 18.3    t = 384: 33.6 / 32.6
-    n = 512:  t = 64: 11.8 / 53.5   t = 512: 60.0 / 65.0
-    n = 1024: t = 128: 105 / 407    t = 1024: 807 / 486
+    n = 128:  t = 16: 0.5 / 2.5     t = 128: 2.0 / 3.2
+    n = 384:  t = 48: 2.9 / 10.9    t = 384: 18.0 / 18.0
+    n = 512:  t = 64: 4.6 / 21.1    t = 512: 37.7 / 34.9
+    n = 1024: t = 128: 36 / 213     t = 1024: 216 / 408
 
-so the crossover lies near t = n (n = 384, 512, 1024) or past it (n =
-128), and the cost bound, not the crossover, sets K_GEMM. The chirp runs
+so the crossover lies near t = n (n = 384, 512) or past it (n = 128,
+1024), and the cost bound, not the crossover, sets K_GEMM. The chirp runs
 in one limb at t = n up to n = 512 (poly._limb_plan). On the correction
 engine's blocks (side 2 to 128, counts of 1 to 128) the GEMM ran 1.5-6x
 faster than the chirp at every count tried up to 256.
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError
-from .field import FieldCtx, build_crt_basis, power_sequence, reduce_mod
+from .field import CrtBasis, FieldCtx, build_crt_basis, power_sequence, reduce_mod
 from .matrix import IntMatrix, augment, exact_dot, square_matrices
 from .poly import ProgressionPlan, rows_per_block
 from .poly import progression_eval  # noqa: F401  perfbench's tracer patches it here
@@ -52,24 +53,28 @@ K_GEMM = 12
 
 @dataclass(frozen=True)
 class FingerprintRep:
-    """Factorized form of a block's product fingerprint.
+    """Factorized form of a block's fingerprint of LR - C.
 
     For factors L (rows x K) and R (K x cols) restricted to a side x side
-    block at (i0, j0), the fingerprint is the univariate polynomial
+    block at (i0, j0), and C's block c there (None reads as zero), the
+    fingerprint is the univariate polynomial
 
-        sum over block entries of (LR)_{i,j} * X^((i-i0) + side*(j-j0)),
+        sum over block entries of (LR - C)_{i,j} * X^((i-i0) + side*(j-j0)),
 
-    whose nonzero monomials biject with the block's nonzero product entries
+    whose nonzero monomials biject with the block's nonzero entries
     ((i-i0) + side*(j-j0) is injective on the block). It is never expanded:
     left_polys[k] holds column k of L over the block rows, right_polys[k]
-    holds row k of R over the block columns, and the value at a point x is
-    sum_k left_k(x) * right_k(x^side).
+    holds row k of R over the block columns, and the value at x is sum_k
+    left_k(x) * right_k(x^side) - sum_j c_j(x) * x^(side*j), c_j column j
+    of c. Entries are int64 within bound < p (None: residues in [0, p)).
     """
 
     ctx: FieldCtx
     side: int
-    left_polys: np.ndarray   # (K, side), reduced mod p
-    right_polys: np.ndarray  # (K, side), reduced mod p
+    left_polys: np.ndarray   # (K, side)
+    right_polys: np.ndarray  # (K, side)
+    c: np.ndarray | None = None   # (side, side)
+    bound: int | None = None
 
 
 def fingerprint_rep(left: np.ndarray, right: np.ndarray, ctx: FieldCtx) -> FingerprintRep:
@@ -88,23 +93,25 @@ def fingerprint_rep(left: np.ndarray, right: np.ndarray, ctx: FieldCtx) -> Finge
     return FingerprintRep(ctx=ctx, side=side, left_polys=lp, right_polys=rp)
 
 
-def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """x @ y mod p (numpy matmul, stacks included) for int64 residues in
-    [0, p), exactly, by float64 BLAS.
+def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, bound=None) -> np.ndarray:
+    """x @ y mod p (numpy matmul, stacks included), exactly, by float64
+    BLAS, for int64 residues x in [0, p) and int64 y of magnitude at most
+    bound, which lies below p (residues too when bound is None).
 
     With inner dimension m, every partial sum of one output entry, in
     whatever order BLAS adds (and whether or not it fuses multiply-adds), is
-    a sum of some of the m products and so an integer in [0, m*(p-1)^2].
-    While m*(p-1)^2 < 2^53 every such integer is a float64, no step rounds,
-    and one GEMM is exact. Otherwise (at p = 2^31 - 1 already for m = 1)
-    both operands split into 16-bit limbs, x = xh*2^16 + xl with xh, xl <
-    2^16 since p < 2^31, and the four limb GEMMs have partial sums below
-    m * 2^32, exact while m < 2^21. Each limb product is reduced into [0, p)
+    a sum of some of the m products and so an integer of magnitude at most
+    m*(p-1)*bound. While that is below 2^53 every such integer is a float64,
+    no step rounds, and one GEMM is exact. Otherwise (at p = 2^31 - 1
+    already for m = 1) both operands split into 16-bit limbs, x = xh*2^16 +
+    xl with 0 <= xl < 2^16 and |xh| <= 2^15 since |x| < 2^31 (the shift
+    keeps the sign), and the four limb GEMMs have partial sums below m *
+    2^32, exact while m < 2^21. Each limb product is reduced into [0, p)
     before it is scaled, so the int64 combination
     hh*(2^32 mod p) + (hl + lh)*2^16 + ll stays below 2^62 + 2^48 + 2^31.
     """
     inner = x.shape[-1]
-    if inner * (p - 1) ** 2 < _F64_EXACT:
+    if inner * (p - 1) * (p - 1 if bound is None else bound) < _F64_EXACT:
         return (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64) % p
     if inner >= 1 << (53 - 2 * _LIMB_BITS):
         raise ResourceLimitError(f"inner dimension {inner} too long for exact limb GEMMs")
@@ -121,20 +128,33 @@ def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     return out % p
 
 
-def _gemm_values(left: np.ndarray, right: np.ndarray, rows: np.ndarray,
-                 xs: np.ndarray, grid: int, p: int) -> np.ndarray:
-    """Fingerprint values of a grid x grid arrangement of sub-blocks at the
-    points xs, by Vandermonde GEMMs over the inner indices `rows` of the
-    (K, grid*h) residue arrays left and right: shape (grid, grid, len(xs)).
+def _live_pairs(rep: FingerprintRep, grid: int) -> int:
+    """Live (term, sub-block) pairs, as many as (A | C), (B ; -I) has: inner
+    index k feeds sub-block (a, b) when both its halves are nonzero there,
+    column j of C the one in its column whose rows it is nonzero over."""
+    h = rep.side // grid
+    left = rep.left_polys.reshape(-1, grid, h).any(axis=2)
+    right = rep.right_polys.reshape(-1, grid, h).any(axis=2)
+    live = (left[:, :, None] & right[:, None, :]).sum()
+    cols = 0 if rep.c is None else rep.c.reshape(grid, h, -1).any(axis=1).sum()
+    return int(live + cols)
+
+
+def _gemm_values(rep: FingerprintRep, xs: np.ndarray, grid: int) -> np.ndarray:
+    """Fingerprint values of rep's grid x grid sub-blocks at the points xs,
+    by Vandermonde GEMMs: shape (grid, grid, len(xs)).
 
     Wq[u, i] = x_u^i and Wr[u, j] = (x_u^h)^j, filled by doubling, give
     Q = Wq @ left and R = Wr @ right, the values q_k(x_u) and r_k(x_u^h) of
     every row half, and value[a, b, u] = sum_k Q[u, a, k] * R[u, b, k].
-    Points and inner indices go in chunks that keep every buffer (points x
-    h, inner indices x grid*h, points x grid x inner indices) within
+    Column b*h + e of C takes Q = Wq @ C on each row half, and its value
+    -Q[u, a] * Wr[u, e] goes to sub-block (a, b) alone. Points, inner
+    indices and columns go in chunks that keep every buffer (points x h,
+    inner indices x grid*h, points x grid x inner indices) within
     _GEMM_CELLS cells, so the workspace is sized before it is allocated.
     """
-    h = left.shape[1] // grid
+    p, h, bound = rep.ctx.p, rep.side // grid, rep.bound
+    c = None if rep.c is None else rep.c.reshape(grid, h, grid, h)
     out = np.zeros((grid, grid, len(xs)), dtype=np.int64)
     pc = max(1, _GEMM_CELLS // h)
     kc = max(1, _GEMM_CELLS // (grid * max(h, min(pc, len(xs)))))
@@ -142,25 +162,26 @@ def _gemm_values(left: np.ndarray, right: np.ndarray, rows: np.ndarray,
         x = xs[u0 : u0 + pc]
         wq = power_sequence(x, h, p)
         wr = power_sequence(wq[:, -1] * x % p, h, p)
-        for k0 in range(0, len(rows), kc):
-            chunk = rows[k0 : k0 + kc]
+        for k0 in range(0, len(rep.left_polys), kc):
             # rows of the reshaped halves are (k, a) and (k, b), k-major
-            q = _matmul_mod(wq, left[chunk].reshape(-1, h).T, p)
-            r = _matmul_mod(wr, right[chunk].reshape(-1, h).T, p)
+            q = _matmul_mod(wq, rep.left_polys[k0 : k0 + kc].reshape(-1, h).T, p, bound)
+            r = _matmul_mod(wr, rep.right_polys[k0 : k0 + kc].reshape(-1, h).T, p, bound)
             q = q.reshape(len(x), -1, grid).transpose(0, 2, 1)
             vals = _matmul_mod(q, r.reshape(len(x), -1, grid), p)
             out[:, :, u0 : u0 + pc] += vals.transpose(1, 2, 0)
+        for b in range(0 if c is None else grid):
+            for e0 in range(0, h, kc):
+                q = _matmul_mod(wq, c[:, :, b, e0 : e0 + kc], p, bound)
+                out[:, b, u0 : u0 + pc] -= (q * wr[:, e0 : e0 + kc] % p).sum(axis=2)
     out %= p
     return out
 
 
 def eval_fingerprint(rep: FingerprintRep, points) -> list[int]:
-    """Fingerprint values at arbitrary points, sum_k q_k(x) * r_k(x^side),
-    by the Vandermonde GEMMs, which take a long point list in chunks."""
+    """Fingerprint values at arbitrary points, by the Vandermonde GEMMs."""
     p = rep.ctx.p
     pts = np.array([int(x) % p for x in points], dtype=np.int64)
-    active = np.nonzero(rep.left_polys.any(axis=1) & rep.right_polys.any(axis=1))[0]
-    return _gemm_values(rep.left_polys, rep.right_polys, active, pts, 1, p)[0, 0].tolist()
+    return _gemm_values(rep, pts, 1)[0, 0].tolist()
 
 
 def kernel_path(stats: dict) -> str:
@@ -189,14 +210,14 @@ def eval_fingerprint_progression(
 
     Up to K_GEMM * bit_length(h) points the Vandermonde GEMMs of
     _gemm_values run; past that the chirp does. Both sides take one
-    ProgressionPlan per call there. The raw kernel outputs of each block
-    of inner indices are multiplied and summed in int64, reduced only when
-    the next block could overflow the sum, and the two post-scales are
-    applied once to the total. stats["evaluations"] counts count times the
-    live (inner index, sub-block) pairs; stats["gemm_points"] and
-    stats["chirp_points"] count the values each path computed, count per
-    sub-block, and stats["limbs"] keeps the most limbs a chirp plan split
-    its transforms into.
+    ProgressionPlan per call there, C's columns going with the left halves
+    against rows of -I. The raw kernel outputs of each block of terms are
+    multiplied and summed in int64, reduced only when the next block could
+    overflow the sum, and the two post-scales are applied once to the
+    total. stats["evaluations"] counts count times the _live_pairs;
+    stats["gemm_points"] and stats["chirp_points"] count the values each
+    path computed, count per sub-block, and stats["limbs"] keeps the most
+    limbs a chirp plan split its transforms into.
     """
     ctx = rep.ctx
     p = ctx.p
@@ -206,17 +227,13 @@ def eval_fingerprint_progression(
         raise UsageError("grid must divide the block side")
     side = rep.side // grid
     acc = np.zeros((grid, grid, count), dtype=np.int64)
-    left = rep.left_polys.reshape(-1, grid, side)
-    right = rep.right_polys.reshape(-1, grid, side)
-    # inner index k feeds sub-block (a, b) when both of its halves are nonzero
-    live = left.any(axis=2)[:, :, None] & right.any(axis=2)[:, None, :]
-    active = np.nonzero(live.any(axis=(1, 2)))[0]
+    pairs = _live_pairs(rep, grid)
     path = None
-    if count and active.size:
+    if count and pairs:
         path = "gemm" if count <= K_GEMM * side.bit_length() else "chirp"
     if path == "gemm":
         xs = power_sequence(ctx.omega, count, p) * pow(ctx.omega, start_exp, p) % p
-        acc = _gemm_values(rep.left_polys, rep.right_polys, active, xs, grid, p)
+        acc = _gemm_values(rep, xs, grid)
     elif path == "chirp":
         ratio_r = pow(ctx.omega, side, p)
         plan_q = ProgressionPlan(side, pow(ctx.omega, start_exp, p), ctx.omega, count, p)
@@ -225,23 +242,30 @@ def eval_fingerprint_progression(
         # a reduced sum
         budget = (_I64_MAX - (p - 1)) // (p - 1) ** 2
         step = max(1, min(rows_per_block(side, count) // grid, budget))
+
+        def blocks():
+            for k0 in range(0, len(rep.left_polys), step):
+                yield rep.left_polys[k0 : k0 + step], rep.right_polys[k0 : k0 + step]
+            for j0 in range(0, 0 if rep.c is None else grid * side, step):
+                eye = np.eye(min(step, grid * side - j0), grid * side, j0, np.int64)
+                yield rep.c.T[j0 : j0 + step], eye * (p - 1)
+
         pending = 0
-        for r0 in range(0, len(active), step):
-            rows = active[r0 : r0 + step]
-            if pending + len(rows) > budget:
+        for lq, rr in blocks():
+            if pending + len(lq) > budget:
                 acc %= p
                 pending = 0
-            zq = plan_q.raw(left[rows].reshape(-1, side)).reshape(-1, grid, 1, count)
-            zr = plan_r.raw(right[rows].reshape(-1, side)).reshape(-1, 1, grid, count)
+            zq = plan_q.raw(lq.reshape(-1, side)).reshape(-1, grid, 1, count)
+            zr = plan_r.raw(rr.reshape(-1, side)).reshape(-1, 1, grid, count)
             acc += (zq * zr).sum(axis=0)
-            pending += len(rows)
+            pending += len(lq)
         acc %= p
         acc *= plan_q.post * plan_r.post % p
         acc %= p
         if stats is not None:   # both sides share one limb plan
             stats["limbs"] = max(stats.get("limbs", 0), plan_q.plan[0])
     if stats is not None:
-        stats["evaluations"] = stats.get("evaluations", 0) + count * int(live.sum())
+        stats["evaluations"] = stats.get("evaluations", 0) + count * pairs
         if path is not None:
             key = f"{path}_points"
             stats[key] = stats.get(key, 0) + count * grid * grid
@@ -263,12 +287,13 @@ class ZeroVerdict:
 def all_zeroes_test(
     left, right, t: int, ctx: FieldCtx, stats: dict | None = None
 ) -> ZeroVerdict:
-    """Decide whether left @ right == 0 by evaluating the fingerprint at
-    omega^0..omega^(t-1). NONZERO answers are unconditionally sound; ZERO is
-    correct whenever the product has at most t nonzero entries."""
+    """Decide whether left @ right (or the product of a FingerprintRep
+    passed as left) is zero by evaluating the fingerprint at
+    omega^0..omega^(t-1). NONZERO answers are unconditionally sound; ZERO
+    is correct whenever the product has at most t nonzero entries."""
     if t < 1:
         raise UsageError("t must be >= 1")
-    rep = fingerprint_rep(left, right, ctx)   # checks the dimensions first
+    rep = left if isinstance(left, FingerprintRep) else fingerprint_rep(left, right, ctx)
     side = rep.side
     if ctx.order_lb < side * side:
         raise UsageError("omega order bound below side^2")
@@ -295,24 +320,23 @@ def _ones_probe(a: IntMatrix, b: IntMatrix, c: IntMatrix) -> int:
 
 def verify_product(
     a, b, c, t: int, stats: dict | None = None, *,
-    known: dict[int, np.ndarray] | None = None,
+    known: dict[int, np.ndarray] | None = None, basis: CrtBasis | None = None,
 ) -> bool:
     """True iff C = AB, guaranteed whenever they differ in at most t entries.
     False answers are always correct.
 
     A nonzero sum of all entries of AB - C (_ones_probe) refutes C at once,
     once per call; it is counted in stats["probe_exits"]. Otherwise the
-    pair is augmented to (A | C), (B ; -I), a CRT basis covering the
-    augmented magnitude bound is built (build_crt_basis caches it per
-    (n, bound); its size goes to stats["primes"]), and the all-zeroes test
-    must pass mod every prime.
+    all-zeroes test on AB - C, taken from A, B and C themselves, must pass
+    mod every prime of a CRT basis: basis, or one built to cover the
+    augmented magnitude bound (cached; its size goes to stats["primes"]).
 
-    known maps primes to the fingerprint values of the current augmented
-    pair mod that prime at omega^0, omega^1, ..., omega the basis generator
-    of that prime. Mod a basis prime in known the zero test reads the first
-    min(t, n^2) of them instead of evaluating; other primes are ignored.
-    Every array must hold that many values, or UsageError is raised; the
-    values of each prime the zero test evaluates are added to known.
+    known maps primes to the fingerprint values of AB - C mod that prime
+    at omega^0, omega^1, ..., omega the basis generator of that prime. Mod
+    a basis prime in known the zero test reads the first min(t, n^2) of
+    them instead of evaluating; other primes are ignored. Every array must
+    hold that many values, or UsageError is raised; the values of each
+    prime the zero test evaluates are added to known.
     """
     a, b, c, n = square_matrices(a, b, c)
     if t < 1:
@@ -326,13 +350,15 @@ def verify_product(
             stats["probe_exits"] = stats.get("probe_exits", 0) + 1
         return False
     pair = augment(a, b, c)
-    basis = build_crt_basis(n, pair.magnitude_bound())
+    if basis is None:
+        basis = build_crt_basis(n, pair.magnitude_bound())
     if stats is not None:
         stats["primes"] = len(basis.fields)
     for ctx in basis.fields:
         if ctx.p not in known:
-            ap, bp = pair.reduced(ctx)
-            known[ctx.p] = all_zeroes_test(ap, bp, t, ctx, stats).values
+            ap, bp, cp, bound = pair.reduced(ctx)
+            rep = FingerprintRep(ctx, n, ap.T, bp, cp, bound)
+            known[ctx.p] = all_zeroes_test(rep, None, t, ctx, stats).values
         if np.any(known[ctx.p][:t_eff]):
             return False
     return True

@@ -9,6 +9,7 @@ import numpy as np
 
 import matverify.correct as correct_mod
 from matverify import (
+    FingerprintRep,
     IntMatrix,
     augment,
     bmm_ones_certificate,
@@ -111,8 +112,8 @@ def test_criterion_03_vandermonde_completeness():
             m = ap.shape[0]
             any_nonzero = False
             for ctx in basis.fields:
-                red_a, red_b = pair.reduced(ctx)
-                rep = fingerprint_rep(red_a, red_b, ctx)
+                red_a, red_b, red_c, bound = pair.reduced(ctx)
+                rep = FingerprintRep(ctx, n, red_a.T, red_b, red_c, bound)
                 vals = eval_fingerprint_progression(rep, 0, min(t, m * m))
                 coeffs = fingerprint_coeffs(
                     ap.tolist(), bp.tolist(), ctx.p

@@ -20,7 +20,7 @@ from matverify import poly
 import matverify.correct as correct_mod
 import matverify.verify as verify_mod
 from matverify.correct import CorrectionEngine
-from matverify.verify import all_zeroes_test
+from matverify.verify import FingerprintRep, all_zeroes_test
 from matverify.matrix import SubmatrixId, augment
 
 from helpers import plant_errors
@@ -427,17 +427,19 @@ def _check_each_search(monkeypatch) -> dict:
             blk: len(v) - prefix_before.get(blk, 0) for blk, v in engine.vals.items()
         }
         want = 0
-        half = engine.bp.shape[0] // 2
         for blk, count in grown.items():
             if not count:
                 continue
             i0, j0, side = blk.i_start, blk.j_start, blk.side
             rows = engine.ap[i0 : i0 + side].any(axis=0)
             cols = engine.bp[:, j0 : j0 + side].any(axis=1)
-            want += count * int(np.count_nonzero(rows & cols))
-            # live -I rows reach one column of the block, so one column half
-            # of its parent
-            seen["one_half"] += int(np.count_nonzero((rows & cols)[half:]))
+            # C's columns that are nonzero over the block rows, each where
+            # the -I row of (B ; -I) would count
+            c_cols = engine.cp[i0 : i0 + side, j0 : j0 + side].any(axis=0)
+            want += count * int(np.count_nonzero(rows & cols) + np.count_nonzero(c_cols))
+            # a live column of C reaches one column of the block, so one
+            # column half of its parent
+            seen["one_half"] += int(np.count_nonzero(c_cols))
         assert engine.stats["evaluations"] - evals_before == want
         for blk, count in grown.items():
             if count:
@@ -601,8 +603,9 @@ def test_largest_error_the_one_prime_basis_covers():
     (ctx,) = build_crt_basis(n, augment(a, b, bad).magnitude_bound()).fields
     delta = int(c[7, 19]) - int(bad[7, 19])
     assert abs(delta) < ctx.p and delta % ctx.p
-    ap, bp = augment(a, b, bad).reduced(ctx)
-    assert not all_zeroes_test(ap, bp, 1, ctx).all_zero
+    ap, bp, cp, bound = augment(a, b, bad).reduced(ctx)
+    rep = FingerprintRep(ctx, n, ap.T, bp, cp, bound)
+    assert not all_zeroes_test(rep, None, 1, ctx).all_zero
     assert not verify_product(a, b, bad, 1)
     for engine in ENGINES:
         res = correct_product(a, b, bad, 1, engine=engine)
@@ -613,10 +616,28 @@ def test_largest_error_the_one_prime_basis_covers():
     assert len(build_crt_basis(n, augment(a, b, bad).magnitude_bound()).fields) == 2
 
 
-def test_osmm_from_zero_as_writes_raise_the_bound():
+def _primes_evaluated(monkeypatch) -> list:
+    """Log the prime of every fingerprint evaluation, by the pass's search
+    and root (scratch_values) and by the sweep's zero test."""
+    seen = []
+    real = verify_mod.eval_fingerprint_progression
+
+    def logged(rep, *args, **kwargs):
+        seen.append(rep.ctx.p)
+        return real(rep, *args, **kwargs)
+
+    monkeypatch.setattr(verify_mod, "eval_fingerprint_progression", logged)
+    monkeypatch.setattr(correct_mod, "eval_fingerprint_progression", logged)
+    return seen
+
+
+def test_osmm_from_zero_as_writes_raise_the_bound(monkeypatch):
     # C starts at 0, so the basis covers the 2-norm bound alone; each
-    # written product raises max|C| and, with it, the sweep's basis to two
-    # primes. The result stays exact
+    # written product raises max|C|, and with it the bound of AB - C to two
+    # primes. Every write is an exact product, so |AB - C| stays within the
+    # run's first bound: the sweep keeps the run's basis and evaluates no
+    # second prime. The result stays exact
+    seen = _primes_evaluated(monkeypatch)
     n = 128
     a = np.zeros((n, n), dtype=np.int64)
     b = np.zeros((n, n), dtype=np.int64)
@@ -625,9 +646,42 @@ def test_osmm_from_zero_as_writes_raise_the_bound():
     truth = naive_multiply(a, b)
     assert np.count_nonzero(truth.data) == 4 and truth.max_abs == n * 49
     zero = IntMatrix(np.zeros((n, n), dtype=np.int64))
-    assert len(build_crt_basis(n, augment(a, b, zero).magnitude_bound()).fields) == 1
+    (ctx,) = build_crt_basis(n, augment(a, b, zero).magnitude_bound()).fields
     assert len(build_crt_basis(n, augment(a, b, truth).magnitude_bound()).fields) == 2
     for engine in ENGINES:
+        seen.clear()
         res = multiply_output_sensitive(a, b, 4, engine=engine)
         assert res.product == truth
         assert res.correction_count == 4 and res.prime_passes == 1
+        assert seen and set(seen) == {ctx.p}, engine
+    # the sweep mod a second prime took 1,040 of prony's 2,064 before
+    assert multiply_output_sensitive(a, b, 4).evaluations == 1024
+
+
+def test_prony_extends_a_sweeps_values_when_2t_exceeds_m2(monkeypatch):
+    # n = 2, t = 3: the sweep holds min(2t, m^2) = 4 values and a prony
+    # pass needs min(2t, 2m^2) = 6. C is wrong by +p1 and -p1, so the
+    # first pass mod p1 = 5 sees nothing, the sweep evaluates 7 at 4
+    # points, and the second pass evaluates 7 at exponents 4 and 5 only:
+    # 80 evaluations, against 96 when it started again from exponent 0
+    starts = []
+    real = CorrectionEngine.scratch_values
+
+    def scratch(self, s, lo, hi, grid=1):
+        starts.append((self.ctx.p, lo, hi))
+        return real(self, s, lo, hi, grid)
+
+    monkeypatch.setattr(CorrectionEngine, "scratch_values", scratch)
+    rng = seeded_rng(0)
+    a, b = rng.integers(-9, 10, (2, 2)), rng.integers(-9, 10, (2, 2))
+    truth = naive_multiply(a, b).data
+    p1, p2 = (f.p for f in build_crt_basis(2, augment(a, b, truth).magnitude_bound())
+              .fields[:2])
+    assert (p1, p2) == (5, 7)
+    c = truth.copy()
+    c[0, 1] += p1
+    c[1, 0] -= p1
+    res = correct_product(a, b, c, 3)
+    assert np.array_equal(res.product.data, truth) and res.prime_passes == 2
+    assert starts == [(p1, 0, 6), (p2, 4, 6)]
+    assert res.evaluations == 80

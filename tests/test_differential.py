@@ -314,7 +314,7 @@ def sweep_watch(monkeypatch):
         log["shifted"][ctx.p] = out
         return out
 
-    def sweep(a, b, c, t, stats=None, *, known=None):
+    def sweep(a, b, c, t, stats=None, *, known=None, basis=None):
         m = a.rows
         for q, vals in known.items():
             assert vals is log["shifted"][q]
@@ -322,7 +322,7 @@ def sweep_watch(monkeypatch):
             fresh = correct_mod.CorrectionEngine(augment(a, b, c), t, ctx, {})
             assert vals.tolist() == real_scratch(fresh, fresh.root, 0, len(vals)).tolist(), q
         log["sweeps"].append(sorted(known))
-        return real_verify(a, b, c, t, stats, known=known)
+        return real_verify(a, b, c, t, stats, known=known, basis=basis)
 
     def zero_test(left, right, t, ctx, stats=None):
         log["evaluated"][ctx.p] += 1

@@ -248,16 +248,27 @@ def test_augmented_pair_cancels_exact_product():
 
 
 def test_augmented_pair_reduction():
+    # A and B lie below p = 17 and pass as they are; C does not and is
+    # reduced. AB - C vanishes mod 17 on the operands either way
     ctx = FieldCtx(17, 3, order_lb=16)
     rng = seeded_rng(14)
     a = IntMatrix(rng.integers(-9, 10, (4, 4)))
     b = IntMatrix(rng.integers(-9, 10, (4, 4)))
     c = naive_multiply(a, b)
     pair = augment(a, b, c)
-    ap, bp = pair.reduced(ctx)
-    assert ap.dtype == np.int64 and bp.dtype == np.int64
-    assert ((ap @ bp) % 17 == 0).all()
+    ap, bp, cp, bound = pair.reduced(ctx)
+    assert ap.dtype == np.int64 and bp.dtype == np.int64 and cp.dtype == np.int64
+    assert ap is a.data and bp is b.data and c.max_abs >= 17
+    assert cp.min() >= 0 and cp.max() < 17 and bound == 16
+    assert ((ap @ bp - cp) % 17 == 0).all()
     assert pair.magnitude_bound() >= int(np.abs(c.data).max())
+    small = augment(a, b, IntMatrix(np.eye(4, dtype=np.int64)))
+    assert small.reduced(ctx)[3] == max(a.max_abs, b.max_abs)
+    big = IntMatrix(np.array([[2**70, -1], [0, 5]], dtype=object))
+    assert big.data.dtype == object
+    (_, _, cp, bound) = augment(big, big, big).reduced(ctx)
+    assert cp.dtype == np.int64 and cp.tolist() == [[2**70 % 17, 16], [0, 5]]
+    assert bound == 16
 
 
 def _old_bound(a, b, c):

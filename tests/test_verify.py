@@ -30,6 +30,13 @@ from helpers import fingerprint_coeffs, oracle_eval, plant_errors, skew_pair
 F17 = FieldCtx(17, 3, order_lb=16)
 
 
+def _pair_rep(pair, ctx):
+    """The rep of AB - C, straight from the pair's A, B and C, as
+    verify_product builds it."""
+    ap, bp, cp, bound = pair.reduced(ctx)
+    return FingerprintRep(ctx, pair.side, ap.T, bp, cp, bound)
+
+
 def test_fingerprint_identity_golden():
     rep = fingerprint_rep(np.eye(2, dtype=np.int64), np.eye(2, dtype=np.int64), F17)
     # product fingerprint of I2 is 1 + X^3
@@ -164,7 +171,7 @@ def test_accumulation_at_the_verify_prime(grid, start):
     pair = augment(a, b, c)
     (ctx,) = build_crt_basis(n, pair.magnitude_bound()).fields
     p, h = ctx.p, n // grid
-    rep = fingerprint_rep(*pair.reduced(ctx), ctx)
+    rep = _pair_rep(pair, ctx)
     vals = eval_fingerprint_progression(rep, start, count, grid=grid)
     d = (naive_multiply(a, b).data - c) % p
     xs = [pow(ctx.omega, start + u, p) for u in range(count)]
@@ -175,6 +182,91 @@ def test_accumulation_at_the_verify_prime(grid, start):
             blk = d[ai * h : (ai + 1) * h, bi * h : (bi + 1) * h]
             want = (blk @ xh % p * xp).sum(axis=0) % p
             assert np.array_equal(vals.reshape(grid, grid, count)[ai, bi], want)
+
+
+_CAP = (1 << 40) - 1
+
+
+def _direct_form_case(kind, rng, n):
+    """A, B and C for the direct-form tests: entries of +-9 with C off AB,
+    C zero, C with one nonzero column, entries at +-(2^40 - 1), or an
+    object-dtype C with entries above 2^62."""
+    a, b = rng.integers(-9, 10, (n, n)), rng.integers(-9, 10, (n, n))
+    if kind == "cap":
+        a, b = (_CAP * rng.choice((-1, 0, 1), (n, n)) for _ in range(2))
+    c = naive_multiply(a, b).data
+    if kind == "dense":
+        c = c + rng.integers(-999, 1000, (n, n))
+    elif kind in ("zero_c", "one_column"):
+        c = np.zeros((n, n), dtype=np.int64)
+        if kind == "one_column":
+            c[:, 19] = rng.integers(1, 10, n)
+    else:
+        c = c.astype(object)
+        c[3, 5] += 1 << 70
+        c[10, 18] -= 7
+    return a, b, c
+
+
+@pytest.mark.parametrize("kind", ["dense", "zero_c", "one_column", "cap", "object_c"])
+@pytest.mark.parametrize("grid", [1, 2])
+@pytest.mark.parametrize("path", ["gemm", "chirp"])
+def test_direct_form_matches_the_materialized_pair(monkeypatch, path, grid, kind):
+    # the side-8 block at (8, 16) of AB - C, evaluated straight from A, B and
+    # C, against the same block of the materialized (A | C), (B ; -I) on the
+    # same path, and against the full coefficient expansion: same values
+    # and the same count of evaluations
+    monkeypatch.setattr(verify_mod, "K_GEMM", 1 << 20 if path == "gemm" else 0)
+    rng = seeded_rng(31)
+    n, side, count, start = 24, 8, 20, 3
+    a, b, c = _direct_form_case(kind, rng, n)
+    pair = augment(IntMatrix(a), IntMatrix(b), IntMatrix(c))
+    ctx = build_crt_basis(n, pair.magnitude_bound()).fields[0]
+    ap, bp, cp, bound = pair.reduced(ctx)
+    if kind in ("cap", "object_c"):
+        assert bound == ctx.p - 1 and cp.dtype == np.int64
+    rows, cols = slice(8, 8 + side), slice(16, 16 + side)
+    direct = FingerprintRep(ctx, side, ap[rows].T, bp[:, cols], cp[rows, cols], bound)
+    left, right = pair.materialize()
+    old = fingerprint_rep(left[rows], right[:, cols], ctx)
+    got, want = {}, {}
+    vals = eval_fingerprint_progression(direct, start, count, got, grid=grid)
+    assert np.array_equal(vals, eval_fingerprint_progression(old, start, count, want, grid=grid))
+    assert got == want and got[f"{path}_points"] == count * grid * grid
+    pts = [pow(ctx.omega, start + u, ctx.p) for u in range(count)]
+    if grid == 1:
+        coeffs = fingerprint_coeffs(left[rows].tolist(), right[:, cols].tolist(), ctx.p)
+        assert vals.tolist() == [oracle_eval(coeffs, x, ctx.p) for x in pts]
+        assert eval_fingerprint(direct, pts) == vals.tolist()
+    if kind == "zero_c":
+        assert got["evaluations"] == count * _live_count(ap[rows].T, bp[:, cols], grid)
+    elif kind == "one_column":
+        # the nonzero column counts once, where its -I inner index did
+        live = _live_count(ap[rows].T, bp[:, cols], grid)
+        assert got["evaluations"] == count * (live + grid)
+
+
+def _live_count(left, right, grid):
+    """Live (inner index, sub-block) pairs of a plain product's block."""
+    h = left.shape[1] // grid
+    lq = left.reshape(-1, grid, h).any(axis=2).sum(axis=1)
+    rr = right.reshape(-1, grid, h).any(axis=2).sum(axis=1)
+    return int((lq * rr).sum())
+
+
+def test_matmul_mod_takes_one_gemm_on_a_small_signed_factor(monkeypatch):
+    # at p = 2^31 - 1 residues need the limb split, but a factor of
+    # entries in [-9, 9] keeps 64 * (p - 1) * 9 below 2^53: one exact GEMM,
+    # which a broken limb width cannot touch
+    p = (1 << 31) - 1
+    rng = seeded_rng(32)
+    x = rng.integers(0, p, (5, 64))
+    y = rng.integers(-9, 10, (64, 7))
+    want = ((x.astype(object) @ y.astype(object)) % p).tolist()
+    assert verify_mod._matmul_mod(x, y % p, p).tolist() == want
+    monkeypatch.setattr(verify_mod, "_LIMB_BITS", 1)
+    assert verify_mod._matmul_mod(x, y % p, p).tolist() != want
+    assert verify_mod._matmul_mod(x, y, p, 9).tolist() == want
 
 
 def _expanded_oracle(left, right, ctx, grid, points):
@@ -408,8 +500,7 @@ def _values_mod_each_prime(a, b, c, count):
     pair = augment(IntMatrix(a), IntMatrix(b), IntMatrix(c))
     out = {}
     for ctx in build_crt_basis(len(a), pair.magnitude_bound()).fields:
-        ap, bp = pair.reduced(ctx)
-        out[ctx.p] = eval_fingerprint_progression(fingerprint_rep(ap, bp, ctx), 0, count)
+        out[ctx.p] = eval_fingerprint_progression(_pair_rep(pair, ctx), 0, count)
     return out
 
 
