@@ -28,6 +28,14 @@ at each granularity step. Both end with the same integer sweep at 2t
 points; after a prony pass it evaluates only the primes no pass has
 evaluated, and reads the pass's own values, shifted by its writes, mod
 the others.
+
+The third table goes past the sizes above at t = 8 only, on the same
+kind of factors, against the float64 BLAS product (exact here: every sum
+stays below 2^53), which also supplies C. The factors are IntMatrix
+objects, so verify_product does not copy them. Its Vandermonde GEMMs
+take A, B and C as they are: with entries this small, one float64 GEMM
+is exact even at n = 2048, where residues mod p would need four limb
+GEMMs.
 """
 
 import time
@@ -35,6 +43,7 @@ import time
 import numpy as np
 
 from matverify import (
+    IntMatrix,
     correct_product,
     naive_multiply,
     seeded_rng,
@@ -90,3 +99,16 @@ for n in (128, 256):
         assert np.array_equal(res.product.data, c) and res.correction_count == n
     (tp, ep), (tq, eq) = row
     print(f"{n:>5} {n:>5} {tp:>10.3f} {tq:>13.3f} {ep:>12} {eq:>15}")
+
+print(f"\n{'n':>5} {'verify, t = 8 (s)':>18} {'float64 BLAS (s)':>17} {'ratio':>7} "
+      f"{'primes':>7}")
+for n in (1024, 2048):
+    af = rng.integers(-9, 10, (n, n)).astype(np.float64)
+    bf = rng.integers(-9, 10, (n, n)).astype(np.float64)
+    a, b = IntMatrix(af.astype(np.int64)), IntMatrix(bf.astype(np.int64))
+    c = IntMatrix((af @ bf).astype(np.int64))
+    stats = {}
+    assert verify_product(a, b, c, 8, stats=stats)
+    t8 = median_of(lambda: verify_product(a, b, c, 8))
+    tb = median_of(lambda: af @ bf)
+    print(f"{n:>5} {t8:>18.4f} {tb:>17.4f} {tb / t8:>7.2f} {stats['primes']:>7}")

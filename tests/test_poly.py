@@ -18,6 +18,8 @@ from matverify import (
     seeded_rng,
 )
 from matverify import poly
+from matverify.field import find_generator, sieve_primes_in_range
+from matverify.matrix import next_pow2
 from matverify.poly import progression_eval
 
 from helpers import oracle_eval, oracle_poly_mul
@@ -207,6 +209,75 @@ def test_limb_plan_pins():
     assert poly._limb_plan(262147, 1024, 512) == (1, 19)     # n = 512
     assert poly._limb_plan(263171, 2048, 513)[0] == 2        # n = 513
     assert poly._limb_plan((1 << 31) - 1, 4096, 2048)[0] == 3
+
+
+_SMOOTH = sorted({f << a for f in (1, 3, 5) for a in range(24)})
+
+
+def test_fft_length_is_the_least_smooth_length():
+    for x in range(1, 5000):
+        assert poly.fft_length(x) == next(L for L in _SMOOTH if L >= x), x
+    # lengths move only off powers of two
+    assert poly._segment(384, 384) == (384, 768)
+    assert poly._segment(320, 320) == (320, 640)
+    assert poly._segment(64, 256) == (256, 320)
+    assert poly._segment(128, 128) == (128, 256)
+    assert poly._segment(512, 512) == (512, 1024)
+
+
+def test_smooth_lengths_take_the_plan_of_the_power_of_two_above():
+    primes = {(1 << 31) - 1}
+    for n in (64, 128, 320, 384, 512, 1024):
+        primes.update(f.p for f in build_crt_basis(n, 10**30).fields)
+    lengths = [L for L in _SMOOTH if L <= 1 << 22] + list(range(1, 3000, 37))
+    for p in sorted(primes):
+        for length in lengths:
+            for support in {1, 64, 384, length}:
+                assert (poly._limb_plan(p, length, support)
+                        == poly._limb_plan(p, next_pow2(length), support)), (p, length)
+
+
+def _widest_one_limb_prime(length, support):
+    """The largest prime whose plan at this length and support is one limb."""
+    lo, hi = 5, 1 << 31
+    while hi - lo > 1:     # one limb holds for every p below the threshold
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if poly._limb_plan(mid, length, support)[0] == 1 else (lo, mid)
+    return max(sieve_primes_in_range(lo - 5000, lo))
+
+
+@pytest.mark.parametrize("n, count, length", [(384, 384, 768), (64, 256, 320)])
+def test_progression_eval_on_smooth_lengths_at_the_widest_one_limb_prime(n, count, length):
+    # rows of n coefficients at count points run on transforms of 3 * 2^8
+    # and 5 * 2^6 points, at the largest prime that still takes one limb
+    # there, with every coefficient p - 1 (and a random row); Horner agrees
+    p = _widest_one_limb_prime(length, n)
+    assert poly._limb_plan(p, length, n)[0] == 1
+    g = find_generator(p)
+    plan = poly.ProgressionPlan(n, 3, g, count, p)
+    assert (plan.length, plan.plan[0]) == (length, 1)
+    rng = seeded_rng(39)
+    rows = np.stack([np.full(n, p - 1), rng.integers(0, p, n)])
+    got = progression_eval(rows, 3, g, count, p)
+    ctx = FieldCtx(p, g, order_lb=2)
+    pts = [3 * pow(g, u, p) % p for u in range(count)]
+    for row, vals in zip(rows, got):
+        assert vals.tolist() == multipoint_eval(Poly(row, ctx), pts)
+
+
+@pytest.mark.parametrize("lf, lg", [(6, 7), (10, 11), (200, 185), (300, 341), (1000, 537)])
+def test_poly_mul_on_smooth_lengths(lf, lg):
+    # products of 12, 20, 384, 640 and 1536 coefficients: transforms of
+    # 3 * 2^a and 5 * 2^a points
+    p = 147457
+    ctx = FieldCtx(p, 10, order_lb=2)
+    length = poly.fft_length(lf + lg - 1)
+    assert length & (length - 1) and length == lf + lg - 1
+    rng = seeded_rng(40 + lf)
+    for f, g in ((rng.integers(0, p, lf), rng.integers(0, p, lg)),
+                 ([p - 1] * lf, [p - 1] * lg)):
+        got = poly_mul(Poly(f, ctx), Poly(g, ctx))
+        assert [int(v) for v in got.coeffs] == oracle_poly_mul(f, g, p)
 
 
 def _bound(limbs, width, length, support, p):

@@ -7,6 +7,7 @@ from matverify import (
     FieldCtx,
     FingerprintRep,
     IntMatrix,
+    ResourceLimitError,
     UsageError,
     all_zeroes_test,
     augment,
@@ -257,15 +258,16 @@ def _live_count(left, right, grid):
 def test_matmul_mod_takes_one_gemm_on_a_small_signed_factor(monkeypatch):
     # at p = 2^31 - 1 residues need the limb split, but a factor of
     # entries in [-9, 9] keeps 64 * (p - 1) * 9 below 2^53: one exact GEMM,
-    # which a broken limb width cannot touch
+    # which still runs when limbs that wide refuse the inner dimension
     p = (1 << 31) - 1
     rng = seeded_rng(32)
     x = rng.integers(0, p, (5, 64))
     y = rng.integers(-9, 10, (64, 7))
     want = ((x.astype(object) @ y.astype(object)) % p).tolist()
     assert verify_mod._matmul_mod(x, y % p, p).tolist() == want
-    monkeypatch.setattr(verify_mod, "_LIMB_BITS", 1)
-    assert verify_mod._matmul_mod(x, y % p, p).tolist() != want
+    monkeypatch.setattr(verify_mod, "_LIMB_BITS", 26)
+    with pytest.raises(ResourceLimitError):
+        verify_mod._matmul_mod(x, y % p, p)
     assert verify_mod._matmul_mod(x, y, p, 9).tolist() == want
 
 
