@@ -43,6 +43,7 @@ from .matrix import (
     as_matrix,
     augment,
     exact_dot,
+    field_form,
     pad_to_pow2,
     square_matrices,
 )
@@ -85,11 +86,11 @@ class CorrectionEngine:
 
     The pass is shared by both engines: run() takes the positions that
     locate() yields, confirms each by an exact inner product, writes it
-    into C and patches C's residues and any cached values. Here locate()
-    is the quadtree search, and the working state is its own: the
-    factors, per-block granularity tau, the computed prefix of each
-    block's test values as one residue array, and the nested queue of
-    blocks certified to contain a nonzero."""
+    into C and patches any cached values; each evaluation reads C's block
+    from the pair. Here locate() is the quadtree search, and the working
+    state is its own: per-block granularity tau, the computed prefix of
+    each block's test values as one residue array, and the nested queue
+    of blocks certified to contain a nonzero."""
 
     def __init__(
         self, pair: AugmentedPair, t: int, ctx: FieldCtx, stats: dict, trace=None
@@ -102,8 +103,7 @@ class CorrectionEngine:
         self.stats = stats
         self.trace = trace
 
-        self.ap, self.bp, c, _ = pair.reduced(ctx)
-        self.cp = c % ctx.p   # a copy that apply_write patches
+        self.ap, self.bp, _, self.bound = pair.reduced(ctx)
         self.root = SubmatrixId(0, 0, m)
 
         self.tau: dict[SubmatrixId, int] = {}
@@ -118,13 +118,14 @@ class CorrectionEngine:
         """Block test values at exponents lo..hi-1 recomputed from the
         current factors; the oracle the caches must agree with. With grid=2
         they are the values of the four children of s, shape (2, 2, hi-lo).
-        The factors are in the form the evaluators take, so their slices go
-        to the kernel as they are."""
+        C's block goes through field_form under the current max|C|, so a
+        write that lifts it to p or past switches C to residues."""
         i0, j0, side = s.i_start, s.j_start, s.side
         rows, cols = slice(i0, i0 + side), slice(j0, j0 + side)
-        rep = FingerprintRep(
-            self.ctx, side, self.ap[rows].T, self.bp[:, cols], self.cp[rows, cols]
-        )
+        c = self.pair.c
+        cb, c_bound = field_form(c.data[rows, cols], self.ctx.p, c.max_abs)
+        rep = FingerprintRep(self.ctx, side, self.ap[rows].T, self.bp[:, cols], cb,
+                             max(self.bound, c_bound))
         return eval_fingerprint_progression(rep, lo, hi - lo, self.stats, grid=grid)
 
     def _extend_values(self, s: SubmatrixId, target: int) -> None:
@@ -186,15 +187,13 @@ class CorrectionEngine:
     # -- update ----------------------------------------------------------
 
     def apply_write(self, i: int, j: int, old: int, new: int) -> None:
-        """Patch the field copy and every cached value on the containing
-        chain after C[i, j] changed from old to new. Only the root and the
-        children of searched blocks hold values, so the walk stops at the
-        first block on the chain without them. The write moves each block
-        fingerprint by -delta * X^e, and one power_sequence call gives the
-        powers of every block's omega^e."""
+        """Patch every cached value on the containing chain after C[i, j]
+        changed from old to new. Only the root and the children of searched
+        blocks hold values, so the walk stops at the first block on the chain
+        without them. The write moves each block fingerprint by -delta * X^e,
+        and one power_sequence call gives the powers of every block's omega^e."""
         p = self.ctx.p
         delta = (new - old) % p
-        self.cp[i, j] = new % p
         chain = []
         s = self.root
         while (stored := self.vals.get(s)) is not None:

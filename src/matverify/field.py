@@ -118,26 +118,15 @@ def exact_ints(arr: np.ndarray, what: str) -> list[int]:
 
 
 def reduce_mod(data, p: int) -> np.ndarray:
-    """Integer entries reduced into [0, p) as int64; an int64 array that is
-    already reduced passes through uncopied. Unsigned and object entries
-    are reduced exactly; a non-integer entry raises UsageError."""
+    """Integer entries reduced into [0, p), as a new int64 array. Unsigned
+    and object entries are reduced exactly; a non-integer entry raises
+    UsageError. Matrix factors below p in magnitude skip it (see
+    matrix.field_form), so it has no fast path for them."""
     data = np.asarray(data)
     if data.dtype.kind not in "bi":
         flat = [v % p for v in exact_ints(data, "entries")]
         return np.array(flat, dtype=np.int64).reshape(data.shape)
-    data = data.astype(np.int64, copy=False)
-    if not data.size:
-        return data
-    lo, hi = int(data.min()), int(data.max())
-    if 0 <= lo and hi < p:
-        return data
-    if -p < lo and hi < p:
-        # add p where the sign bit is set: one masked add, no division
-        out = data >> 63
-        out &= p
-        out += data
-        return out
-    return data % p
+    return data.astype(np.int64, copy=False) % p
 
 
 def power_sequence(base, count: int, p: int) -> np.ndarray:

@@ -26,8 +26,8 @@ class IntMatrix:
 
     @classmethod
     def _adopt(cls, arr: np.ndarray, max_abs=None) -> "IntMatrix":
-        """An IntMatrix over a freshly built array that no one else holds,
-        taken over without a copy."""
+        """An IntMatrix over arr, an int64 array taken without a copy: one
+        freshly built, or one that is only read while the result lives."""
         m = cls.__new__(cls)
         m._take(arr, max_abs, copy=False)
         return m
@@ -79,7 +79,21 @@ class IntMatrix:
 
 
 def as_matrix(x) -> IntMatrix:
-    return x if isinstance(x, IntMatrix) else IntMatrix(x)
+    """x as an IntMatrix to read: an int64 array is wrapped, not copied."""
+    return x if isinstance(x, IntMatrix) else IntMatrix._adopt(np.asarray(x))
+
+
+def field_form(data: np.ndarray, p: int, max_abs: int | None = None):
+    """A factor as the fingerprint evaluators take it mod p, and a bound
+    below p on its |entries|: as it is when max_abs, which bounds them, is
+    below p (an entry is then nonzero mod p just where it is nonzero),
+    reduced into [0, p) otherwise. Without max_abs, int64 data is scanned
+    and any other dtype is reduced."""
+    if max_abs is None and data.dtype == np.int64:
+        max_abs = max(int(data.max(initial=0)), -int(data.min(initial=0)))
+    if max_abs is not None and max_abs < p:
+        return data, max_abs
+    return reduce_mod(data, p), p - 1
 
 
 def read_matrix(path) -> IntMatrix:
@@ -148,11 +162,12 @@ def exact_dot(x: np.ndarray, y: np.ndarray, x_max: int, y_max: int):
 
 def _max_square_norm(m: IntMatrix, axis: int) -> int:
     """The largest sum of squared entries along axis (1: rows, 0: columns),
-    in int64 while no sum can reach 2^62, in Python ints otherwise."""
+    in int64 while no sum can reach 2^62, in Python ints otherwise; einsum
+    builds no temporary of the matrix's size."""
     x = m.data
     if x.dtype == object or x.shape[axis] * m.max_abs**2 >= _I64_SAFE:
         x = x.astype(object)
-    return int((x * x).sum(axis=axis).max())
+    return int(np.einsum("ij,ij->i" if axis else "ij,ij->j", x, x).max())
 
 
 def naive_multiply(a, b) -> IntMatrix:
@@ -286,16 +301,13 @@ class AugmentedPair:
         return left, right
 
     def reduced(self, ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """A, B and C as the fingerprint evaluators take them mod ctx.p, and
-        a bound below p on all their |entries|: a factor below p in
-        magnitude as it is (nonzero mod p just where it is nonzero), any
-        other reduced into [0, p)."""
-        p = ctx.p
-        mats = (self.a, self.b, self.c)
-        out = tuple(m.data if m.max_abs < p else reduce_mod(m.data, p) for m in mats)
-        return out + (min(max(m.max_abs for m in mats), p - 1),)
+        """A, B and C in field_form mod ctx.p, and the largest bound."""
+        forms = [field_form(m.data, ctx.p, m.max_abs) for m in (self.a, self.b, self.c)]
+        return (*(f for f, _ in forms), max(bound for _, bound in forms))
 
 
 def augment(a, b, c) -> AugmentedPair:
-    """Build the live augmented pair for AB - C."""
-    return AugmentedPair(as_matrix(a), as_matrix(b), as_matrix(c))
+    """Build the live augmented pair for AB - C. An engine may write its C,
+    so an array is copied; an IntMatrix is held by reference."""
+    mats = (x if isinstance(x, IntMatrix) else IntMatrix(x) for x in (a, b, c))
+    return AugmentedPair(*mats)

@@ -34,7 +34,7 @@ class Poly:
     __slots__ = ("coeffs", "ctx")
 
     def __init__(self, coeffs, ctx: FieldCtx):
-        arr = np.array(coeffs)     # a copy: the caller's array stays its own
+        arr = np.asarray(coeffs)   # reduce_mod returns a new array
         if arr.ndim != 1:
             raise UsageError("coefficients must be one-dimensional")
         arr = reduce_mod(arr, ctx.p)
@@ -319,8 +319,8 @@ def progression_eval(coeffs, first: int, ratio: int, count: int, p: int) -> np.n
     """Values sum_i c[i] * (first * ratio^u)^i for u = 0..count-1, for one
     coefficient vector (shape (count,)) or for every row of a 2-d array
     (shape (rows, count)). Coefficients are int64 below p in magnitude:
-    Poly and AugmentedPair.reduced reduce once at the public entry, so the
-    row blocks that callers feed through here are not scanned again.
+    Poly and matrix.field_form bring them there once at the public entry,
+    so the row blocks that callers feed through here are not scanned again.
 
     The ratio must be nonzero mod p. The chirp transform of a
     ProgressionPlan sized to the rows' last nonzero column computes the

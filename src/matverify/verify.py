@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError
-from .field import CrtBasis, FieldCtx, build_crt_basis, power_sequence, reduce_mod
-from .matrix import IntMatrix, augment, exact_dot, square_matrices
+from .field import CrtBasis, FieldCtx, build_crt_basis, power_sequence
+from .matrix import IntMatrix, augment, exact_dot, field_form, square_matrices
 from .poly import ProgressionPlan, rows_per_block
 from .poly import progression_eval  # noqa: F401  perfbench's tracer patches it here
 
@@ -66,21 +66,21 @@ class FingerprintRep:
     left_polys[k] holds column k of L over the block rows, right_polys[k]
     holds row k of R over the block columns, and the value at x is sum_k
     left_k(x) * right_k(x^side) - sum_j c_j(x) * x^(side*j), c_j column j
-    of c. Entries are int64 within bound < p (None: residues in [0, p)).
+    of c. Every factor is in matrix.field_form, int64 within bound < p.
     """
 
     ctx: FieldCtx
     side: int
     left_polys: np.ndarray   # (K, side)
     right_polys: np.ndarray  # (K, side)
-    c: np.ndarray | None = None   # (side, side)
-    bound: int | None = None
+    c: np.ndarray | None     # (side, side)
+    bound: int
 
 
 def fingerprint_rep(left: np.ndarray, right: np.ndarray, ctx: FieldCtx) -> FingerprintRep:
     """The rep of the whole product left @ right, which must be square and
-    nonempty; a block's rep is that of the factors' slices. Entries already
-    reduced to int64 in [0, p) pass through as views."""
+    nonempty; a block's rep is that of the factors' slices. The factors go
+    through matrix.field_form: int64 ones below p pass through as views."""
     left = left.data if isinstance(left, IntMatrix) else np.asarray(left)
     right = right.data if isinstance(right, IntMatrix) else np.asarray(right)
     if left.ndim != 2 or right.ndim != 2 or left.shape[1] != right.shape[0]:
@@ -88,9 +88,8 @@ def fingerprint_rep(left: np.ndarray, right: np.ndarray, ctx: FieldCtx) -> Finge
     side = left.shape[0]
     if side < 1 or right.shape[1] != side:
         raise UsageError("product of the pair must be square and nonempty")
-    lp = reduce_mod(left.T, ctx.p)
-    rp = reduce_mod(right, ctx.p)
-    return FingerprintRep(ctx=ctx, side=side, left_polys=lp, right_polys=rp)
+    (lp, lb), (rp, rb) = field_form(left.T, ctx.p), field_form(right, ctx.p)
+    return FingerprintRep(ctx, side, lp, rp, None, max(lb, rb))
 
 
 def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, bound=None) -> np.ndarray:

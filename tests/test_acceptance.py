@@ -349,3 +349,24 @@ def test_criterion_12_scaling_trend():
 
     _line(12, "detection scales below 5.5x/doubling and beats naive at 512",
           check)
+
+
+def test_paper_cost_on_evaluation_counts():
+    # Evaluation counts are deterministic, so they pin the paper's cost
+    # where criterion 12's wall times drift with the host. The quadtree
+    # stays within twice sqrt(t) n^2 lg n (1.31-1.80 times it, highest at
+    # n = 64). Prony evaluates 2t values of the 2n live (term, block) pairs
+    # of (A | C), (B ; -I) once for each prime of the basis: mod the first
+    # in its pass, mod the others in the sweep
+    rng = seeded_rng(1013)
+    shapes = [(n, t) for n in (64, 128, 256) for t in (1, 4, 16, 64)] + [(256, 256)]
+    for n, t in shapes:
+        a, b, c, bad = _instance(rng, n, t)
+        primes = len(build_crt_basis(n, augment(a, b, bad).magnitude_bound()).fields)
+        quad = correct_product(a, b, bad, t, engine="quadtree")
+        prony = correct_product(a, b, bad, t, engine="prony")
+        for res in (quad, prony):
+            assert np.array_equal(res.product.data, c) and res.correction_count == t
+        assert quad.evaluations <= 2 * t**0.5 * n * n * np.log2(n), (n, t)
+        assert prony.evaluations == 2 * t * 2 * n * primes, (n, t)
+    assert prony.evaluations == 262_144

@@ -20,8 +20,8 @@ from matverify import poly
 import matverify.correct as correct_mod
 import matverify.verify as verify_mod
 from matverify.correct import CorrectionEngine
-from matverify.verify import FingerprintRep, all_zeroes_test
-from matverify.matrix import SubmatrixId, augment
+from matverify.verify import FingerprintRep, all_zeroes_test, eval_fingerprint_progression
+from matverify.matrix import SubmatrixId, augment, field_form
 
 from helpers import plant_errors
 
@@ -91,10 +91,10 @@ def test_correct_does_not_mutate_input():
     a = rng.integers(-9, 10, (4, 4))
     b = rng.integers(-9, 10, (4, 4))
     bad = plant_errors(naive_multiply(a, b).data, 3, rng)
-    keep = bad.copy()
+    keep = [x.copy() for x in (a, b, bad)]
     for engine in ENGINES:
         correct_product(a, b, bad, 3, engine=engine)
-        assert np.array_equal(bad, keep)
+        assert all(np.array_equal(x, y) for x, y in zip((a, b, bad), keep))
 
 
 def test_promise_violation_raises_before_overrun():
@@ -433,9 +433,12 @@ def _check_each_search(monkeypatch) -> dict:
             i0, j0, side = blk.i_start, blk.j_start, blk.side
             rows = engine.ap[i0 : i0 + side].any(axis=0)
             cols = engine.bp[:, j0 : j0 + side].any(axis=1)
-            # C's columns that are nonzero over the block rows, each where
-            # the -I row of (B ; -I) would count
-            c_cols = engine.cp[i0 : i0 + side, j0 : j0 + side].any(axis=0)
+            # C's columns that are nonzero mod p over the block rows, each
+            # where the -I row of (B ; -I) would count
+            c = engine.pair.c
+            block, _ = field_form(c.data[i0 : i0 + side, j0 : j0 + side],
+                                  engine.ctx.p, c.max_abs)
+            c_cols = block.any(axis=0)
             want += count * int(np.count_nonzero(rows & cols) + np.count_nonzero(c_cols))
             # a live column of C reaches one column of the block, so one
             # column half of its parent
@@ -685,3 +688,96 @@ def test_prony_extends_a_sweeps_values_when_2t_exceeds_m2(monkeypatch):
     assert np.array_equal(res.product.data, truth) and res.prime_passes == 2
     assert starts == [(p1, 0, 6), (p2, 4, 6)]
     assert res.evaluations == 80
+
+
+# -- C's blocks in field_form at the edges of the rule -------------------------
+
+
+def _residue_rep_values(pair, ctx, s, lo, hi, grid, stats):
+    """Values of block s of the materialized (A | C), (B ; -I), every entry
+    reduced into [0, p) first: the form the rule passes only past p."""
+    p = ctx.p
+    left, right = pair.materialize()
+    rows = slice(s.i_start, s.i_start + s.side)
+    cols = slice(s.j_start, s.j_start + s.side)
+    lp = np.array((left[rows].T % p).tolist(), dtype=np.int64)
+    rp = np.array((right[:, cols] % p).tolist(), dtype=np.int64)
+    rep = FingerprintRep(ctx, s.side, lp, rp, None, p - 1)
+    return eval_fingerprint_progression(rep, lo, hi - lo, stats, grid=grid)
+
+
+def _field_form_cases():
+    """(name, a, b, c, t) at m = 8, whose first prime is 67."""
+    rng = seeded_rng(211)
+    a = rng.integers(-1, 2, (8, 8))
+    b = rng.integers(-1, 2, (8, 8))
+    truth = naive_multiply(a, b).data
+    assert np.abs(truth).max() < 67
+    cases = []
+    for name, v in (("p-1", 66), ("p", 67), ("p+1", 68), ("-p", -67)):
+        c = truth.copy()
+        c[1, 2], c[6, 3] = v, truth[6, 3] + 1
+        cases.append((name, a, b, c, 2))
+    # C starts below p; writing 1600 + ... lifts max|C| past it mid-run
+    big_a, big_b = a.copy(), b.copy()
+    big_a[0, 0] = big_b[0, 0] = 40
+    c = naive_multiply(big_a, big_b).data.copy()
+    assert abs(c[0, 0]) > 67 and np.abs(c[1:]).max() < 67 and np.abs(c[:, 1:]).max() < 67
+    c[0, 0], c[4, 5] = 0, c[4, 5] - 2
+    cases.append(("lifted", big_a, big_b, c, 2))
+    # a write of about 2^80 moves C to object dtype
+    huge_a, huge_b = a.copy(), b.copy()
+    huge_a[3, 0] = huge_b[0, 7] = (1 << 40) - 1
+    c = naive_multiply(huge_a, huge_b).data.copy()
+    assert abs(c[3, 7]) >= 1 << 62
+    c[3, 7], c[6, 7] = 0, c[6, 7] + 3
+    cases.append(("object", huge_a, huge_b, c.astype(np.int64), 2))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(6), ids=("p-1", "p", "p+1", "-p", "lifted", "object"))
+@pytest.mark.parametrize("k_gemm", [verify_mod.K_GEMM, 0], ids=("gemm", "chirp"))
+@pytest.mark.parametrize("engine", ENGINES)
+def test_c_blocks_in_field_form_match_the_residues(monkeypatch, engine, k_gemm, case):
+    # every block evaluation, and every sweep's values, against the same
+    # block of the materialized pair reduced into [0, p): equal values and
+    # equal evaluation counts, whichever form C's block took
+    monkeypatch.setattr(verify_mod, "K_GEMM", k_gemm)
+    name, a, b, c, t = _field_form_cases()[case]
+    forms = set()
+    real_scratch = CorrectionEngine.scratch_values
+    real_verify = correct_mod.verify_product
+
+    def scratch(self, s, lo, hi, grid=1):
+        before = self.stats["evaluations"]
+        out = real_scratch(self, s, lo, hi, grid)
+        want_stats = {}
+        want = _residue_rep_values(self.pair, self.ctx, s, lo, hi, grid, want_stats)
+        assert np.array_equal(out, want), (s, lo, hi)
+        assert self.stats["evaluations"] - before == want_stats["evaluations"]
+        c_now = self.pair.c
+        forms.add((c_now.data.dtype == object, c_now.max_abs < self.ctx.p))
+        return out
+
+    def sweep(a2, b2, c2, t2, stats=None, *, known=None, basis=None):
+        out = real_verify(a2, b2, c2, t2, stats, known=known, basis=basis)
+        pair = augment(a2, b2, c2)
+        for ctx in basis.fields:
+            if ctx.p in known:
+                vals = known[ctx.p]
+                want = _residue_rep_values(pair, ctx, SubmatrixId(0, 0, pair.side),
+                                           0, len(vals), 1, {})
+                assert np.array_equal(vals, want), ctx.p
+        return out
+
+    monkeypatch.setattr(CorrectionEngine, "scratch_values", scratch)
+    monkeypatch.setattr(correct_mod, "verify_product", sweep)
+    res = correct_product(a, b, c, t, engine=engine)
+    assert np.array_equal(res.product.data, naive_multiply(a, b).data)
+    assert forms
+    if engine == "quadtree":
+        # the search reads C after its writes: in the other form once a
+        # write lifts max|C| to p, and as objects past 2^62
+        expected = {"p-1": {(False, True)}, "lifted": {(False, True), (False, False)},
+                    "object": {(False, False), (True, False)}}
+        assert forms == expected.get(name, {(False, False)}), forms

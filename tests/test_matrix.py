@@ -10,6 +10,7 @@ from matverify import (
     ResourceLimitError,
     SubmatrixId,
     UsageError,
+    as_matrix,
     augment,
     naive_multiply,
     pad_to_pow2,
@@ -213,6 +214,33 @@ def test_fresh_arrays_are_taken_over_without_a_copy(tmp_path):
     own = IntMatrix(src)
     src[0, 0] = 1000
     assert own.get(0, 0) != 1000 and own.max_abs == 9
+
+
+def test_arrays_that_are_only_read_are_not_copied():
+    # verify_product reads its arguments only for the length of the call,
+    # so 512 x 512 int64 arrays (2 MiB each) are wrapped, not copied: the
+    # probe exit and a full fingerprint at t = n each peak below one of
+    # them (the three copies took 6 MiB). augment keeps a copy of an
+    # array, since an engine writes the pair's C
+    rng = seeded_rng(4)
+    n = 512
+    a = rng.integers(-9, 10, (n, n))
+    b = rng.integers(-9, 10, (n, n))
+    c = naive_multiply(a, b).data
+    bad = c.copy()
+    bad[3, 4] += 1
+    assert as_matrix(a).data is a
+    assert verify_product(a, b, c, n)     # builds the basis and chirp tables
+    for wrong, want in ((bad, False), (c, True)):
+        ok, peak = _traced_peak(lambda: verify_product(a, b, wrong, n))
+        assert ok is want and peak < a.nbytes, peak
+    pair = augment(a, b, c)
+    for held, given in zip((pair.a, pair.b, pair.c), (a, b, c)):
+        assert not np.shares_memory(held.data, given)
+    pair.c.set(0, 0, 10**6)
+    assert c[0, 0] != 10**6
+    held = IntMatrix(c)
+    assert augment(a, b, held).c is held
 
 
 def test_submatrix_quadtree():

@@ -56,6 +56,74 @@ def test_fingerprint_matches_coefficient_expansion():
         assert eval_fingerprint(rep, pts) == want
 
 
+_EDGE = (1 << 40) - 1
+
+
+@pytest.mark.parametrize("kind", ["p-1", "p", "p+1", "2^40-1", "object", "int32"])
+@pytest.mark.parametrize("path", ["gemm", "chirp"])
+def test_fingerprint_rep_at_the_edges_of_field_form(monkeypatch, path, kind):
+    # a factor below p in magnitude is taken as it is, with its largest
+    # |entry| as the bound; any other is reduced into [0, p) with bound
+    # p - 1. Either way the values are the coefficient expansion's
+    monkeypatch.setattr(verify_mod, "K_GEMM", 1 << 20 if path == "gemm" else 0)
+    rng = seeded_rng(27)
+    ctx = build_crt_basis(6, 1).fields[0]
+    p = ctx.p
+    mag = {"p-1": p - 1, "p": p, "p+1": p + 1, "2^40-1": _EDGE, "object": 1 << 70,
+           "int32": p - 1}[kind]
+    left = rng.integers(-3, 4, (6, 5)).astype(object)
+    right = rng.integers(-3, 4, (5, 6)).astype(object)
+    left[0, :2], left[3, 4], right[2, 1] = (mag, -mag), -mag, mag
+    dtype = {"object": object, "int32": np.int32}.get(kind, np.int64)
+    left, right = left.astype(dtype), right.astype(dtype)
+    rep = fingerprint_rep(left, right, ctx)
+    as_is = dtype == np.int64 and mag < p
+    assert rep.bound == (mag if as_is else p - 1)
+    assert rep.c is None and rep.left_polys.dtype == rep.right_polys.dtype == np.int64
+    if as_is:
+        assert rep.left_polys.base is left and rep.right_polys is right
+    else:
+        assert rep.left_polys.min() >= 0 and rep.left_polys.max() < p
+    coeffs = fingerprint_coeffs(left.tolist(), right.tolist(), p)
+    pts = [pow(ctx.omega, 2 + u, p) for u in range(30)]
+    want = [oracle_eval(coeffs, x, p) for x in pts]
+    assert eval_fingerprint_progression(rep, 2, 30).tolist() == want
+    assert eval_fingerprint(rep, pts) == want
+
+
+@pytest.mark.parametrize("kind", ["p-1", "p", "p+1", "object"])
+@pytest.mark.parametrize("path", ["gemm", "chirp"])
+def test_verify_product_against_the_materialized_residues(monkeypatch, path, kind):
+    # C at p - 1, p, p + 1 of the first prime, or past 2^62 as objects,
+    # with a second entry that cancels the all-ones sum: the values of
+    # every prime the zero test evaluates are those of the materialized
+    # (A | C), (B ; -I), reduced into [0, p) entry by entry
+    monkeypatch.setattr(verify_mod, "K_GEMM", 1 << 20 if path == "gemm" else 0)
+    rng = seeded_rng(28)
+    n, t = 12, 20
+    a = rng.integers(-2, 3, (n, n))
+    b = rng.integers(-2, 3, (n, n))
+    truth = naive_multiply(a, b).data
+    p1 = build_crt_basis(n, 1).fields[0].p
+    assert np.abs(truth).max() < p1
+    v = {"p-1": p1 - 1, "p": p1, "p+1": p1 + 1, "object": 1 << 70}[kind]
+    c = truth.astype(object)
+    c[1, 2], c[7, 9] = v, c[7, 9] - (v - c[1, 2])
+    if kind != "object":
+        c = c.astype(np.int64)
+    known = {}
+    assert not verify_product(a, b, c, t, known=known)
+    assert known
+    left, right = augment(a, b, c).materialize()
+    for q, vals in known.items():
+        ctx = next(f for f in build_crt_basis(n, augment(a, b, c).magnitude_bound())
+                   .fields if f.p == q)
+        lp = np.array((left.T % q).tolist(), dtype=np.int64)
+        rp = np.array((right % q).tolist(), dtype=np.int64)
+        rep = FingerprintRep(ctx, n, lp, rp, None, q - 1)
+        assert np.array_equal(vals, eval_fingerprint_progression(rep, 0, t)), q
+
+
 def test_fingerprint_progression_matches_pointwise(monkeypatch):
     # the chirp against the GEMM evaluator at arbitrary points
     monkeypatch.setattr(verify_mod, "K_GEMM", 0)
@@ -137,7 +205,8 @@ def _sub_block_oracle(rep, start, count, grid):
     for ai in range(grid):
         for bi in range(grid):
             sub = FingerprintRep(rep.ctx, h, rep.left_polys[:, ai * h : (ai + 1) * h],
-                                 rep.right_polys[:, bi * h : (bi + 1) * h])
+                                 rep.right_polys[:, bi * h : (bi + 1) * h], None,
+                                 rep.bound)
             out[ai, bi] = eval_fingerprint(sub, pts)
     return out
 
@@ -154,7 +223,7 @@ def test_accumulation_reduces_before_int64_overflows(monkeypatch, grid):
     left = p - 1 - rng.integers(0, 3, (k, side))
     right = p - 1 - rng.integers(0, 3, (k, side))
     left[::5, : side // 2] = 0          # some halves die: fewer live pairs
-    rep = FingerprintRep(ctx, side, left, right)
+    rep = FingerprintRep(ctx, side, left, right, None, p - 1)
     vals = eval_fingerprint_progression(rep, 3, count, grid=grid)
     assert np.array_equal(vals.reshape(grid, grid, count),
                           _sub_block_oracle(rep, 3, count, grid))
@@ -350,7 +419,7 @@ def test_gemm_workspace_is_bounded():
     rng = seeded_rng(30)
     ctx = _CRT
     rep = FingerprintRep(ctx, 256, rng.integers(0, ctx.p, (8, 256)),
-                         rng.integers(0, ctx.p, (8, 256)))
+                         rng.integers(0, ctx.p, (8, 256)), None, ctx.p - 1)
     points = rng.integers(0, ctx.p, 6000)
     tracemalloc.start()
     try:
@@ -361,7 +430,7 @@ def test_gemm_workspace_is_bounded():
     assert len(vals) == 6000
     side = 1 << 14
     wide = FingerprintRep(ctx, side, rng.integers(0, ctx.p, (2, side)),
-                          rng.integers(0, ctx.p, (2, side)))
+                          rng.integers(0, ctx.p, (2, side)), None, ctx.p - 1)
     count = verify_mod.K_GEMM * side.bit_length()
     tracemalloc.start()
     try:
