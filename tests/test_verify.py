@@ -56,9 +56,6 @@ def test_fingerprint_matches_coefficient_expansion():
         assert eval_fingerprint(rep, pts) == want
 
 
-_EDGE = (1 << 40) - 1
-
-
 @pytest.mark.parametrize("kind", ["p-1", "p", "p+1", "2^40-1", "object", "int32"])
 @pytest.mark.parametrize("path", ["gemm", "chirp"])
 def test_fingerprint_rep_at_the_edges_of_field_form(monkeypatch, path, kind):
@@ -69,7 +66,7 @@ def test_fingerprint_rep_at_the_edges_of_field_form(monkeypatch, path, kind):
     rng = seeded_rng(27)
     ctx = build_crt_basis(6, 1).fields[0]
     p = ctx.p
-    mag = {"p-1": p - 1, "p": p, "p+1": p + 1, "2^40-1": _EDGE, "object": 1 << 70,
+    mag = {"p-1": p - 1, "p": p, "p+1": p + 1, "2^40-1": (1 << 40) - 1, "object": 1 << 70,
            "int32": p - 1}[kind]
     left = rng.integers(-3, 4, (6, 5)).astype(object)
     right = rng.integers(-3, 4, (5, 6)).astype(object)
