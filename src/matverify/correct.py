@@ -103,7 +103,9 @@ class CorrectionEngine:
         self.stats = stats
         self.trace = trace
 
-        self.ap, self.bp, _, self.bound = pair.reduced(ctx)
+        (self.ap, a_bound), (self.bp, b_bound) = (
+            field_form(x.data, ctx.p, x.max_abs) for x in (pair.a, pair.b))
+        self.bound = max(a_bound, b_bound)
         self.root = SubmatrixId(0, 0, m)
 
         self.tau: dict[SubmatrixId, int] = {}

@@ -1,14 +1,14 @@
 """Univariate polynomials over F_p: multiplication, evaluation at
 arbitrary points by Horner's scheme vectorised over the points, and batch
 evaluation along geometric progressions by the chirp transform. The chirp
-tables (kernel residues, kernel spectrum, inverse chirp) are cached per
-(p, ratio, transform length, limb plan) in one bounded LRU; a
-ProgressionPlan adds the per-call scales and returns raw outputs, which
-callers that sum many rows post-scale once. The chirp and poly_mul run on
-one exact float64 FFT convolution of small-width limbs: both operands hold
-balanced residues in [-p/2, p/2], and the limb count follows from a
-rounding bound on their 2-norms. Moduli are below field.WORD = 2^31, so
-residue products fit in int64 and all arithmetic runs on int64 arrays."""
+tables (kernel spectrum, inverse chirp) are cached per (p, ratio,
+transform length, limb plan) in one bounded LRU; a ProgressionPlan adds
+the per-call scales and returns raw outputs, which callers that sum many
+rows post-scale once. The chirp and poly_mul run on one exact float64 FFT
+convolution of small-width limbs: both operands hold balanced residues in
+[-p/2, p/2], and the limb count follows from a rounding bound on their
+2-norms. Moduli are below field.WORD = 2^31, so residue products fit in
+int64 and all arithmetic runs on int64 arrays."""
 
 from functools import lru_cache
 from math import sqrt
@@ -207,12 +207,10 @@ def multipoint_eval(f: Poly, points) -> list[int]:
 def _chirp(p: int, ratio: int, length: int, plan: tuple[int, int]):
     """Chirp table of a nonzero ratio at one transform length and limb
     plan: the limb spectra of the kernel ratio^T(k) as balanced residues,
-    the inverse chirp ratio^-T(k), and the kernel residues ratio^T(k) in
-    [0, p) themselves, for k < length. A row with one nonzero coefficient
-    reads its raw outputs straight off the kernel residues."""
+    and the inverse chirp ratio^-T(k), for k < length."""
     kernel = _triangular_powers(ratio, length, p)
     inv = _triangular_powers(pow(ratio, -1, p), length, p)
-    return _limb_spectra(_balanced(kernel, p), length, plan), inv, kernel
+    return _limb_spectra(_balanced(kernel, p), length, plan), inv
 
 
 def _triangular_powers(base: int, length: int, p: int) -> np.ndarray:
@@ -241,12 +239,6 @@ def _segment(n: int, count: int) -> tuple[int, int]:
     return seg, length
 
 
-def rows_per_block(n: int, count: int) -> int:
-    """Rows of n coefficients that the chirp transforms together for a
-    progression of count points."""
-    return max(1, _CHUNK_POINTS // _segment(n, count)[1])
-
-
 class ProgressionPlan:
     """The row-independent half of the chirp transform: evaluation of rows
     of at most n coefficients (residues in [0, p)) at the points x_u =
@@ -259,13 +251,14 @@ class ProgressionPlan:
 
     for the points of one segment starting at u0, with scale[i] = (first *
     ratio^u0)^i * ratio^-T(i), post[u] = ratio^-T(u - u0) and the kernel
-    ratio^T(k) of the cached chirp table. The plan holds each segment's
-    scale and the post-scale of every point; raw() returns the unscaled Z
-    of a block of rows, so a caller that multiplies and sums the values of
-    many rows applies post once, to the sum.
+    ratio^T(k), whose spectrum the cached chirp table holds. The plan holds
+    each segment's scale and the post-scale of every point; raw() returns
+    the unscaled Z of a block of rows, so a caller that multiplies and sums
+    the values of many rows applies post once, to the sum. block_rows rows
+    go through one batch of transforms.
     """
 
-    __slots__ = ("p", "n", "length", "plan", "spectrum", "kernel", "segments", "post")
+    __slots__ = ("p", "n", "length", "plan", "spectrum", "segments", "post", "block_rows")
 
     def __init__(self, n: int, first: int, ratio: int, count: int, p: int):
         ratio %= p
@@ -274,8 +267,9 @@ class ProgressionPlan:
         seg, length = _segment(n, count)
         # rows hold at most n nonzero coefficients
         self.plan = _limb_plan(p, length, n)
-        self.spectrum, inv, self.kernel = _chirp(p, ratio, length, self.plan)
+        self.spectrum, inv = _chirp(p, ratio, length, self.plan)
         self.p, self.n, self.length = p, n, length
+        self.block_rows = max(1, _CHUNK_POINTS // length)
         self.segments = []   # (u0, cnt, scale) for each segment of points
         for u0 in range(0, count, seg):
             fpow = power_sequence(first * pow(ratio, u0, p), n, p)
@@ -286,27 +280,16 @@ class ProgressionPlan:
         """Z for every row of a 2-d int64 array of entries below p in
         magnitude, zero from column n on: shape (rows, count), in [0, p).
 
-        Rows with several nonzero coefficients are scaled, balanced and
-        correlated against the kernel by batched float64 FFTs, in blocks of
-        rows so the workspace stays bounded. A row whose one nonzero
-        coefficient c sits at e has Z[u] = c * scale[e] * kernel[e + u -
-        u0], a slice of the kernel residues; all-zero rows give zeros.
+        Nonzero rows are scaled, balanced and correlated against the kernel
+        by batched float64 FFTs, block_rows at a time so the workspace stays
+        bounded; all-zero rows give zeros.
         """
         p, n = self.p, self.n
         out = np.zeros((len(rows), len(self.post)), dtype=np.int64)
-        nnz = np.count_nonzero(rows, axis=1)
-        mono = np.nonzero(nnz == 1)[0]
-        dense = np.nonzero(nnz > 1)[0]
-        exps = np.argmax(rows[mono] != 0, axis=1)
-        lone = rows[mono, exps]
-        step = max(1, _CHUNK_POINTS // self.length)
+        live = np.nonzero(rows.any(axis=1))[0]
         for u0, cnt, scale in self.segments:
-            if mono.size:
-                coef = lone * scale[exps] % p
-                kslice = self.kernel[exps[:, None] + np.arange(cnt)]
-                out[mono, u0 : u0 + cnt] = coef[:, None] * kslice % p
-            for r0 in range(0, dense.size, step):
-                idx = dense[r0 : r0 + step]
+            for r0 in range(0, live.size, self.block_rows):
+                idx = live[r0 : r0 + self.block_rows]
                 b = _balanced(rows[idx, :n] * scale, p)
                 xs = _limb_spectra(b[:, ::-1], self.length, self.plan)
                 out[idx, u0 : u0 + cnt] = _spectral_product(

@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import ResourceLimitError, UsageError
 from .field import CrtBasis, FieldCtx, build_crt_basis, power_sequence
-from .matrix import IntMatrix, augment, exact_dot, field_form, square_matrices
-from .poly import ProgressionPlan, rows_per_block
+from .matrix import _I64_SAFE, IntMatrix, augment, exact_dot, field_form, square_matrices
+from .poly import ProgressionPlan
 from .poly import progression_eval  # noqa: F401  perfbench's tracer patches it here
 
 _I64_MAX = (1 << 63) - 1
@@ -208,12 +208,14 @@ def eval_fingerprint_progression(
     so each side goes through the kernel once for the whole grid.
 
     Up to K_GEMM * bit_length(h) points the Vandermonde GEMMs of
-    _gemm_values run; past that the chirp does. Both sides take one
-    ProgressionPlan per call there, C's columns going with the left halves
-    against rows of -I. The raw kernel outputs of each block of terms are
+    _gemm_values run; past that the chirp does, with one ProgressionPlan
+    per side and call. The raw kernel outputs of each block of terms are
     multiplied and summed in int64, reduced only when the next block could
-    overflow the sum, and the two post-scales are applied once to the
-    total. stats["evaluations"] counts count times the _live_pairs;
+    overflow the sum, and the right post-scale is applied once to the
+    total. C's term then takes its _gemm_values form under the same rule:
+    the left plan's raw values of column b*h + e of C, times (x_u^h)^e, go
+    to sub-block column b, and the left post-scale is applied once to the
+    result. stats["evaluations"] counts count times the _live_pairs;
     stats["gemm_points"] and stats["chirp_points"] count the values each
     path computed, count per sub-block, and stats["limbs"] keeps the most
     limbs a chirp plan split its transforms into.
@@ -240,17 +242,10 @@ def eval_fingerprint_progression(
         # how many products, each at most (p - 1)^2, int64 holds on top of
         # a reduced sum
         budget = (_I64_MAX - (p - 1)) // (p - 1) ** 2
-        step = max(1, min(rows_per_block(side, count) // grid, budget))
-
-        def blocks():
-            for k0 in range(0, len(rep.left_polys), step):
-                yield rep.left_polys[k0 : k0 + step], rep.right_polys[k0 : k0 + step]
-            for j0 in range(0, 0 if rep.c is None else grid * side, step):
-                eye = np.eye(min(step, grid * side - j0), grid * side, j0, np.int64)
-                yield rep.c.T[j0 : j0 + step], eye * (p - 1)
-
+        step = max(1, min(plan_q.block_rows // grid, budget))
         pending = 0
-        for lq, rr in blocks():
+        for k0 in range(0, len(rep.left_polys), step):
+            lq, rr = rep.left_polys[k0 : k0 + step], rep.right_polys[k0 : k0 + step]
             if pending + len(lq) > budget:
                 acc %= p
                 pending = 0
@@ -259,7 +254,25 @@ def eval_fingerprint_progression(
             acc += (zq * zr).sum(axis=0)
             pending += len(lq)
         acc %= p
-        acc *= plan_q.post * plan_r.post % p
+        acc *= plan_r.post   # plan_q's raw units from here on; at most one product
+        pending = 1
+        # C's column b*side + e against y_u^e, y_u = x_u^side, advanced by y^step
+        ys = power_sequence(ratio_r, count, p) * pow(ratio_r, start_exp, p) % p
+        first = power_sequence(ys, min(step, side), p).T
+        jump = first[-1] * ys % p
+        for b in range(0 if rep.c is None else grid):
+            ypow = first
+            for e0 in range(0, side, step):
+                lc = rep.c.T[b * side + e0 : b * side + min(e0 + step, side)]
+                if pending + len(lc) > budget:
+                    acc %= p
+                    pending = 0
+                zc = plan_q.raw(lc.reshape(-1, side)).reshape(-1, grid, count)
+                acc[:, b] -= (zc * ypow[: len(lc), None]).sum(axis=0)
+                pending += len(lc)
+                ypow = ypow * jump % p
+        acc %= p
+        acc *= plan_q.post
         acc %= p
         if stats is not None:   # both sides share one limb plan
             stats["limbs"] = max(stats.get("limbs", 0), plan_q.plan[0])
@@ -306,15 +319,16 @@ def all_zeroes_test(
 def _ones_probe(a: IntMatrix, b: IntMatrix, c: IntMatrix) -> int:
     """1^T (AB - C) 1 = colsum(A) . rowsum(B) - sum(C), exactly over the
     integers: the sum of all entries of AB - C, which is the fingerprint at
-    omega^0 before any reduction. Each product runs in int64 when its
+    omega^0 before any reduction. Sums and product run in int64 while their
     partial sums stay below 2^62, in Python ints otherwise."""
     n = a.rows
-    ones = np.ones(n, dtype=np.int64)
-    col_a = exact_dot(ones, a.data, 1, a.max_abs)
-    row_b = exact_dot(b.data, ones, b.max_abs, 1)
-    row_c = exact_dot(c.data, ones, c.max_abs, 1)
-    ab = exact_dot(col_a, row_b, n * a.max_abs, n * b.max_abs)
-    return int(ab) - int(exact_dot(ones, row_c, 1, n * c.max_abs))
+
+    def total(m: IntMatrix, axis=None):
+        wide = m.max_abs * (n if axis is not None else n * n) >= _I64_SAFE
+        return (m.data.astype(object) if wide else m.data).sum(axis=axis)
+
+    ab = exact_dot(total(a, 0), total(b, 1), n * a.max_abs, n * b.max_abs)
+    return int(ab) - int(total(c))
 
 
 def verify_product(

@@ -33,6 +33,7 @@ from matverify import (
     three_sum_bruteforce,
     verify_product,
 )
+from matverify import poly
 from matverify.poly import Poly
 from matverify.verify import _matmul_mod
 
@@ -370,3 +371,35 @@ def test_paper_cost_on_evaluation_counts():
         assert quad.evaluations <= 2 * t**0.5 * n * n * np.log2(n), (n, t)
         assert prony.evaluations == 2 * t * 2 * n * primes, (n, t)
     assert prony.evaluations == 262_144
+
+
+def test_verify_transform_work_on_n2_log_n(monkeypatch):
+    # The chirp's FFT work, rows * L * log2(L) summed over every rfft and
+    # irfft of one verify_product at t = n with C = AB, stays a constant
+    # times n^2 log2 n: 13.3-13.7 at one limb (n <= 512), 33.0 at two
+    # (n = 1024). Transforming C's columns on both sides would raise it
+    # past the cap.
+    work = []
+
+    def counted(fft):
+        def wrapped(x, n=None, *args, **kwargs):
+            length = 2 * (x.shape[-1] - 1) if n is None else n
+            work.append(x.size // x.shape[-1] * length * np.log2(length))
+            return fft(x, n, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft))
+    monkeypatch.setattr(np.fft, "irfft", counted(np.fft.irfft))
+    rng = seeded_rng(1024)
+    for n, limbs, cap in [(128, 1, 14), (384, 1, 14), (512, 1, 14), (1024, 2, 34)]:
+        a = IntMatrix(rng.integers(-9, 10, (n, n)))
+        b = IntMatrix(rng.integers(-9, 10, (n, n)))
+        # entries of +-9: the float64 product is exact
+        c = IntMatrix((a.data.astype(float) @ b.data.astype(float)).astype(np.int64))
+        poly._chirp.cache_clear()   # the kernel spectrum's transforms count too
+        work.clear()
+        stats = {}
+        assert verify_product(a, b, c, n, stats)
+        assert (stats["primes"], stats["limbs"], stats["chirp_points"]) == (1, limbs, n)
+        ratio = sum(work) / (n * n * np.log2(n))
+        assert ratio <= cap, (n, ratio)

@@ -159,9 +159,9 @@ def test_progression_rows_match_single_rows():
         assert list(got[k]) == [oracle_eval(rows[k].tolist(), x, p) for x in pts]
 
 
-def test_monomial_rows_read_the_kernel(monkeypatch):
-    # a row c * X^e has raw outputs c * scale[e] * kernel[e + u]: no
-    # transform runs for it, in any segment, up to e = n - 1
+def test_monomial_rows_across_segments(monkeypatch):
+    # rows c * X^e at e = 0, 17 and n - 1 and a zero row, at the widest
+    # word prime, over two segments of points
     p = (1 << 31) - 1
     first, ratio, count, n = 5, 48271, 70, 37
     rows = np.zeros((4, n), dtype=np.int64)
@@ -169,11 +169,6 @@ def test_monomial_rows_read_the_kernel(monkeypatch):
     monkeypatch.setattr(poly, "_SEGMENT", 16)     # segments of 37 and 33 points
     plan = poly.ProgressionPlan(n, first, ratio, count, p)
     assert [(u0, cnt) for u0, cnt, _ in plan.segments] == [(0, 37), (37, 33)]
-
-    def no_transform(*args):
-        raise AssertionError("a monomial row went through the kernel")
-
-    monkeypatch.setattr(poly, "_spectral_product", no_transform)
     got = progression_eval(rows, first, ratio, count, p)
     pts = [first * pow(ratio, u, p) % p for u in range(count)]
     assert got.tolist() == [[oracle_eval(r.tolist(), x, p) for x in pts] for r in rows]
@@ -410,20 +405,14 @@ def test_one_cached_chirp_table_per_transform(monkeypatch):
     assert progression_eval(rows, first, ratio, count, p).tolist() == oracle(rows)
 
     # the repeat transforms only its rows: one row block, four segments
-    spectra, calls = [], []
-    limb_spectra, power_seq = poly._limb_spectra, poly.power_sequence
+    spectra = []
+    limb_spectra = poly._limb_spectra
     monkeypatch.setattr(poly, "_limb_spectra",
                         lambda x, *a: spectra.append(x.shape) or limb_spectra(x, *a))
-    monkeypatch.setattr(poly, "power_sequence",
-                        lambda *a: calls.append(a) or power_seq(*a))
     assert progression_eval(rows, first, ratio, count, p).tolist() == oracle(rows)
-    assert spectra == [(1, 10)] * 4
-    # monomial rows take their bases from the table: one power sequence
-    # per segment, for the powers of that segment's first point
-    calls.clear()
+    assert spectra == [(4, 10)] * 4
     mono = rows[1:]
     assert progression_eval(mono, first, ratio, count, p).tolist() == oracle(mono)
-    assert len(calls) == 4 and all(n == 10 for _, n, _ in calls)
 
     # evicted and cleared tables are rebuilt to the same values
     size = poly._chirp.cache_info().maxsize

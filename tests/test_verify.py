@@ -152,7 +152,7 @@ def test_fingerprint_progression_in_row_blocks(monkeypatch, segment, chunk_point
     ctx = build_crt_basis(n, 10**6).fields[0]
     rep = fingerprint_rep(left[4 : 4 + side], right[:, 8 : 8 + side], ctx)
     active = np.count_nonzero(rep.left_polys.any(1) & rep.right_polys.any(1))
-    step = poly.rows_per_block(side, count)
+    step = poly.ProgressionPlan(side, 1, ctx.omega, count, ctx.p).block_rows
     assert active == n + side and active % step and active > step
     vals = eval_fingerprint_progression(rep, 5, count)
     pts = [pow(ctx.omega, 5 + k, ctx.p) for k in range(count)]
