@@ -35,7 +35,7 @@ from .errors import (
     ResourceLimitError,
     UsageError,
 )
-from .field import FieldCtx, build_crt_basis, power_sequence
+from .field import FieldCtx, build_crt_basis, power_sequence, reduce_in_place
 from .matrix import (
     AugmentedPair,
     IntMatrix,
@@ -210,7 +210,7 @@ class CorrectionEngine:
         for k, (s, stored) in enumerate(chain):
             if delta:
                 stored += moves[k, : len(stored)]
-                stored %= p
+                reduce_in_place(stored, p)
             if not stored.any() and s in self.queue:
                 self.queue.remove(s)
 
@@ -351,14 +351,14 @@ def berlekamp_massey(values: np.ndarray, p: int) -> np.ndarray:
     b = np.ones(1, dtype=np.int64)       # the one before the last length change
     length, gap, b_inv = 0, 1, 1
     for u in range(len(values)):
-        d = int((c * values[u - length : u + 1][::-1] % p).sum() % p)
+        d = int(reduce_in_place(c * values[u - length : u + 1][::-1], p).sum() % p)
         if d == 0:
             gap += 1
             continue
         prev, top = c, gap + len(b)
         c = np.zeros(max(len(prev), top), dtype=np.int64)
         c[: len(prev)] = prev
-        c[gap:top] = (c[gap:top] - d * b_inv % p * b) % p
+        c[gap:top] = reduce_in_place(c[gap:top] - d * b_inv % p * b, p)
         if 2 * length <= u:
             length, b, b_inv, gap = u + 1 - length, prev, pow(d, -1, p), 1
         else:
@@ -380,7 +380,8 @@ def sweep_values(coeffs: np.ndarray, ctx: FieldCtx, m: int):
             count = min(_poly._SEGMENT, total - e0)
             yield e0, progression_eval(coeffs, pow(omega, e0, p), omega, count, p)
         return
-    rows = power_sequence(power_sequence(omega, m, p), len(coeffs), p) * coeffs % p
+    rows = power_sequence(power_sequence(omega, m, p), len(coeffs), p) * coeffs
+    reduce_in_place(rows, p)
     cols = power_sequence(power_sequence(pow(omega, m, p), m, p), len(coeffs), p)
     step = max(1, _verify._GEMM_CELLS // m)
     for j0 in range(0, m, step):
@@ -399,7 +400,8 @@ def shift_values(values: np.ndarray, writes, ctx: FieldCtx, m: int) -> np.ndarra
     step = max(1, _verify._GEMM_CELLS // max(k, 1))
     for w0 in range(0, len(moves), step):
         bases, deltas = np.array(moves[w0 : w0 + step], dtype=np.int64).T
-        values = (values - _matmul_mod(deltas, power_sequence(bases, k, p), p)) % p
+        moved = _matmul_mod(deltas, power_sequence(bases, k, p), p)
+        values = reduce_in_place(values - moved, p)
     return values
 
 

@@ -13,6 +13,7 @@ _BUDGET_BYTES = 1 << 27      # largest workspace array (~128 MiB): sieve flags
                              # of one byte, subgroup residues of eight
 WORD = 1 << 31               # every modulus is below this: residue products fit
                              # in int64, trial division stays below 2^15 steps
+_SHORT = 1 << 10             # entries from which reduce_in_place divides
 
 
 def check_word(p: int) -> None:
@@ -20,6 +21,22 @@ def check_word(p: int) -> None:
     WORD or more, whose residue products would overflow int64."""
     if not 2 <= p < WORD:
         raise UsageError(f"modulus {p} is outside [2, 2^31)")
+
+
+def reduce_in_place(x: np.ndarray, p: int) -> np.ndarray:
+    """The int64 array x reduced into [0, p) in place, for entries of any
+    sign, and returned: x -= (x // p) * p, which wraps back into [0, p)
+    where (x // p) * p wraps past int64. numpy divides by a scalar through
+    a precomputed inverse (Granlund & Montgomery, PLDI 1994), so from
+    _SHORT entries on this takes under two thirds of the time of its % on
+    nonnegative entries and a quarter on mixed signs; below that one %
+    costs less than three calls, and runs instead."""
+    if x.size < _SHORT:
+        return np.remainder(x, p, out=x)
+    q = x // p
+    q *= p
+    x -= q
+    return x
 
 
 def sieve_primes_in_range(lo: int, hi: int) -> list[int]:
@@ -78,7 +95,7 @@ def _cyclic_subgroup(a: int, p: int) -> np.ndarray:
                 f"outgrow the {_BUDGET_BYTES}-byte budget"
             )
         step = int(arr[-1]) * a % p       # a^len(arr)
-        block = arr * step % p
+        block = reduce_in_place(arr * step, p)
         hits = np.nonzero(block == 1)[0]
         if hits.size:
             return np.concatenate([arr, block[: hits[0]]])
@@ -126,7 +143,7 @@ def reduce_mod(data, p: int) -> np.ndarray:
     if data.dtype.kind not in "bi":
         flat = [v % p for v in exact_ints(data, "entries")]
         return np.array(flat, dtype=np.int64).reshape(data.shape)
-    return data.astype(np.int64, copy=False) % p
+    return reduce_in_place(data.astype(np.int64), p)
 
 
 def power_sequence(base, count: int, p: int) -> np.ndarray:
@@ -137,14 +154,18 @@ def power_sequence(base, count: int, p: int) -> np.ndarray:
         raise UsageError("count must be >= 0")
     check_word(p)
     rows = np.shape(base)
-    step = base[..., None] % p if rows else base % p
+    if rows:
+        step = reduce_in_place(base[..., None].astype(np.int64), p)
+    else:
+        step = int(base) % p
     out = np.empty(rows + (count,), dtype=np.int64)
     out[..., :1] = 1 % p
     filled = 1
     while filled < count:
         take = min(filled, count - filled)
-        out[..., filled : filled + take] = out[..., :take] * step % p
-        step = step * step % p      # base^(2 * filled)
+        out[..., filled : filled + take] = reduce_in_place(out[..., :take] * step, p)
+        # base^(2 * filled)
+        step = reduce_in_place(step * step, p) if rows else step * step % p
         filled += take
     return out
 

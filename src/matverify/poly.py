@@ -16,7 +16,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import InternalCheckError, ResourceLimitError, UsageError
-from .field import FieldCtx, power_sequence, reduce_mod
+from .field import FieldCtx, power_sequence, reduce_in_place, reduce_mod
 from .matrix import next_pow2
 
 _SEGMENT = 1 << 15     # progression points per transform, unless rows are longer
@@ -103,28 +103,40 @@ def _limb_plan(p: int, length: int, support: int) -> tuple[int, int]:
 
 
 def _balanced(x: np.ndarray, p: int) -> np.ndarray:
-    """int64 integers x, |x| < p^2, reduced mod p to their representatives
-    in [-p/2, p/2], as (x + p^2 + p//2) mod p - p//2: a shift that makes
-    them nonnegative (% runs twice as fast there) and a reduction."""
-    out = x + (p * p + p // 2)
-    out %= p
-    out -= p // 2
-    return out
+    """The int64 integers x, |x| < 2^62, reduced mod p to their
+    representatives in [-p/2, p/2] in place, as (x + p//2) mod p - p//2,
+    and returned."""
+    x += p // 2
+    reduce_in_place(x, p)
+    x -= p // 2
+    return x
 
 
 def _limbs(x: np.ndarray, limbs: int, width: int) -> list[np.ndarray]:
-    """Limbs of x, low first, with sum_j limb_j * 2^(width*j) = x. The low
-    limbs are masked into [0, 2^width); the top limb is an arithmetic shift,
-    so it carries the sign of a balanced residue."""
+    """Limbs of x, low first, with sum_j limb_j * 2^(width*j) = x: x itself
+    for one limb. The low limbs are masked into [0, 2^width); the top limb
+    is an arithmetic shift, so it carries the sign of a balanced residue."""
+    if limbs == 1:
+        return [x]
     mask = (1 << width) - 1
     low = [(x >> (width * j)) & mask for j in range(limbs - 1)]
     return low + [x >> (width * (limbs - 1))]
 
 
-def _limb_spectra(x: np.ndarray, length: int, plan: tuple[int, int]) -> list[np.ndarray]:
+def _limb_spectra(x: np.ndarray, length: int, plan: tuple[int, int],
+                  work: np.ndarray | None = None) -> list[np.ndarray]:
     """rfft, zero-padded to `length`, of each limb of the balanced residues
-    x (taken along the last axis), split by the (limbs, width) plan."""
-    return [np.fft.rfft(part, length) for part in _limbs(x, *plan)]
+    x (taken along the last axis), split by the (limbs, width) plan. work,
+    if given, is a float64 array of shape (limbs,) + x.shape[:-1] +
+    (length,), zero from column x.shape[-1] on: each limb is written into
+    its slice there, and the transform reads that in place of a padded
+    float64 copy of its own."""
+    parts = _limbs(x, *plan)
+    if work is not None:
+        for slot, part in zip(work, parts):
+            slot[..., : part.shape[-1]] = part
+        parts = work
+    return [np.fft.rfft(part, length) for part in parts]
 
 
 def _spectral_product(xs, ys, length: int, lo: int, hi: int, p: int,
@@ -135,14 +147,11 @@ def _spectral_product(xs, ys, length: int, lo: int, hi: int, p: int,
 
     Output weight s sums the limb products with i + j = s; each weight is
     transformed back, rounded, checked to lie within 1/4 of an integer, and
-    folded in with the factor 2^(width*s) mod p, all in place. The rounded
-    weights lie within the plan's 2^47 and take a multiple of p above that
-    before they are reduced, since numpy's % runs slower on mixed signs.
-    xs has the output's shape and is consumed: xs[i] takes the product of
-    its last weight, i + limbs - 1 (with one limb, the only one).
+    folded in with the factor 2^(width*s) mod p, all in place. xs has the
+    output's shape and is consumed: xs[i] takes the product of its last
+    weight, i + limbs - 1 (with one limb, the only one).
     """
     limbs, width = plan
-    lift = -(-(1 << 47) // p) * p
     for s in range(2 * limbs - 1):
         i0 = max(0, s - limbs + 1)
         last = xs[i0] if s == i0 + limbs - 1 else None
@@ -156,13 +165,11 @@ def _spectral_product(xs, ys, length: int, lo: int, hi: int, p: int,
             raise InternalCheckError(
                 f"FFT rounding residual above 1/4 (length {length}, p {p})"
             )
-        v = r.astype(np.int64)
-        v += lift
-        v %= p
+        v = reduce_in_place(r.astype(np.int64), p)
         if s:
             v *= pow(2, width * s, p)
             v += out
-            v %= p
+            reduce_in_place(v, p)
         out = v
     return out
 
@@ -176,8 +183,8 @@ def poly_mul(f: Poly, g: Poly) -> Poly:
     length = fft_length(total)
     _check_length(length)
     plan = _limb_plan(p, length, min(len(f.coeffs), len(g.coeffs)))
-    xs = _limb_spectra(_balanced(f.coeffs, p), length, plan)
-    ys = _limb_spectra(_balanced(g.coeffs, p), length, plan)
+    xs = _limb_spectra(_balanced(f.coeffs.copy(), p), length, plan)
+    ys = _limb_spectra(_balanced(g.coeffs.copy(), p), length, plan)
     return Poly(_spectral_product(xs, ys, length, 0, total, p, plan), f.ctx)
 
 
@@ -199,7 +206,7 @@ def multipoint_eval(f: Poly, points) -> list[int]:
     pts = np.array([int(x) % p for x in points], dtype=np.int64)
     acc = np.zeros(len(pts), dtype=np.int64)
     for c in f.coeffs[::-1]:
-        acc = (acc * pts + int(c)) % p
+        acc = reduce_in_place(acc * pts + int(c), p)
     return [int(v) for v in acc]
 
 
@@ -219,8 +226,10 @@ def _triangular_powers(base: int, length: int, p: int) -> np.ndarray:
     while len(out) < length:
         k = len(out)
         # base^T(k + j) = base^T(j) * base^T(k) * (base^k)^j
-        cross = power_sequence(pow(base, k, p), k, p) * pow(base, k * (k + 1) // 2, p) % p
-        out = np.concatenate([out, out * cross % p])
+        cross = power_sequence(pow(base, k, p), k, p) * pow(base, k * (k + 1) // 2, p)
+        reduce_in_place(cross, p)
+        cross *= out
+        out = np.concatenate([out, reduce_in_place(cross, p)])
     return out[:length]
 
 
@@ -255,10 +264,12 @@ class ProgressionPlan:
     each segment's scale and the post-scale of every point; raw() returns
     the unscaled Z of a block of rows, so a caller that multiplies and sums
     the values of many rows applies post once, to the sum. block_rows rows
-    go through one batch of transforms.
+    go through one batch of transforms, whose input every raw() call writes
+    into the plan's one zero-padded float64 workspace, work.
     """
 
-    __slots__ = ("p", "n", "length", "plan", "spectrum", "segments", "post", "block_rows")
+    __slots__ = ("p", "n", "length", "plan", "spectrum", "segments", "post", "block_rows",
+                 "work")
 
     def __init__(self, n: int, first: int, ratio: int, count: int, p: int):
         ratio %= p
@@ -270,10 +281,13 @@ class ProgressionPlan:
         self.spectrum, inv = _chirp(p, ratio, length, self.plan)
         self.p, self.n, self.length = p, n, length
         self.block_rows = max(1, _CHUNK_POINTS // length)
+        # columns n on stay zero; a block writes its rows' first n columns
+        self.work = np.zeros((self.plan[0], self.block_rows, length))
         self.segments = []   # (u0, cnt, scale) for each segment of points
         for u0 in range(0, count, seg):
-            fpow = power_sequence(first * pow(ratio, u0, p), n, p)
-            self.segments.append((u0, min(seg, count - u0), fpow * inv[:n] % p))
+            scale = power_sequence(first * pow(ratio, u0, p), n, p)
+            scale *= inv[:n]
+            self.segments.append((u0, min(seg, count - u0), reduce_in_place(scale, p)))
         self.post = np.concatenate([inv[:cnt] for _, cnt, _ in self.segments])
 
     def raw(self, rows: np.ndarray) -> np.ndarray:
@@ -282,7 +296,9 @@ class ProgressionPlan:
 
         Nonzero rows are scaled, balanced and correlated against the kernel
         by batched float64 FFTs, block_rows at a time so the workspace stays
-        bounded; all-zero rows give zeros.
+        bounded; all-zero rows give zeros. Each block's rows go, reversed,
+        into the workspace, sliced for a short block, which the forward
+        transforms read.
         """
         p, n = self.p, self.n
         out = np.zeros((len(rows), len(self.post)), dtype=np.int64)
@@ -290,8 +306,10 @@ class ProgressionPlan:
         for u0, cnt, scale in self.segments:
             for r0 in range(0, live.size, self.block_rows):
                 idx = live[r0 : r0 + self.block_rows]
-                b = _balanced(rows[idx, :n] * scale, p)
-                xs = _limb_spectra(b[:, ::-1], self.length, self.plan)
+                b = rows[idx, :n]   # a copy, by the index array
+                b *= scale
+                xs = _limb_spectra(_balanced(b, p)[:, ::-1], self.length, self.plan,
+                                   self.work[:, : len(idx)])
                 out[idx, u0 : u0 + cnt] = _spectral_product(
                     xs, self.spectrum, self.length, n - 1, n - 1 + cnt, p, self.plan
                 )
@@ -325,4 +343,6 @@ def progression_eval(coeffs, first: int, ratio: int, count: int, p: int) -> np.n
     if count == 0 or not used.size:
         return np.zeros(shape, dtype=np.int64)
     plan = ProgressionPlan(int(used[-1]) + 1, first, ratio, count, p)
-    return (plan.raw(rows) * plan.post % p).reshape(shape)
+    out = plan.raw(rows)
+    out *= plan.post
+    return reduce_in_place(out, p).reshape(shape)

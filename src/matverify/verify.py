@@ -16,15 +16,15 @@ O~(n^2) cost at every t, and t = n stays on the chirp for every n >= 128
 (12 * bit_length(n) < n there).
 
 Measured on one core (OpenBLAS, numpy 2.4, least of 7 calls, 3 at n =
-1024), the fingerprint of AB - C for entries in [-9, 9] at t points,
-GEMM / chirp in ms:
+1024, over three runs), the fingerprint of AB - C for entries in [-9, 9]
+at t points, GEMM / chirp in ms:
 
-    n = 128:  t = 16: 0.5 / 2.5     t = 128: 2.0 / 3.2
-    n = 384:  t = 48: 2.9 / 10.9    t = 384: 18.0 / 18.0
-    n = 512:  t = 64: 4.6 / 21.1    t = 512: 37.7 / 34.9
-    n = 1024: t = 128: 36 / 213     t = 1024: 216 / 408
+    n = 128:  t = 16: 0.3 / 1.2     t = 128: 1.1 / 2.2
+    n = 384:  t = 48: 2.4 / 9.6     t = 384: 18.9 / 14.9
+    n = 512:  t = 64: 5.2 / 18.1    t = 512: 37.8 / 29.2
+    n = 1024: t = 128: 40 / 173     t = 1024: 236 / 343
 
-so the crossover lies near t = n (n = 384, 512) or past it (n = 128,
+so the crossover lies below t = n (n = 384, 512) or past it (n = 128,
 1024), and the cost bound, not the crossover, sets K_GEMM. The chirp runs
 in one limb at t = n up to n = 512 (poly._limb_plan). On the correction
 engine's blocks (side 2 to 128, counts of 1 to 128) the GEMM ran 1.5-6x
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError
-from .field import CrtBasis, FieldCtx, build_crt_basis, power_sequence
+from .field import CrtBasis, FieldCtx, build_crt_basis, power_sequence, reduce_in_place
 from .matrix import _I64_SAFE, IntMatrix, augment, exact_dot, field_form, square_matrices
 from .poly import ProgressionPlan
 from .poly import progression_eval  # noqa: F401  perfbench's tracer patches it here
@@ -111,7 +111,8 @@ def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, bound=None) -> np.ndarray:
     """
     inner = x.shape[-1]
     if inner * (p - 1) * (p - 1 if bound is None else bound) < _F64_EXACT:
-        return (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64) % p
+        prod = x.astype(np.float64) @ y.astype(np.float64)
+        return reduce_in_place(prod.astype(np.int64), p)
     if inner >= 1 << (53 - 2 * _LIMB_BITS):
         raise ResourceLimitError(f"inner dimension {inner} too long for exact limb GEMMs")
     mask = (1 << _LIMB_BITS) - 1
@@ -119,12 +120,12 @@ def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, bound=None) -> np.ndarray:
     yl, yh = (y & mask).astype(np.float64), (y >> _LIMB_BITS).astype(np.float64)
 
     def limb(u, v):
-        return (u @ v).astype(np.int64) % p
+        return reduce_in_place((u @ v).astype(np.int64), p)
 
     out = limb(xh, yh) * ((1 << 2 * _LIMB_BITS) % p)
     out += (limb(xh, yl) + limb(xl, yh)) << _LIMB_BITS
     out += limb(xl, yl)
-    return out % p
+    return reduce_in_place(out, p)
 
 
 def _live_pairs(rep: FingerprintRep, grid: int) -> int:
@@ -160,7 +161,7 @@ def _gemm_values(rep: FingerprintRep, xs: np.ndarray, grid: int) -> np.ndarray:
     for u0 in range(0, len(xs), pc):
         x = xs[u0 : u0 + pc]
         wq = power_sequence(x, h, p)
-        wr = power_sequence(wq[:, -1] * x % p, h, p)
+        wr = power_sequence(reduce_in_place(wq[:, -1] * x, p), h, p)
         for k0 in range(0, len(rep.left_polys), kc):
             # rows of the reshaped halves are (k, a) and (k, b), k-major
             q = _matmul_mod(wq, rep.left_polys[k0 : k0 + kc].reshape(-1, h).T, p, bound)
@@ -171,9 +172,9 @@ def _gemm_values(rep: FingerprintRep, xs: np.ndarray, grid: int) -> np.ndarray:
         for b in range(0 if c is None else grid):
             for e0 in range(0, h, kc):
                 q = _matmul_mod(wq, c[:, :, b, e0 : e0 + kc], p, bound)
-                out[:, b, u0 : u0 + pc] -= (q * wr[:, e0 : e0 + kc] % p).sum(axis=2)
-    out %= p
-    return out
+                q *= wr[:, e0 : e0 + kc]
+                out[:, b, u0 : u0 + pc] -= reduce_in_place(q, p).sum(axis=2)
+    return reduce_in_place(out, p)
 
 
 def eval_fingerprint(rep: FingerprintRep, points) -> list[int]:
@@ -233,7 +234,8 @@ def eval_fingerprint_progression(
     if count and pairs:
         path = "gemm" if count <= K_GEMM * side.bit_length() else "chirp"
     if path == "gemm":
-        xs = power_sequence(ctx.omega, count, p) * pow(ctx.omega, start_exp, p) % p
+        xs = power_sequence(ctx.omega, count, p) * pow(ctx.omega, start_exp, p)
+        reduce_in_place(xs, p)
         acc = _gemm_values(rep, xs, grid)
     elif path == "chirp":
         ratio_r = pow(ctx.omega, side, p)
@@ -247,33 +249,34 @@ def eval_fingerprint_progression(
         for k0 in range(0, len(rep.left_polys), step):
             lq, rr = rep.left_polys[k0 : k0 + step], rep.right_polys[k0 : k0 + step]
             if pending + len(lq) > budget:
-                acc %= p
+                reduce_in_place(acc, p)
                 pending = 0
             zq = plan_q.raw(lq.reshape(-1, side)).reshape(-1, grid, 1, count)
             zr = plan_r.raw(rr.reshape(-1, side)).reshape(-1, 1, grid, count)
             acc += (zq * zr).sum(axis=0)
             pending += len(lq)
-        acc %= p
+        reduce_in_place(acc, p)
         acc *= plan_r.post   # plan_q's raw units from here on; at most one product
         pending = 1
         # C's column b*side + e against y_u^e, y_u = x_u^side, advanced by y^step
-        ys = power_sequence(ratio_r, count, p) * pow(ratio_r, start_exp, p) % p
+        ys = power_sequence(ratio_r, count, p) * pow(ratio_r, start_exp, p)
+        reduce_in_place(ys, p)
         first = power_sequence(ys, min(step, side), p).T
-        jump = first[-1] * ys % p
+        jump = reduce_in_place(first[-1] * ys, p)
         for b in range(0 if rep.c is None else grid):
             ypow = first
             for e0 in range(0, side, step):
                 lc = rep.c.T[b * side + e0 : b * side + min(e0 + step, side)]
                 if pending + len(lc) > budget:
-                    acc %= p
+                    reduce_in_place(acc, p)
                     pending = 0
                 zc = plan_q.raw(lc.reshape(-1, side)).reshape(-1, grid, count)
                 acc[:, b] -= (zc * ypow[: len(lc), None]).sum(axis=0)
                 pending += len(lc)
-                ypow = ypow * jump % p
-        acc %= p
+                ypow = reduce_in_place(ypow * jump, p)
+        reduce_in_place(acc, p)
         acc *= plan_q.post
-        acc %= p
+        reduce_in_place(acc, p)
         if stats is not None:   # both sides share one limb plan
             stats["limbs"] = max(stats.get("limbs", 0), plan_q.plan[0])
     if stats is not None:

@@ -1,5 +1,6 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from matverify import field
@@ -11,6 +12,7 @@ from matverify import (
     find_generator,
     multiplicative_order,
     power_sequence,
+    seeded_rng,
     sieve_primes_in_range,
 )
 
@@ -95,6 +97,42 @@ def test_power_sequence():
     seq = power_sequence(5, 20, p)
     assert list(seq) == [pow(5, k, p) for k in range(20)]
     assert list(power_sequence(0, 3, p)) == [1, 0, 0]
+
+
+def _wide_values(p, size, seed):
+    # the edges, where (x // p) * p wraps past int64 at both ends, then
+    # random values in (-2^62, 2^62)
+    edges = [0, p, -p, p - 1, -(p - 1), p * p, -p * p, (1 << 63) - 1, -(1 << 63)]
+    rest = seeded_rng(seed).integers(-(1 << 62) + 1, 1 << 62, size - len(edges))
+    return np.concatenate([np.array(edges, dtype=np.int64), rest])
+
+
+@pytest.mark.parametrize("p", [2, 3, 16411, (1 << 31) - 1])
+def test_reduce_in_place_matches_numpy_remainder(p):
+    # short arrays take numpy's % and long ones the division: both in place
+    for size in (9, 200, field._SHORT, 5000):
+        x = _wide_values(p, size, size)
+        want = x % p
+        assert field.reduce_in_place(x, p) is x
+        assert np.array_equal(x, want)
+
+
+@pytest.mark.parametrize("p", [2, 3, 16411, (1 << 31) - 1])
+def test_reduce_in_place_on_strided_views(p):
+    # a view is reduced where it lies, and nothing around it moves
+    base = _wide_values(p, 64 * 128, p % 1000).reshape(64, 128)
+    for pick in (np.s_[:, 3:120:2], np.s_[::3, ::-1], np.s_[:4, :8:3]):
+        for grid in (base, base.T):
+            before = grid.copy()
+            view = grid[pick]
+            assert not view.flags.c_contiguous
+            want = view % p
+            field.reduce_in_place(view, p)
+            assert np.array_equal(view, want)
+            inside = np.zeros(grid.shape, dtype=bool)
+            inside[pick] = True
+            assert np.array_equal(grid[~inside], before[~inside])
+            grid[pick] = before[pick]
 
 
 def test_crt_basis_goldens():

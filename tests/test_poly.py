@@ -174,6 +174,33 @@ def test_monomial_rows_across_segments(monkeypatch):
     assert got.tolist() == [[oracle_eval(r.tolist(), x, p) for x in pts] for r in rows]
 
 
+@pytest.mark.parametrize("p, limbs", [(16411, 1), ((1 << 31) - 1, 2)])
+def test_raw_reuses_one_workspace_across_blocks(monkeypatch, p, limbs):
+    # 11 rows of C's columns, as the chirp's C loop passes them: a transposed,
+    # non-contiguous view. Rows 2, 5 and 6 are dead, so the 8 live rows fill
+    # two blocks of 3 and a short third of 2, over two segments of points;
+    # a stale row left in the plan's workspace, by a block or by an earlier
+    # call, would show in the values
+    first, ratio, count, n = 5, 10, 30, 20
+    monkeypatch.setattr(poly, "_SEGMENT", 8)
+    monkeypatch.setattr(poly, "_CHUNK_POINTS", 3 * 40)
+    plan = poly.ProgressionPlan(n, first, ratio, count, p)
+    assert (plan.length, plan.block_rows, plan.plan[0]) == (40, 3, limbs)
+    assert [(u0, cnt) for u0, cnt, _ in plan.segments] == [(0, 20), (20, 10)]
+    c = seeded_rng(38).integers(0, p, (n, 11))
+    c[:, [2, 5, 6]] = 0
+    c[:, 0] = p - 1
+    c[n - 1, 1] = 0
+    c[:7, 9] = 0
+    rows = c.T
+    assert not rows.flags.c_contiguous
+    pts = [first * pow(ratio, u, p) % p for u in range(count)]
+    # the repeat follows a call on 4 rows, which left others in the workspace
+    for block in (rows, rows[[4, 9, 1, 7]], rows):
+        got = plan.raw(block) * plan.post % p
+        assert got.tolist() == [[oracle_eval(r.tolist(), x, p) for x in pts] for r in block]
+
+
 def test_kernel_checks_transform_size(monkeypatch):
     monkeypatch.setattr(poly, "_FFT_LIMIT", 64)
     ctx = FieldCtx(262147, 2, order_lb=2)
@@ -289,11 +316,21 @@ def test_limb_plans_meet_the_bound_on_the_magnitudes_they_assume():
     primes = {(1 << 31) - 1}
     for n in (96, 128, 256, 320, 384, 426, 427, 512, 513, 1024):
         primes.update(f.p for f in build_crt_basis(n, 10**30).fields)
+    for p in sorted(primes | {2}):
+        # products of residues reach p^2 - 1 in magnitude, of either sign
+        edges = [0, p // 2, p // 2 + 1, p - 1, p, p * p - 1]
+        edges += [-x for x in edges] + [-(p // 2) - 1, -p * p + p // 2 + 1]
+        wide = seeded_rng(p % 997).integers(-p * p + 1, p * p, 2000)
+        for x in (np.array(edges), wide):
+            got = poly._balanced(x.copy(), p)
+            assert got.tolist() == [(v + p // 2) % p - p // 2 for v in x.tolist()]
+            assert -(p // 2) <= got.min() and got.max() <= (p - 1) // 2
+        if p % 2:
+            edges = poly._balanced(np.array([0, p // 2, p // 2 + 1, p - 1]), p)
+            assert np.array_equal(edges, [0, p // 2, -(p // 2), -1])
     for p in sorted(primes):
         bits = (p - 1).bit_length()
         balanced = np.array([-(p // 2), p // 2])
-        edges = poly._balanced(np.array([0, p // 2, p // 2 + 1, p - 1]), p)
-        assert np.array_equal(edges, [0, p // 2, -(p // 2), -1])
         for length in (1 << m for m in range(4, 23)):
             for support in {1, length // 4, length // 2, length}:
                 limbs, width = poly._limb_plan(p, length, support)
@@ -373,9 +410,9 @@ def test_convolution_operands_have_the_planned_magnitudes(monkeypatch):
     seen = []
     limb_spectra = poly._limb_spectra
 
-    def record(x, length, plan):
+    def record(x, length, plan, work=None):
         seen.append((int(np.min(x)), int(np.max(x))))
-        return limb_spectra(x, length, plan)
+        return limb_spectra(x, length, plan, work)
 
     monkeypatch.setattr(poly, "_limb_spectra", record)
     poly._chirp.cache_clear()   # the kernel spectrum too
