@@ -292,7 +292,7 @@ class AugmentedPair:
 
     def materialize(self) -> tuple[np.ndarray, np.ndarray]:
         """Explicit (A | C) and (B ; -I) arrays, for oracles and audits."""
-        n = self.a.cols
+        n = self.c.cols
         left = np.hstack([self.a.data, self.c.data])
         eye = -np.eye(n, dtype=np.int64)
         if self.b.data.dtype == object:

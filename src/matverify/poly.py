@@ -69,7 +69,6 @@ def _check_length(length: int) -> None:
         )
 
 
-@lru_cache(maxsize=256)
 def _limb_plan(p: int, length: int, support: int) -> tuple[int, int]:
     """Fewest limbs, and their bit width, that make a float64 FFT
     convolution of length `length` exact when both operands hold balanced

@@ -211,12 +211,12 @@ def eval_fingerprint_progression(
     Up to K_GEMM * bit_length(h) points the Vandermonde GEMMs of
     _gemm_values run; past that the chirp does, with one ProgressionPlan
     per side and call. The raw kernel outputs of each block of terms are
-    multiplied and summed in int64, reduced only when the next block could
-    overflow the sum, and the right post-scale is applied once to the
-    total. C's term then takes its _gemm_values form under the same rule:
-    the left plan's raw values of column b*h + e of C, times (x_u^h)^e, go
-    to sub-block column b, and the left post-scale is applied once to the
-    result. stats["evaluations"] counts count times the _live_pairs;
+    multiplied and added to an int64 sum, which is reduced after every
+    block, and the right post-scale is applied once to the total. C's term
+    then takes its _gemm_values form the same way: the left plan's raw
+    values of column b*h + e of C, times (x_u^h)^e, go to sub-block column
+    b, and the left post-scale is applied once to the result.
+    stats["evaluations"] counts count times the _live_pairs;
     stats["gemm_points"] and stats["chirp_points"] count the values each
     path computed, count per sub-block, and stats["limbs"] keeps the most
     limbs a chirp plan split its transforms into.
@@ -241,23 +241,18 @@ def eval_fingerprint_progression(
         ratio_r = pow(ctx.omega, side, p)
         plan_q = ProgressionPlan(side, pow(ctx.omega, start_exp, p), ctx.omega, count, p)
         plan_r = ProgressionPlan(side, pow(ratio_r, start_exp, p), ratio_r, count, p)
-        # how many products, each at most (p - 1)^2, int64 holds on top of
-        # a reduced sum
+        # a block holds at most as many products, each at most (p - 1)^2, as
+        # int64 holds on top of a sum reduced after the block before
         budget = (_I64_MAX - (p - 1)) // (p - 1) ** 2
         step = max(1, min(plan_q.block_rows // grid, budget))
-        pending = 0
         for k0 in range(0, len(rep.left_polys), step):
             lq, rr = rep.left_polys[k0 : k0 + step], rep.right_polys[k0 : k0 + step]
-            if pending + len(lq) > budget:
-                reduce_in_place(acc, p)
-                pending = 0
             zq = plan_q.raw(lq.reshape(-1, side)).reshape(-1, grid, 1, count)
             zr = plan_r.raw(rr.reshape(-1, side)).reshape(-1, 1, grid, count)
             acc += (zq * zr).sum(axis=0)
-            pending += len(lq)
+            reduce_in_place(acc, p)
+        acc *= plan_r.post   # plan_q's raw units from here on
         reduce_in_place(acc, p)
-        acc *= plan_r.post   # plan_q's raw units from here on; at most one product
-        pending = 1
         # C's column b*side + e against y_u^e, y_u = x_u^side, advanced by y^step
         ys = power_sequence(ratio_r, count, p) * pow(ratio_r, start_exp, p)
         reduce_in_place(ys, p)
@@ -267,14 +262,10 @@ def eval_fingerprint_progression(
             ypow = first
             for e0 in range(0, side, step):
                 lc = rep.c.T[b * side + e0 : b * side + min(e0 + step, side)]
-                if pending + len(lc) > budget:
-                    reduce_in_place(acc, p)
-                    pending = 0
                 zc = plan_q.raw(lc.reshape(-1, side)).reshape(-1, grid, count)
                 acc[:, b] -= (zc * ypow[: len(lc), None]).sum(axis=0)
-                pending += len(lc)
+                reduce_in_place(acc[:, b], p)
                 ypow = reduce_in_place(ypow * jump, p)
-        reduce_in_place(acc, p)
         acc *= plan_q.post
         reduce_in_place(acc, p)
         if stats is not None:   # both sides share one limb plan
@@ -303,14 +294,17 @@ def all_zeroes_test(
     left, right, t: int, ctx: FieldCtx, stats: dict | None = None
 ) -> ZeroVerdict:
     """Decide whether left @ right (or the product of a FingerprintRep
-    passed as left) is zero by evaluating the fingerprint at
-    omega^0..omega^(t-1). NONZERO answers are unconditionally sound; ZERO
-    is correct whenever the product has at most t nonzero entries."""
+    passed as left, whose field must be ctx) is zero by evaluating the
+    fingerprint at omega^0..omega^(t-1). NONZERO answers are
+    unconditionally sound; ZERO is correct whenever the product has at
+    most t nonzero entries."""
     if t < 1:
         raise UsageError("t must be >= 1")
     rep = left if isinstance(left, FingerprintRep) else fingerprint_rep(left, right, ctx)
+    if rep.ctx != ctx:
+        raise UsageError("the rep's field differs from ctx")
     side = rep.side
-    if ctx.order_lb < side * side:
+    if rep.ctx.order_lb < side * side:
         raise UsageError("omega order bound below side^2")
     t_eff = min(t, side * side)
     vals = eval_fingerprint_progression(rep, 0, t_eff, stats)
@@ -382,6 +376,8 @@ def verify_product(
 
 def seeded_rng(seed: int) -> np.random.Generator:
     """Counter-based generator so runs are reproducible from the seed."""
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.Philox(seed))
 
 

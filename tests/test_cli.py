@@ -35,6 +35,20 @@ def workdir(tmp_path, monkeypatch):
     return tmp_path
 
 
+@pytest.mark.parametrize("argv", [
+    "gen 4 1",
+    "verify A.mat B.mat C.mat 1 --mode freivalds",
+    "reduce --to upit A.mat B.mat --check",
+])
+def test_negative_seed_is_a_usage_error(workdir, capsys, argv):
+    # refused by the parser, before any report line
+    run(capsys, "--seed", 1, "gen", 4, 0)
+    code = main(["--seed", "-1", *shlex.split(argv)])
+    out, err = capsys.readouterr()
+    assert code == 64 and out == ""
+    assert err.startswith("error=usage") and "seed must be >= 0" in err
+
+
 def test_gen_exact_and_planted(workdir, capsys):
     code, rep, _ = run(capsys, "--seed", 1, "gen", 4, 0)
     assert code == 0 and rep["seed"] == "1"

@@ -210,8 +210,9 @@ def _sub_block_oracle(rep, start, count, grid):
 
 @pytest.mark.parametrize("grid", [1, 2])
 def test_accumulation_reduces_before_int64_overflows(monkeypatch, grid):
-    # at p = 2^31 - 1 two products near (p - 1)^2 fill an int64, so the chirp's
-    # sum over 24 live inner indices must be reduced every product or two
+    # at p = 2^31 - 1 two products near (p - 1)^2 fill an int64, so the chirp
+    # takes blocks of at most two products, in the sum over 24 live inner
+    # indices and in C's column loop after it, and reduces after each
     monkeypatch.setattr(verify_mod, "K_GEMM", 0)
     p = (1 << 31) - 1
     ctx = FieldCtx(p, 7, order_lb=p - 1)
@@ -224,6 +225,16 @@ def test_accumulation_reduces_before_int64_overflows(monkeypatch, grid):
     vals = eval_fingerprint_progression(rep, 3, count, grid=grid)
     assert np.array_equal(vals.reshape(grid, grid, count),
                           _sub_block_oracle(rep, 3, count, grid))
+    # a C block near p - 1 with zero columns, against the expanded
+    # fingerprint of the materialized (A | C), (B ; -I)
+    c = p - 1 - rng.integers(0, 3, (side, side))
+    c[:, 1::3] = 0
+    rep = FingerprintRep(ctx, side, left, right, c, p - 1)
+    vals = eval_fingerprint_progression(rep, 3, count, grid=grid)
+    wide, tall = augment(left.T, right, c).materialize()
+    points = [pow(ctx.omega, 3 + u, p) for u in range(count)]
+    assert np.array_equal(vals.reshape(grid, grid, count),
+                          _expanded_oracle(wide, tall, ctx, grid, points))
 
 
 @pytest.mark.parametrize("grid, start", [(1, 0), (2, 5)])
@@ -480,6 +491,14 @@ def test_all_zeroes_budget_clamp_and_validation():
     # a one-dimensional right factor is refused before its shape is read
     with pytest.raises(UsageError):
         all_zeroes_test(np.ones((2, 2), np.int64), np.ones(2, np.int64), 1, F17)
+    # a rep's own field decides: its order bound is checked, and a ctx
+    # other than that field is refused instead of read past
+    eye = np.eye(2, dtype=np.int64)
+    with pytest.raises(UsageError):
+        all_zeroes_test(fingerprint_rep(eye, eye, FieldCtx(17, 3, order_lb=2)), None, 1, F17)
+    with pytest.raises(UsageError):
+        all_zeroes_test(fingerprint_rep(eye, eye, F17), None, 1, FieldCtx(19, 2, order_lb=18))
+    assert not all_zeroes_test(fingerprint_rep(eye, eye, F17), None, 1, F17).all_zero
 
 
 def test_raw_factors_are_reduced_exactly():
@@ -689,6 +708,39 @@ def test_freivalds_and_sampling():
     bad = plant_errors(c, 3, rng)
     assert not freivalds_verify(a, b, bad, seed=5)
     assert not sampling_verify(a, b, bad, seed=5)
+    # a negative seed is a usage error, not numpy's ValueError
+    with pytest.raises(UsageError):
+        seeded_rng(-1)
+    with pytest.raises(UsageError):
+        freivalds_verify(a, b, c, seed=-1)
+    with pytest.raises(UsageError):
+        sampling_verify(a, b, c, seed=-1)
+
+
+def test_sampling_refutes_what_the_t_eq_n_fingerprint_misses():
+    # A = B = 0 and C holds the balanced coefficients of
+    # f = (x - 1)(x - 3)(x - 9)(x - 27) * (1 + x^5 + x^10) mod 17, entry (i, j)
+    # that of x^(i + 4j). Mod the one basis prime 17, with omega = 3, f
+    # vanishes at omega^0..omega^3 and its coefficients sum to 0, so the
+    # probe and the t = n = 4 fingerprint pass on 15 wrong entries: many
+    # errors cancel. t = 16 covers every entry, and sampling hits one
+    n, p = 4, 17
+    f = np.ones(1, dtype=np.int64)
+    for u in range(n):
+        f = np.convolve(f, [-pow(3, u, p), 1]) % p
+    f = np.convolve(f, [1, 0, 0, 0, 0] * 2 + [1]) % p
+    f = (f + p // 2) % p - p // 2
+    c = np.zeros(n * n, dtype=np.int64)
+    c[: len(f)] = f
+    c = c.reshape(n, n).T
+    zero = np.zeros((n, n), dtype=np.int64)
+    (ctx,) = build_crt_basis(n, augment(zero, zero, c).magnitude_bound()).fields
+    assert (ctx.p, ctx.omega) == (p, 3)
+    assert c.sum() == 0 and np.count_nonzero(c) == 15
+    assert verify_product(zero, zero, c, n)      # more than t errors: allowed
+    assert not verify_product(zero, zero, c, n * n)
+    for seed in range(10):
+        assert not sampling_verify(zero, zero, c, seed=seed)
 
 
 def test_flawed_bilinear_blind_spot():
