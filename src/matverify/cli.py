@@ -71,16 +71,9 @@ def _resolve_seed(args) -> int:
     return int.from_bytes(os.urandom(8), "little")
 
 
-def _seed(text: str) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
 def build_parser() -> _Parser:
     p = _Parser(prog="matverify", description=__doc__.splitlines()[0])
-    p.add_argument("--seed", type=_seed, default=None,
+    p.add_argument("--seed", type=int, default=None,
                    help="seed for any randomized step (recorded in the report)")
     p.add_argument("--trace", metavar="PATH", default=None,
                    help="write a per-iteration trace of correction runs")
@@ -286,6 +279,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed is not None and args.seed < 0:   # before any report line
+            raise UsageError(f"seed must be >= 0, got {args.seed}")
         rep = _Report(args.quiet)
         if args.command == "gen":
             return cmd_gen(args, rep)

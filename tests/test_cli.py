@@ -41,7 +41,7 @@ def workdir(tmp_path, monkeypatch):
     "reduce --to upit A.mat B.mat --check",
 ])
 def test_negative_seed_is_a_usage_error(workdir, capsys, argv):
-    # refused by the parser, before any report line
+    # refused right after parsing, before any report line
     run(capsys, "--seed", 1, "gen", 4, 0)
     code = main(["--seed", "-1", *shlex.split(argv)])
     out, err = capsys.readouterr()
