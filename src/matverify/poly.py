@@ -3,8 +3,9 @@ arbitrary points by Horner's scheme vectorised over the points, and batch
 evaluation along geometric progressions by the chirp transform. The chirp
 tables (kernel spectrum, inverse chirp) are cached per (p, ratio,
 transform length, limb plan) in one bounded LRU; a ProgressionPlan adds
-the per-call scales and returns raw outputs, which callers that sum many
-rows post-scale once. The chirp and poly_mul run on one exact float64 FFT
+the scales of one progression and returns raw outputs, which callers that
+sum many rows post-scale once, and progression_plan keeps the plans in a
+second bounded LRU. The chirp and poly_mul run on one exact float64 FFT
 convolution of small-width limbs: both operands hold balanced residues in
 [-p/2, p/2], and the limb count follows from a rounding bound on their
 2-norms. Moduli are below field.WORD = 2^31, so residue products fit in
@@ -21,7 +22,7 @@ from .matrix import next_pow2
 
 _SEGMENT = 1 << 15     # progression points per transform, unless rows are longer
 _FFT_LIMIT = 1 << 22   # longest transform the kernel allocates
-_CHUNK_POINTS = 1 << 14  # rows x transform length per batch: bounds the workspace
+_CHUNK_POINTS = 1 << 15  # rows x transform length per batch: bounds the workspace
 
 
 class Poly:
@@ -213,10 +214,17 @@ def multipoint_eval(f: Poly, points) -> list[int]:
 def _chirp(p: int, ratio: int, length: int, plan: tuple[int, int]):
     """Chirp table of a nonzero ratio at one transform length and limb
     plan: the limb spectra of the kernel ratio^T(k) as balanced residues,
-    and the inverse chirp ratio^-T(k), for k < length."""
+    and the inverse chirp ratio^-T(k), for k < length; all read-only."""
     kernel = _triangular_powers(ratio, length, p)
     inv = _triangular_powers(pow(ratio, -1, p), length, p)
-    return _limb_spectra(_balanced(kernel, p), length, plan), inv
+    spectrum = _limb_spectra(_balanced(kernel, p), length, plan)
+    return [_frozen(s) for s in spectrum], _frozen(inv)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: a cached table is shared by every caller."""
+    a.flags.writeable = False
+    return a
 
 
 def _triangular_powers(base: int, length: int, p: int) -> np.ndarray:
@@ -250,7 +258,7 @@ def _segment(n: int, count: int) -> tuple[int, int]:
 class ProgressionPlan:
     """The row-independent half of the chirp transform: evaluation of rows
     of at most n coefficients (residues in [0, p)) at the points x_u =
-    first * ratio^u, u = 0..count-1, for a nonzero ratio.
+    first * ratio^u, u = 0..count-1, for a nonzero ratio and count >= 1.
 
     The identity i*u = T(i+u) - T(i) - T(u) splits each value as
 
@@ -260,34 +268,33 @@ class ProgressionPlan:
     for the points of one segment starting at u0, with scale[i] = (first *
     ratio^u0)^i * ratio^-T(i), post[u] = ratio^-T(u - u0) and the kernel
     ratio^T(k), whose spectrum the cached chirp table holds. The plan holds
-    each segment's scale and the post-scale of every point; raw() returns
-    the unscaled Z of a block of rows, so a caller that multiplies and sums
-    the values of many rows applies post once, to the sum. block_rows rows
-    go through one batch of transforms, whose input every raw() call writes
-    into the plan's one zero-padded float64 workspace, work.
+    each segment's scale and the post-scale of every point, all read-only,
+    so one plan serves any number of callers (progression_plan caches
+    them); raw() returns the unscaled Z of a block of rows, so a caller that
+    multiplies and sums the values of many rows applies post once, to the
+    sum. block_rows rows go through one batch of transforms.
     """
 
-    __slots__ = ("p", "n", "length", "plan", "spectrum", "segments", "post", "block_rows",
-                 "work")
+    __slots__ = ("p", "n", "length", "plan", "spectrum", "segments", "post", "block_rows")
 
     def __init__(self, n: int, first: int, ratio: int, count: int, p: int):
         ratio %= p
         if ratio == 0:
             raise UsageError("the chirp transform needs a nonzero ratio")
+        if count < 1:
+            raise UsageError("a progression plan needs count >= 1")
         seg, length = _segment(n, count)
         # rows hold at most n nonzero coefficients
         self.plan = _limb_plan(p, length, n)
         self.spectrum, inv = _chirp(p, ratio, length, self.plan)
         self.p, self.n, self.length = p, n, length
         self.block_rows = max(1, _CHUNK_POINTS // length)
-        # columns n on stay zero; a block writes its rows' first n columns
-        self.work = np.zeros((self.plan[0], self.block_rows, length))
         self.segments = []   # (u0, cnt, scale) for each segment of points
         for u0 in range(0, count, seg):
             scale = power_sequence(first * pow(ratio, u0, p), n, p)
             scale *= inv[:n]
-            self.segments.append((u0, min(seg, count - u0), reduce_in_place(scale, p)))
-        self.post = np.concatenate([inv[:cnt] for _, cnt, _ in self.segments])
+            self.segments.append((u0, min(seg, count - u0), _frozen(reduce_in_place(scale, p))))
+        self.post = _frozen(np.concatenate([inv[:cnt] for _, cnt, _ in self.segments]))
 
     def raw(self, rows: np.ndarray) -> np.ndarray:
         """Z for every row of a 2-d int64 array of entries below p in
@@ -296,23 +303,39 @@ class ProgressionPlan:
         Nonzero rows are scaled, balanced and correlated against the kernel
         by batched float64 FFTs, block_rows at a time so the workspace stays
         bounded; all-zero rows give zeros. Each block's rows go, reversed,
-        into the workspace, sliced for a short block, which the forward
-        transforms read.
+        into one zero-padded float64 workspace of this call, sliced for a
+        short block, which the forward transforms read.
         """
         p, n = self.p, self.n
         out = np.zeros((len(rows), len(self.post)), dtype=np.int64)
         live = np.nonzero(rows.any(axis=1))[0]
+        # columns n on stay zero; a block writes its rows' first n columns
+        work = np.zeros((self.plan[0], min(self.block_rows, live.size), self.length))
         for u0, cnt, scale in self.segments:
             for r0 in range(0, live.size, self.block_rows):
                 idx = live[r0 : r0 + self.block_rows]
                 b = rows[idx, :n]   # a copy, by the index array
                 b *= scale
                 xs = _limb_spectra(_balanced(b, p)[:, ::-1], self.length, self.plan,
-                                   self.work[:, : len(idx)])
+                                   work[:, : len(idx)])
                 out[idx, u0 : u0 + cnt] = _spectral_product(
                     xs, self.spectrum, self.length, n - 1, n - 1 + cnt, p, self.plan
                 )
         return out
+
+
+def progression_plan(n: int, first: int, ratio: int, count: int, p: int) -> ProgressionPlan:
+    """The ProgressionPlan of these arguments, from a bounded LRU. Its key
+    holds _SEGMENT and _CHUNK_POINTS as they read now, since a plan's
+    segments and block_rows follow them."""
+    return _cached_plan(int(n), int(first) % p, int(ratio) % p, int(count), p,
+                        _SEGMENT, _CHUNK_POINTS)
+
+
+@lru_cache(maxsize=64)
+def _cached_plan(n, first, ratio, count, p, segment, chunk_points) -> ProgressionPlan:
+    # segment and chunk_points only key the entry: the plan reads them itself
+    return ProgressionPlan(n, first, ratio, count, p)
 
 
 def progression_eval(coeffs, first: int, ratio: int, count: int, p: int) -> np.ndarray:
@@ -322,7 +345,7 @@ def progression_eval(coeffs, first: int, ratio: int, count: int, p: int) -> np.n
     Poly and matrix.field_form bring them there once at the public entry,
     so the row blocks that callers feed through here are not scanned again.
 
-    The ratio must be nonzero mod p. The chirp transform of a
+    The ratio must be nonzero mod p. The chirp transform of the cached
     ProgressionPlan sized to the rows' last nonzero column computes the
     values, and each raw output is post-scaled here.
     """
@@ -341,7 +364,7 @@ def progression_eval(coeffs, first: int, ratio: int, count: int, p: int) -> np.n
     used = np.nonzero(rows.any(axis=0))[0]
     if count == 0 or not used.size:
         return np.zeros(shape, dtype=np.int64)
-    plan = ProgressionPlan(int(used[-1]) + 1, first, ratio, count, p)
+    plan = progression_plan(int(used[-1]) + 1, first, ratio, count, p)
     out = plan.raw(rows)
     out *= plan.post
     return reduce_in_place(out, p).reshape(shape)

@@ -32,13 +32,16 @@ faster than the chirp at every count tried up to 256.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from math import log2
 
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError
 from .field import CrtBasis, FieldCtx, build_crt_basis, power_sequence, reduce_in_place
 from .matrix import _I64_SAFE, IntMatrix, augment, exact_dot, field_form, square_matrices
-from .poly import ProgressionPlan
+from . import poly as _poly
+from .poly import _frozen, progression_plan
 from .poly import progression_eval  # noqa: F401  perfbench's tracer patches it here
 
 _I64_MAX = (1 << 63) - 1
@@ -191,6 +194,67 @@ def kernel_path(stats: dict) -> str:
     return ("mixed" if chirp else "gemm") if gemm else ("chirp" if chirp else "none")
 
 
+@lru_cache(maxsize=16)
+def _c_tables(h: int, first: int, omega: int, count: int, p: int, segment: int,
+              chunk_points: int):
+    """The plan, g and row weights of C's term of sub-blocks of side h at
+    x_u = first * omega^u, u < count (see _c_values). segment and
+    chunk_points, poly's _SEGMENT and _CHUNK_POINTS at the call, only key
+    the entry: the plans read them, and g follows the segments.
+
+    The rows are g*h coefficients long, for the power of two g dividing h
+    that minimises their FFT work, (h/g) * segments * L * log2(L) at
+    transform length L, among those whose limb plan takes no more limbs
+    than the A/B plans of side h, so stats["limbs"] stays theirs. The
+    weights of row J are (x_u^h)^(gJ): shape (h/g, count), read-only."""
+    limbs = progression_plan(h, first, omega, count, p).plan[0]
+    best, g = None, 1
+    while h % g == 0:
+        try:
+            seg, length = _poly._segment(g * h, count)
+        except ResourceLimitError:
+            break
+        if _poly._limb_plan(p, length, g * h)[0] > limbs:
+            break
+        work = (h // g) * -(-count // seg) * length * log2(length)
+        if best is None or work < best[0]:
+            best = (work, g)
+        g *= 2
+    g = best[1]
+    ys = power_sequence(pow(omega, g * h, p), count, p) * pow(first, g * h, p)
+    weights = power_sequence(reduce_in_place(ys, p), h // g, p).T
+    plan = progression_plan(g * h, first, omega, count, p)
+    return plan, g, _frozen(np.ascontiguousarray(weights))
+
+
+def _c_values(c: np.ndarray, grid: int, first: int, count: int, ctx: FieldCtx,
+              budget: int) -> np.ndarray:
+    """C's term sum_{i,e} c[a*h+i, b*h+e] * x_u^(i + h*e) of each sub-block
+    (a, b) of side h = side // grid at x_u = first * omega^u: shape (grid,
+    grid, count), in [0, p).
+
+    Each sub-block's term is one polynomial of h^2 coefficients, C's block
+    read column-major. It goes through the chirp as h/g rows of g*h
+    coefficients, row J holding columns g*J.. g*J+g-1, on one plan of
+    ratio omega; row J's values are weighted by (x_u^h)^(gJ) and summed,
+    the sum reduced after every block of at most budget rows, and the
+    post-scale applied once to the total."""
+    p, h = ctx.p, len(c) // grid
+    plan, g, weights = _c_tables(h, first, ctx.omega, count, p, _poly._SEGMENT,
+                                 _poly._CHUNK_POINTS)
+    blocks = c.reshape(grid, h, grid, h // g, g)   # [a, i, b, J, e]
+    step = max(1, min(plan.block_rows // (grid * grid), budget))
+    out = np.zeros((grid, grid, count), dtype=np.int64)
+    for j0 in range(0, h // g, step):
+        # rows (J, a, b), coefficient e*h + i
+        rows = blocks[:, :, :, j0 : j0 + step].transpose(3, 0, 2, 4, 1).reshape(-1, g * h)
+        z = plan.raw(rows).reshape(-1, grid, grid, count)
+        out += (z * weights[j0 : j0 + step, None, None]).sum(axis=0)
+        reduce_in_place(out, p)
+    out *= plan.post
+    return reduce_in_place(out, p)
+
+
 def eval_fingerprint_progression(
     rep: FingerprintRep,
     start_exp: int,
@@ -209,13 +273,14 @@ def eval_fingerprint_progression(
     so each side goes through the kernel once for the whole grid.
 
     Up to K_GEMM * bit_length(h) points the Vandermonde GEMMs of
-    _gemm_values run; past that the chirp does, with one ProgressionPlan
-    per side and call. The raw kernel outputs of each block of terms are
-    multiplied and added to an int64 sum, which is reduced after every
-    block, and the right post-scale is applied once to the total. C's term
-    then takes its _gemm_values form the same way: the left plan's raw
-    values of column b*h + e of C, times (x_u^h)^e, go to sub-block column
-    b, and the left post-scale is applied once to the result.
+    _gemm_values run; past that the chirp does, on the cached plans of
+    poly.progression_plan, one per side. The raw kernel outputs of each
+    block of terms are multiplied and added to an int64 sum, which is
+    reduced after every block, and both post-scales are applied once to
+    the total. C's term of each sub-block is one polynomial of h^2
+    coefficients, C's block read column-major, and _c_values evaluates it
+    on its own plan in rows of g*h coefficients; it is subtracted at the
+    end.
     stats["evaluations"] counts count times the _live_pairs;
     stats["gemm_points"] and stats["chirp_points"] count the values each
     path computed, count per sub-block, and stats["limbs"] keeps the most
@@ -238,9 +303,10 @@ def eval_fingerprint_progression(
         reduce_in_place(xs, p)
         acc = _gemm_values(rep, xs, grid)
     elif path == "chirp":
+        first = pow(ctx.omega, start_exp, p)
         ratio_r = pow(ctx.omega, side, p)
-        plan_q = ProgressionPlan(side, pow(ctx.omega, start_exp, p), ctx.omega, count, p)
-        plan_r = ProgressionPlan(side, pow(ratio_r, start_exp, p), ratio_r, count, p)
+        plan_q = progression_plan(side, first, ctx.omega, count, p)
+        plan_r = progression_plan(side, pow(first, side, p), ratio_r, count, p)
         # a block holds at most as many products, each at most (p - 1)^2, as
         # int64 holds on top of a sum reduced after the block before
         budget = (_I64_MAX - (p - 1)) // (p - 1) ** 2
@@ -251,23 +317,13 @@ def eval_fingerprint_progression(
             zr = plan_r.raw(rr.reshape(-1, side)).reshape(-1, 1, grid, count)
             acc += (zq * zr).sum(axis=0)
             reduce_in_place(acc, p)
-        acc *= plan_r.post   # plan_q's raw units from here on
+        acc *= plan_r.post
         reduce_in_place(acc, p)
-        # C's column b*side + e against y_u^e, y_u = x_u^side, advanced by y^step
-        ys = power_sequence(ratio_r, count, p) * pow(ratio_r, start_exp, p)
-        reduce_in_place(ys, p)
-        first = power_sequence(ys, min(step, side), p).T
-        jump = reduce_in_place(first[-1] * ys, p)
-        for b in range(0 if rep.c is None else grid):
-            ypow = first
-            for e0 in range(0, side, step):
-                lc = rep.c.T[b * side + e0 : b * side + min(e0 + step, side)]
-                zc = plan_q.raw(lc.reshape(-1, side)).reshape(-1, grid, count)
-                acc[:, b] -= (zc * ypow[: len(lc), None]).sum(axis=0)
-                reduce_in_place(acc[:, b], p)
-                ypow = reduce_in_place(ypow * jump, p)
         acc *= plan_q.post
         reduce_in_place(acc, p)
+        if rep.c is not None:
+            acc -= _c_values(rep.c, grid, first, count, ctx, budget)
+            reduce_in_place(acc, p)
         if stats is not None:   # both sides share one limb plan
             stats["limbs"] = max(stats.get("limbs", 0), plan_q.plan[0])
     if stats is not None:
