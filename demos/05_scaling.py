@@ -60,6 +60,11 @@ def median_of(fn, reps=3):
     return sorted(times)[reps // 2]
 
 
+# Allocate and free 6 MiB before timing: glibc then raises its mmap and
+# trim thresholds, and stops returning the heap top after every large numpy
+# temporary only to fault it back in on the next (see README, Timing).
+bytearray(6 << 20)
+
 rng = seeded_rng(12)
 print(f"{'n':>5} {'verify (s)':>12} {'t = 8 (s)':>10} {'refute 1 (s)':>13} {'refute pair (s)':>16} "
       f"{'recompute (s)':>14} {'ratio':>7} {'primes':>7} {'limbs':>6}")

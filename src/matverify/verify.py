@@ -16,15 +16,16 @@ O~(n^2) cost at every t, and t = n stays on the chirp for every n >= 128
 (12 * bit_length(n) < n there).
 
 Measured on one core (OpenBLAS, numpy 2.4, least of 7 calls, 3 at n =
-1024, over three runs), the fingerprint of AB - C for entries in [-9, 9]
-at t points, GEMM / chirp in ms:
+1024, over three runs, after 6 MiB was allocated and freed as in README
+"Timing"), the fingerprint of AB - C for entries in [-9, 9] at t points,
+GEMM / chirp in ms:
 
-    n = 128:  t = 16: 0.3 / 1.2     t = 128: 1.1 / 2.2
-    n = 384:  t = 48: 2.4 / 9.6     t = 384: 18.9 / 14.9
-    n = 512:  t = 64: 5.2 / 18.1    t = 512: 37.8 / 29.2
-    n = 1024: t = 128: 40 / 173     t = 1024: 236 / 343
+    n = 128:  t = 16: 0.28 / 0.82    t = 128: 0.82 / 1.14
+    n = 384:  t = 48: 2.1 / 8.0      t = 384: 11.95 / 11.93
+    n = 512:  t = 64: 4.3 / 15.3     t = 512: 23.4 / 24.2
+    n = 1024: t = 128: 28 / 147      t = 1024: 185 / 251
 
-so the crossover lies below t = n (n = 384, 512) or past it (n = 128,
+so the crossover lies near t = n (n = 384, 512) or past it (n = 128,
 1024), and the cost bound, not the crossover, sets K_GEMM. The chirp runs
 in one limb at t = n up to n = 512 (poly._limb_plan). On the correction
 engine's blocks (side 2 to 128, counts of 1 to 128) the GEMM ran 1.5-6x
@@ -48,6 +49,9 @@ _I64_MAX = (1 << 63) - 1
 _F64_EXACT = 1 << 53
 _LIMB_BITS = 16          # limb width of the GEMMs when one GEMM would round
 _GEMM_CELLS = 1 << 18    # cells per GEMM buffer, 2 MiB in float64: bounds the workspace
+# cells per cached weight table of C's term, 2 MiB: bounds the cache. t = n
+# up to 1024 stays within it; past it each call rebuilds its table
+_TABLE_CELLS = 1 << 18
 # GEMM up to K_GEMM * bit_length(side) points, chirp past. All-chirp (0),
 # 12 and 15 (the largest value that keeps t = n = 128 on the chirp) took
 # 7.3 s, 3.94 s and 3.85 s on 112 correction instances, one core
@@ -197,16 +201,13 @@ def kernel_path(stats: dict) -> str:
 @lru_cache(maxsize=16)
 def _c_tables(h: int, first: int, omega: int, count: int, p: int, segment: int,
               chunk_points: int):
-    """The plan, g and row weights of C's term of sub-blocks of side h at
-    x_u = first * omega^u, u < count (see _c_values). segment and
-    chunk_points, poly's _SEGMENT and _CHUNK_POINTS at the call, only key
-    the entry: the plans read them, and g follows the segments.
-
-    The rows are g*h coefficients long, for the power of two g dividing h
-    that minimises their FFT work, (h/g) * segments * L * log2(L) at
-    transform length L, among those whose limb plan takes no more limbs
-    than the A/B plans of side h, so stats["limbs"] stays theirs. The
-    weights of row J are (x_u^h)^(gJ): shape (h/g, count), read-only."""
+    """Plan, g and row weights of C's term (see _c_values) for sub-blocks
+    of side h at x_u = first * omega^u, u < count; segment and
+    chunk_points (poly's _SEGMENT and _CHUNK_POINTS) only key the entry.
+    g is the power of two dividing h with the least FFT work, (h/g) *
+    segments * L * log2(L), among those whose limb plan takes no more
+    limbs than the A/B plans' (so stats["limbs"] stays theirs). The
+    weights are kept, read-only, up to _TABLE_CELLS cells; None past it."""
     limbs = progression_plan(h, first, omega, count, p).plan[0]
     best, g = None, 1
     while h % g == 0:
@@ -221,27 +222,32 @@ def _c_tables(h: int, first: int, omega: int, count: int, p: int, segment: int,
             best = (work, g)
         g *= 2
     g = best[1]
-    ys = power_sequence(pow(omega, g * h, p), count, p) * pow(first, g * h, p)
-    weights = power_sequence(reduce_in_place(ys, p), h // g, p).T
     plan = progression_plan(g * h, first, omega, count, p)
-    return plan, g, _frozen(np.ascontiguousarray(weights))
+    if (h // g) * count > _TABLE_CELLS:
+        return plan, g, None
+    return plan, g, _frozen(_c_weights(h, g, first, omega, count, p))
+
+
+def _c_weights(h: int, g: int, first: int, omega: int, count: int, p: int) -> np.ndarray:
+    """(x_u^h)^(gJ) for J < h/g and x_u = first * omega^u, u < count: shape
+    (h/g, count)."""
+    ys = power_sequence(pow(omega, g * h, p), count, p) * pow(first, g * h, p)
+    return np.ascontiguousarray(power_sequence(reduce_in_place(ys, p), h // g, p).T)
 
 
 def _c_values(c: np.ndarray, grid: int, first: int, count: int, ctx: FieldCtx,
               budget: int) -> np.ndarray:
-    """C's term sum_{i,e} c[a*h+i, b*h+e] * x_u^(i + h*e) of each sub-block
-    (a, b) of side h = side // grid at x_u = first * omega^u: shape (grid,
-    grid, count), in [0, p).
-
-    Each sub-block's term is one polynomial of h^2 coefficients, C's block
-    read column-major. It goes through the chirp as h/g rows of g*h
-    coefficients, row J holding columns g*J.. g*J+g-1, on one plan of
-    ratio omega; row J's values are weighted by (x_u^h)^(gJ) and summed,
-    the sum reduced after every block of at most budget rows, and the
-    post-scale applied once to the total."""
+    """C's term of each sub-block (a, b) of side h = side // grid at x_u =
+    first * omega^u, in [0, p), shape (grid, grid, count): C's block read
+    column-major is one polynomial of h^2 coefficients, which runs on one
+    plan as h/g rows of g*h, row J (columns g*J..g*J+g-1) weighted by
+    (x_u^h)^(gJ). The weighted sum is reduced after every block of at most
+    budget rows and post-scaled once."""
     p, h = ctx.p, len(c) // grid
     plan, g, weights = _c_tables(h, first, ctx.omega, count, p, _poly._SEGMENT,
                                  _poly._CHUNK_POINTS)
+    if weights is None:
+        weights = _c_weights(h, g, first, ctx.omega, count, p)
     blocks = c.reshape(grid, h, grid, h // g, g)   # [a, i, b, J, e]
     step = max(1, min(plan.block_rows // (grid * grid), budget))
     out = np.zeros((grid, grid, count), dtype=np.int64)

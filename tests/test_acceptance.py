@@ -35,6 +35,7 @@ from matverify import (
 )
 from matverify import poly
 from matverify.poly import Poly
+import matverify.verify as verify_mod
 from matverify.verify import _matmul_mod
 
 from helpers import (
@@ -376,9 +377,11 @@ def test_paper_cost_on_evaluation_counts():
 def test_verify_transform_work_on_n2_log_n(monkeypatch):
     # The chirp's FFT work, rows * L * log2(L) summed over every rfft and
     # irfft of one verify_product at t = n with C = AB, stays a constant
-    # times n^2 log2 n: 13.3-13.7 at one limb (n <= 512), 33.0 at two
-    # (n = 1024). Transforming C's columns on both sides would raise it
-    # past the cap.
+    # times n^2 log2 n: 12.4-13.3 at one limb (n <= 512), 29.7 at two
+    # (n = 1024). C's term runs in rows of 4 columns, or of one at n = 512,
+    # where longer rows would take a second limb; with one transform per
+    # column it read 13.3-13.8 and 33.0. Transforming C's columns on both
+    # sides would raise it past the cap.
     work = []
 
     def counted(fft):
@@ -396,7 +399,10 @@ def test_verify_transform_work_on_n2_log_n(monkeypatch):
         b = IntMatrix(rng.integers(-9, 10, (n, n)))
         # entries of +-9: the float64 product is exact
         c = IntMatrix((a.data.astype(float) @ b.data.astype(float)).astype(np.int64))
-        poly._chirp.cache_clear()   # the kernel spectrum's transforms count too
+        # the kernel spectrum's transforms count too
+        poly._chirp.cache_clear()
+        poly._cached_plan.cache_clear()
+        verify_mod._c_tables.cache_clear()
         work.clear()
         stats = {}
         assert verify_product(a, b, c, n, stats)

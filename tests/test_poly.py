@@ -176,11 +176,11 @@ def test_monomial_rows_across_segments(monkeypatch):
 
 @pytest.mark.parametrize("p, limbs", [(16411, 1), ((1 << 31) - 1, 2)])
 def test_raw_reuses_one_workspace_across_blocks(monkeypatch, p, limbs):
-    # 11 rows of C's columns, as the chirp's C loop passes them: a transposed,
-    # non-contiguous view. Rows 2, 5 and 6 are dead, so the 8 live rows fill
-    # two blocks of 3 and a short third of 2, over two segments of points;
-    # a stale row left in the plan's workspace, by a block or by an earlier
-    # call, would show in the values
+    # 11 rows of a transposed, non-contiguous view. Rows 2, 5 and 6 are
+    # dead, so the 8 live rows fill two blocks of 3 and a short third of 2,
+    # over two segments of points; a stale row left in a call's workspace
+    # by an earlier block, or state kept from an earlier call, would show
+    # in the values
     first, ratio, count, n = 5, 10, 30, 20
     monkeypatch.setattr(poly, "_SEGMENT", 8)
     monkeypatch.setattr(poly, "_CHUNK_POINTS", 3 * 40)
@@ -195,10 +195,68 @@ def test_raw_reuses_one_workspace_across_blocks(monkeypatch, p, limbs):
     rows = c.T
     assert not rows.flags.c_contiguous
     pts = [first * pow(ratio, u, p) % p for u in range(count)]
-    # the repeat follows a call on 4 rows, which left others in the workspace
+    # the repeat follows a call on 4 rows
     for block in (rows, rows[[4, 9, 1, 7]], rows):
         got = plan.raw(block) * plan.post % p
         assert got.tolist() == [[oracle_eval(r.tolist(), x, p) for x in pts] for r in block]
+
+
+def test_plan_cache_follows_segment_and_chunk(monkeypatch):
+    # a plan cached under one _SEGMENT or _CHUNK_POINTS is not returned
+    # once either changes; restored, the first one is
+    p, args = 147457, (20, 5, 10, 30, 147457)
+    plan = poly.progression_plan(*args)
+    assert poly.progression_plan(*args) is plan
+    assert poly.progression_plan(20, 5 + p, 10 - p, 30, p) is plan    # unreduced
+    monkeypatch.setattr(poly, "_SEGMENT", 8)
+    segmented = poly.progression_plan(*args)
+    assert segmented is not plan
+    assert [(u0, cnt) for u0, cnt, _ in segmented.segments] == [(0, 20), (20, 10)]
+    monkeypatch.setattr(poly, "_CHUNK_POINTS", 3 * 40)
+    chunked = poly.progression_plan(*args)
+    assert chunked is not segmented and chunked.block_rows == 3
+    monkeypatch.undo()
+    assert poly.progression_plan(*args) is plan
+
+
+def test_cached_tables_are_read_only():
+    plan = poly.progression_plan(20, 5, 10, 30, 147457)
+    tables = [plan.post, *(scale for _, _, scale in plan.segments), *plan.spectrum]
+    tables.append(poly._chirp(147457, 10, plan.length, plan.plan)[1])
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0] = 1
+    rows = np.ones((2, 20), dtype=np.int64)
+    assert plan.raw(rows).shape == (2, 30)          # raw() writes none of them
+    assert poly._cached_plan.cache_info().maxsize <= 64
+
+
+def test_one_cached_plan_serves_many_row_sets(monkeypatch):
+    # rows of different counts and supports through one cached plan, in
+    # several blocks, equal the values of a fresh plan and of Horner
+    monkeypatch.setattr(poly, "_CHUNK_POINTS", 3 * 40)
+    p, first, ratio, count, n = BIG.p, 5, 48271, 30, 20
+    plan = poly.progression_plan(n, first, ratio, count, p)
+    pts = [first * pow(ratio, u, p) % p for u in range(count)]
+    rng = seeded_rng(41)
+    for k in (1, 7, 2, 11):
+        rows = rng.integers(0, p, (k, n))
+        rows[::3, rng.integers(1, n):] = 0
+        got = plan.raw(rows) * plan.post % p
+        fresh = poly.ProgressionPlan(n, first, ratio, count, p)
+        assert np.array_equal(got, fresh.raw(rows) * fresh.post % p)
+        assert got.tolist() == [[oracle_eval(r.tolist(), x, p) for x in pts] for r in rows]
+    assert poly.progression_plan(n, first, ratio, count, p) is plan
+
+
+def test_plan_refuses_an_empty_progression():
+    # both callers return before building one; the plan itself refuses too
+    for count in (0, -1):
+        with pytest.raises(UsageError):
+            poly.ProgressionPlan(20, 5, 10, count, 147457)
+        with pytest.raises(UsageError):
+            poly.progression_plan(20, 5, 10, count, 147457)
+    assert progression_eval(np.ones((2, 20), np.int64), 5, 10, 0, 147457).shape == (2, 0)
 
 
 def test_kernel_checks_transform_size(monkeypatch):
@@ -416,6 +474,7 @@ def test_convolution_operands_have_the_planned_magnitudes(monkeypatch):
 
     monkeypatch.setattr(poly, "_limb_spectra", record)
     poly._chirp.cache_clear()   # the kernel spectrum too
+    poly._cached_plan.cache_clear()
     p = 147457
     rows = np.full((3, 300), p - 1)
     rows[1, ::2] = 0

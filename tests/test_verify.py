@@ -365,6 +365,166 @@ _P31 = (1 << 31) - 1
 _CRT = build_crt_basis(16, 10**6).fields[0]
 
 
+def _materialized_values(pair, ctx, rows, cols, grid, points):
+    """Each sub-block's fingerprint of the block (rows, cols) of the
+    materialized (A | C), (B ; -I), from the full coefficient expansion of
+    its product (pure Python), by Horner across the points: shape (grid,
+    grid, points)."""
+    left, right = pair.materialize()
+    left, right = left[rows], right[:, cols]
+    h, p = left.shape[0] // grid, ctx.p
+    xs = np.array(points, dtype=np.int64)
+    out = np.zeros((grid, grid, len(points)), dtype=np.int64)
+    for ai in range(grid):
+        for bi in range(grid):
+            coeffs = fingerprint_coeffs(left[ai * h : (ai + 1) * h].tolist(),
+                                        right[:, bi * h : (bi + 1) * h].tolist(), p)
+            acc = np.zeros(len(xs), dtype=np.int64)
+            for c in reversed(coeffs):
+                acc = (acc * xs + c) % p
+            out[ai, bi] = acc
+    return out
+
+
+def _c_term_pair(n, c_kind, rng):
+    """An augmented pair of side n: C off AB with two zero columns, absent
+    (None, so zero), or all zero."""
+    a, b = rng.integers(-9, 10, (n, n)), rng.integers(-9, 10, (n, n))
+    c = naive_multiply(a, b).data + rng.integers(-99, 100, (n, n))
+    c[:, [1, n - 2]] = 0
+    if c_kind != "columns":
+        c[:] = 0
+    return augment(a, b, c)
+
+
+_P31_CTX = FieldCtx(_P31, 7, order_lb=_P31 - 1)
+
+# (side, prime: None for the basis prime, grid, start, count, C, g, limbs):
+# odd sides take g = 1; at 2^31 - 1 the A/B plans of side 64 at 256 points
+# take two limbs on 320 points, and g = 16 would take three on 1280, so g
+# stops at 8
+_C_TERM_CASES = [
+    (5, None, 1, 0, 25, "columns", 1, 1),
+    (7, None, 1, 4, 30, "columns", 1, 1),
+    (96, None, 1, 3, 150, "columns", 8, 1),
+    (96, None, 2, 3, 150, "columns", 16, 1),
+    (64, _P31_CTX, 1, 5, 256, "columns", 8, 2),
+    (64, _P31_CTX, 2, 0, 200, "columns", 16, 2),
+    (96, None, 2, 0, 150, "absent", None, 1),
+    (96, None, 1, 7, 150, "zero", 8, 1),
+]
+
+
+@pytest.mark.parametrize("mode", ["whole", "split", "uncached"])
+@pytest.mark.parametrize("side, ctx, grid, start, count, c_kind, g, limbs", _C_TERM_CASES)
+def test_segmented_c_term_matches_the_materialized_pair(
+        monkeypatch, request, side, ctx, grid, start, count, c_kind, g, limbs, mode):
+    # C's term of each sub-block runs as h/g rows of g*h coefficients on one
+    # plan; split sets _CHUNK_POINTS to two rows of that plan, which splits
+    # them into several blocks, and uncached keeps no weight table. Values
+    # match the expansion of the materialized pair, and stats count what
+    # they did before: one limb plan, that of the A/B plans, and count
+    # points per sub-block
+    monkeypatch.setattr(verify_mod, "K_GEMM", 0)
+    split = mode == "split"
+    if mode == "uncached":
+        monkeypatch.setattr(verify_mod, "_TABLE_CELLS", 0)
+        verify_mod._c_tables.cache_clear()
+        request.addfinalizer(verify_mod._c_tables.cache_clear)
+    pair = _c_term_pair(side, c_kind, seeded_rng(60 + side))
+    if ctx is None:
+        ctx = build_crt_basis(side, pair.magnitude_bound()).fields[0]
+    rep = _pair_rep(pair, ctx)
+    if c_kind == "absent":
+        rep = FingerprintRep(ctx, side, rep.left_polys, rep.right_polys, None, rep.bound)
+    h, p = side // grid, ctx.p
+    first = pow(ctx.omega, start, p)
+
+    def tables():
+        return verify_mod._c_tables(h, first, ctx.omega, count, p, poly._SEGMENT,
+                                    poly._CHUNK_POINTS)
+
+    if split:   # after an unsplit evaluation, whose cached tables must not serve
+        eval_fingerprint_progression(rep, start, count, grid=grid)
+        monkeypatch.setattr(poly, "_CHUNK_POINTS", 2 * tables()[0].length)
+    if g is not None:
+        plan, got_g, weights = tables()
+        shape = None if mode == "uncached" else (h // g, count)
+        assert (got_g, plan.plan[0], getattr(weights, "shape", None)) == (g, limbs, shape)
+        assert not split or (plan.block_rows == 2
+                             and h // g > max(1, plan.block_rows // (grid * grid)))
+    used = []
+    raw = poly.ProgressionPlan.raw
+    monkeypatch.setattr(poly.ProgressionPlan, "raw",
+                        lambda plan, rows: used.append(plan) or raw(plan, rows))
+    stats = {}
+    vals = eval_fingerprint_progression(rep, start, count, stats, grid=grid)
+    assert all(plan.block_rows == max(1, poly._CHUNK_POINTS // plan.length) for plan in used)
+    assert (stats["limbs"], stats["chirp_points"]) == (limbs, count * grid * grid)
+    points = [pow(ctx.omega, start + u, p) for u in range(count)]
+    want = _materialized_values(pair, ctx, slice(0, side), slice(0, side), grid, points)
+    assert np.array_equal(vals.reshape(grid, grid, count), want)
+
+
+def test_segmented_c_term_follows_a_patched_segment(monkeypatch):
+    # tables cached under the default _SEGMENT do not serve once it is 8:
+    # every plan the evaluation runs takes segments of at most 8 points
+    monkeypatch.setattr(verify_mod, "K_GEMM", 0)
+    pair = _c_term_pair(7, "columns", seeded_rng(68))
+    ctx = build_crt_basis(7, pair.magnitude_bound()).fields[0]
+    rep = _pair_rep(pair, ctx)
+    want = eval_fingerprint_progression(rep, 2, 30)
+    monkeypatch.setattr(poly, "_SEGMENT", 8)
+    used = []
+    raw = poly.ProgressionPlan.raw
+    monkeypatch.setattr(poly.ProgressionPlan, "raw",
+                        lambda plan, rows: used.append(plan) or raw(plan, rows))
+    assert np.array_equal(eval_fingerprint_progression(rep, 2, 30), want)
+    assert len(used) == 3
+    assert all(max(cnt for _, cnt, _ in plan.segments) == 8 for plan in used)
+
+
+@pytest.mark.parametrize("ctx", [None, _P31_CTX])
+def test_segmented_c_term_through_the_engine(monkeypatch, ctx):
+    # the children of the root and of a side-32 block, through
+    # CorrectionEngine.scratch_values at grid 2, from exponent 0 and past it
+    from matverify.correct import CorrectionEngine
+    from matverify.matrix import SubmatrixId
+
+    monkeypatch.setattr(verify_mod, "K_GEMM", 0)
+    pair = _c_term_pair(64, "columns", seeded_rng(67))
+    if ctx is None:
+        ctx = build_crt_basis(64, pair.magnitude_bound()).fields[0]
+    engine = CorrectionEngine(pair, 8, ctx, {})
+    for s, lo, hi in ((SubmatrixId(0, 0, 64), 0, 70), (SubmatrixId(32, 0, 32), 9, 100)):
+        vals = engine.scratch_values(s, lo, hi, grid=2)
+        points = [pow(ctx.omega, u, ctx.p) for u in range(lo, hi)]
+        rows, cols = slice(s.i_start, s.i_start + s.side), slice(s.j_start, s.j_start + s.side)
+        assert np.array_equal(vals, _materialized_values(pair, ctx, rows, cols, 2, points))
+    assert engine.stats["limbs"] == (2 if ctx.p == _P31 else 1)
+
+
+def test_segmented_c_term_row_length_pins(monkeypatch):
+    # g = 4 at t = n = 384 (rows on 2048 points) and at side 128 with 128
+    # points (on 640); the A/B plans run on 768 and 256 points. The cached
+    # weights are read-only, and a patched _SEGMENT gives fresh tables
+    for h, p in ((384, 147457), (128, 16411)):
+        omega = 5
+        plan, g, weights = verify_mod._c_tables(h, 1, omega, h, p, poly._SEGMENT,
+                                                poly._CHUNK_POINTS)
+        assert (g, plan.length) == (4, {384: 2048, 128: 640}[h])
+        assert poly.progression_plan(h, 1, omega, h, p).length == {384: 768, 128: 256}[h]
+        with pytest.raises(ValueError):
+            weights[0, 0] = 1
+    assert verify_mod._c_tables.cache_info().maxsize <= 16
+    before = verify_mod._c_tables(8, 1, 5, 100, 16411, poly._SEGMENT, poly._CHUNK_POINTS)
+    monkeypatch.setattr(poly, "_SEGMENT", 16)
+    plan, g, _ = verify_mod._c_tables(8, 1, 5, 100, 16411, poly._SEGMENT,
+                                      poly._CHUNK_POINTS)
+    assert plan is not before[0] and plan is poly.progression_plan(8 * g, 1, 5, 100, 16411)
+    assert (g, [cnt for _, cnt, _ in plan.segments]) == (8, [64, 36])
+
+
 _GEMM_CASES = [
     (F17, 1, 3, "random", 1, 0),
     (F17, 1, 3, "random", 1, 4),
