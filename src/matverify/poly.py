@@ -4,12 +4,13 @@ evaluation along geometric progressions by the chirp transform. The chirp
 tables (kernel spectrum, inverse chirp) are cached per (p, ratio,
 transform length, limb plan) in one bounded LRU; a ProgressionPlan adds
 the scales of one progression and returns raw outputs, which callers that
-sum many rows post-scale once, and progression_plan keeps the plans in a
-second bounded LRU. The chirp and poly_mul run on one exact float64 FFT
-convolution of small-width limbs: both operands hold balanced residues in
-[-p/2, p/2], and the limb count follows from a rounding bound on their
-2-norms. Moduli are below field.WORD = 2^31, so residue products fit in
-int64 and all arithmetic runs on int64 arrays."""
+sum many rows post-scale once, and progression_plan keeps the plans of
+transforms up to _PLAN_LENGTH points in a second bounded LRU. The chirp
+and poly_mul run on one exact float64 FFT convolution of small-width
+limbs: both operands hold balanced residues in [-p/2, p/2], and the limb
+count follows from a rounding bound on their 2-norms. Moduli are below
+field.WORD = 2^31, so residue products fit in int64 and all arithmetic
+runs on int64 arrays."""
 
 from functools import lru_cache
 from math import sqrt
@@ -23,6 +24,11 @@ from .matrix import next_pow2
 _SEGMENT = 1 << 15     # progression points per transform, unless rows are longer
 _FFT_LIMIT = 1 << 22   # longest transform the kernel allocates
 _CHUNK_POINTS = 1 << 15  # rows x transform length per batch: bounds the workspace
+# longest transform of a cached plan. Such a plan (one segment) holds and
+# pins at most 6 * 2^13 cells, 384 KiB at three limbs, so the 32 cached
+# plans stay within 12 MiB; longer plans, whose tables grow with the
+# count, are built per call
+_PLAN_LENGTH = 1 << 13
 
 
 class Poly:
@@ -270,7 +276,7 @@ class ProgressionPlan:
     ratio^T(k), whose spectrum the cached chirp table holds. The plan holds
     each segment's scale and the post-scale of every point, all read-only,
     so one plan serves any number of callers (progression_plan caches
-    them); raw() returns the unscaled Z of a block of rows, so a caller that
+    the short ones); raw() returns the unscaled Z of a block of rows, so a caller that
     multiplies and sums the values of many rows applies post once, to the
     sum. block_rows rows go through one batch of transforms.
     """
@@ -325,14 +331,18 @@ class ProgressionPlan:
 
 
 def progression_plan(n: int, first: int, ratio: int, count: int, p: int) -> ProgressionPlan:
-    """The ProgressionPlan of these arguments, from a bounded LRU. Its key
-    holds _SEGMENT and _CHUNK_POINTS as they read now, since a plan's
-    segments and block_rows follow them."""
-    return _cached_plan(int(n), int(first) % p, int(ratio) % p, int(count), p,
-                        _SEGMENT, _CHUNK_POINTS)
+    """The ProgressionPlan of these arguments. Plans on transforms of up to
+    _PLAN_LENGTH points come from a bounded LRU whose key holds _SEGMENT
+    and _CHUNK_POINTS as they read now, since a plan's segments and
+    block_rows follow them; longer ones are built per call. The transform
+    length is checked against _FFT_LIMIT before the lookup."""
+    args = (int(n), int(first) % p, int(ratio) % p, int(count), p)
+    if count < 1 or _segment(n, count)[1] > _PLAN_LENGTH:
+        return ProgressionPlan(*args)
+    return _cached_plan(*args, _SEGMENT, _CHUNK_POINTS)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=32)
 def _cached_plan(n, first, ratio, count, p, segment, chunk_points) -> ProgressionPlan:
     # segment and chunk_points only key the entry: the plan reads them itself
     return ProgressionPlan(n, first, ratio, count, p)

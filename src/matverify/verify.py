@@ -33,7 +33,6 @@ faster than the chirp at every count tried up to 256.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import log2
 
 import numpy as np
@@ -42,16 +41,13 @@ from .errors import ResourceLimitError, UsageError
 from .field import CrtBasis, FieldCtx, build_crt_basis, power_sequence, reduce_in_place
 from .matrix import _I64_SAFE, IntMatrix, augment, exact_dot, field_form, square_matrices
 from . import poly as _poly
-from .poly import _frozen, progression_plan
+from .poly import progression_plan
 from .poly import progression_eval  # noqa: F401  perfbench's tracer patches it here
 
 _I64_MAX = (1 << 63) - 1
 _F64_EXACT = 1 << 53
 _LIMB_BITS = 16          # limb width of the GEMMs when one GEMM would round
 _GEMM_CELLS = 1 << 18    # cells per GEMM buffer, 2 MiB in float64: bounds the workspace
-# cells per cached weight table of C's term, 2 MiB: bounds the cache. t = n
-# up to 1024 stays within it; past it each call rebuilds its table
-_TABLE_CELLS = 1 << 18
 # GEMM up to K_GEMM * bit_length(side) points, chirp past. All-chirp (0),
 # 12 and 15 (the largest value that keeps t = n = 128 on the chirp) took
 # 7.3 s, 3.94 s and 3.85 s on 112 correction instances, one core
@@ -198,16 +194,12 @@ def kernel_path(stats: dict) -> str:
     return ("mixed" if chirp else "gemm") if gemm else ("chirp" if chirp else "none")
 
 
-@lru_cache(maxsize=16)
-def _c_tables(h: int, first: int, omega: int, count: int, p: int, segment: int,
-              chunk_points: int):
-    """Plan, g and row weights of C's term (see _c_values) for sub-blocks
-    of side h at x_u = first * omega^u, u < count; segment and
-    chunk_points (poly's _SEGMENT and _CHUNK_POINTS) only key the entry.
-    g is the power of two dividing h with the least FFT work, (h/g) *
-    segments * L * log2(L), among those whose limb plan takes no more
-    limbs than the A/B plans' (so stats["limbs"] stays theirs). The
-    weights are kept, read-only, up to _TABLE_CELLS cells; None past it."""
+def _c_plan(h: int, first: int, omega: int, count: int, p: int):
+    """Plan and g of C's term (see _c_values) for sub-blocks of side h at
+    x_u = first * omega^u, u < count. g is the power of two dividing h with
+    the least FFT work, (h/g) * segments * L * log2(L), among those whose
+    limb plan takes no more limbs than the A/B plans' (so stats["limbs"]
+    stays theirs)."""
     limbs = progression_plan(h, first, omega, count, p).plan[0]
     best, g = None, 1
     while h % g == 0:
@@ -222,17 +214,7 @@ def _c_tables(h: int, first: int, omega: int, count: int, p: int, segment: int,
             best = (work, g)
         g *= 2
     g = best[1]
-    plan = progression_plan(g * h, first, omega, count, p)
-    if (h // g) * count > _TABLE_CELLS:
-        return plan, g, None
-    return plan, g, _frozen(_c_weights(h, g, first, omega, count, p))
-
-
-def _c_weights(h: int, g: int, first: int, omega: int, count: int, p: int) -> np.ndarray:
-    """(x_u^h)^(gJ) for J < h/g and x_u = first * omega^u, u < count: shape
-    (h/g, count)."""
-    ys = power_sequence(pow(omega, g * h, p), count, p) * pow(first, g * h, p)
-    return np.ascontiguousarray(power_sequence(reduce_in_place(ys, p), h // g, p).T)
+    return progression_plan(g * h, first, omega, count, p), g
 
 
 def _c_values(c: np.ndarray, grid: int, first: int, count: int, ctx: FieldCtx,
@@ -241,21 +223,26 @@ def _c_values(c: np.ndarray, grid: int, first: int, count: int, ctx: FieldCtx,
     first * omega^u, in [0, p), shape (grid, grid, count): C's block read
     column-major is one polynomial of h^2 coefficients, which runs on one
     plan as h/g rows of g*h, row J (columns g*J..g*J+g-1) weighted by
-    (x_u^h)^(gJ). The weighted sum is reduced after every block of at most
-    budget rows and post-scaled once."""
+    (x_u^h)^(gJ). The blocks of at most budget rows are summed by Horner's
+    scheme in x_u^(gh), from the top block down, so only the powers up to
+    one block's are held; the sum is reduced after every block and
+    post-scaled once."""
     p, h = ctx.p, len(c) // grid
-    plan, g, weights = _c_tables(h, first, ctx.omega, count, p, _poly._SEGMENT,
-                                 _poly._CHUNK_POINTS)
-    if weights is None:
-        weights = _c_weights(h, g, first, ctx.omega, count, p)
+    plan, g = _c_plan(h, first, ctx.omega, count, p)
     blocks = c.reshape(grid, h, grid, h // g, g)   # [a, i, b, J, e]
     step = max(1, min(plan.block_rows // (grid * grid), budget))
+    ys = power_sequence(pow(ctx.omega, g * h, p), count, p) * pow(first, g * h, p)
+    # pw[k, u] = (x_u^(gh))^k for k <= step
+    pw = np.ascontiguousarray(power_sequence(reduce_in_place(ys, p), step + 1, p).T)
     out = np.zeros((grid, grid, count), dtype=np.int64)
-    for j0 in range(0, h // g, step):
-        # rows (J, a, b), coefficient e*h + i
+    for j0 in reversed(range(0, h // g, step)):
+        # rows (J, a, b), coefficient e*h + i; by Horner, the sum of the
+        # rows above moves up by step rows
         rows = blocks[:, :, :, j0 : j0 + step].transpose(3, 0, 2, 4, 1).reshape(-1, g * h)
         z = plan.raw(rows).reshape(-1, grid, grid, count)
-        out += (z * weights[j0 : j0 + step, None, None]).sum(axis=0)
+        out *= pw[step]
+        reduce_in_place(out, p)
+        out += (z * pw[: len(z), None, None]).sum(axis=0)
         reduce_in_place(out, p)
     out *= plan.post
     return reduce_in_place(out, p)
@@ -279,8 +266,8 @@ def eval_fingerprint_progression(
     so each side goes through the kernel once for the whole grid.
 
     Up to K_GEMM * bit_length(h) points the Vandermonde GEMMs of
-    _gemm_values run; past that the chirp does, on the cached plans of
-    poly.progression_plan, one per side. The raw kernel outputs of each
+    _gemm_values run; past that the chirp does, on the plans of
+    poly.progression_plan (cached up to a transform length), one per side. The raw kernel outputs of each
     block of terms are multiplied and added to an int64 sum, which is
     reduced after every block, and both post-scales are applied once to
     the total. C's term of each sub-block is one polynomial of h^2

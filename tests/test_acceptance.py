@@ -35,7 +35,6 @@ from matverify import (
 )
 from matverify import poly
 from matverify.poly import Poly
-import matverify.verify as verify_mod
 from matverify.verify import _matmul_mod
 
 from helpers import (
@@ -402,7 +401,6 @@ def test_verify_transform_work_on_n2_log_n(monkeypatch):
         # the kernel spectrum's transforms count too
         poly._chirp.cache_clear()
         poly._cached_plan.cache_clear()
-        verify_mod._c_tables.cache_clear()
         work.clear()
         stats = {}
         assert verify_product(a, b, c, n, stats)

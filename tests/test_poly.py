@@ -228,7 +228,7 @@ def test_cached_tables_are_read_only():
             table[0] = 1
     rows = np.ones((2, 20), dtype=np.int64)
     assert plan.raw(rows).shape == (2, 30)          # raw() writes none of them
-    assert poly._cached_plan.cache_info().maxsize <= 64
+    assert poly._cached_plan.cache_info().maxsize <= 32
 
 
 def test_one_cached_plan_serves_many_row_sets(monkeypatch):
@@ -247,6 +247,33 @@ def test_one_cached_plan_serves_many_row_sets(monkeypatch):
         assert np.array_equal(got, fresh.raw(rows) * fresh.post % p)
         assert got.tolist() == [[oracle_eval(r.tolist(), x, p) for x in pts] for r in rows]
     assert poly.progression_plan(n, first, ratio, count, p) is plan
+
+
+def test_long_plans_are_not_cached():
+    # a plan on 8192 points is kept; one on 10240 (the least smooth length
+    # above 20 + 9000 - 1) is built per call, and the cache does not grow
+    p = 147457
+    short = poly.progression_plan(20, 5, 10, 8000, p)
+    assert short.length == poly._PLAN_LENGTH and poly.progression_plan(20, 5, 10, 8000, p) is short
+    size = poly._cached_plan.cache_info().currsize
+    long = poly.progression_plan(20, 5, 10, 9000, p)
+    assert long.length > poly._PLAN_LENGTH
+    assert poly.progression_plan(20, 5, 10, 9000, p) is not long
+    assert poly._cached_plan.cache_info().currsize == size
+    rows = np.zeros((1, 20), dtype=np.int64)
+    rows[0, 1] = 1   # X, whose values are the points
+    pts = power_sequence(10, 9000, p) * 5 % p
+    assert np.array_equal(progression_eval(rows, 5, 10, 9000, p)[0], pts)
+
+
+def test_cached_plan_meets_a_lowered_fft_limit(monkeypatch):
+    # the length check runs before the lookup, so a plan cached under the
+    # default limit is not returned past a lowered one
+    plan = poly.progression_plan(99, 1, 3, 10, 262147)
+    assert poly.progression_plan(99, 1, 3, 10, 262147) is plan
+    monkeypatch.setattr(poly, "_FFT_LIMIT", 64)
+    with pytest.raises(ResourceLimitError):
+        poly.progression_plan(99, 1, 3, 10, 262147)
 
 
 def test_plan_refuses_an_empty_progression():

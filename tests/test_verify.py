@@ -415,22 +415,17 @@ _C_TERM_CASES = [
 ]
 
 
-@pytest.mark.parametrize("mode", ["whole", "split", "uncached"])
+@pytest.mark.parametrize("mode", ["whole", "split"])
 @pytest.mark.parametrize("side, ctx, grid, start, count, c_kind, g, limbs", _C_TERM_CASES)
 def test_segmented_c_term_matches_the_materialized_pair(
-        monkeypatch, request, side, ctx, grid, start, count, c_kind, g, limbs, mode):
+        monkeypatch, side, ctx, grid, start, count, c_kind, g, limbs, mode):
     # C's term of each sub-block runs as h/g rows of g*h coefficients on one
     # plan; split sets _CHUNK_POINTS to two rows of that plan, which splits
-    # them into several blocks, and uncached keeps no weight table. Values
-    # match the expansion of the materialized pair, and stats count what
-    # they did before: one limb plan, that of the A/B plans, and count
-    # points per sub-block
+    # them into several blocks. Values match the expansion of the
+    # materialized pair, and stats count what they did before: one limb
+    # plan, that of the A/B plans, and count points per sub-block
     monkeypatch.setattr(verify_mod, "K_GEMM", 0)
     split = mode == "split"
-    if mode == "uncached":
-        monkeypatch.setattr(verify_mod, "_TABLE_CELLS", 0)
-        verify_mod._c_tables.cache_clear()
-        request.addfinalizer(verify_mod._c_tables.cache_clear)
     pair = _c_term_pair(side, c_kind, seeded_rng(60 + side))
     if ctx is None:
         ctx = build_crt_basis(side, pair.magnitude_bound()).fields[0]
@@ -440,17 +435,13 @@ def test_segmented_c_term_matches_the_materialized_pair(
     h, p = side // grid, ctx.p
     first = pow(ctx.omega, start, p)
 
-    def tables():
-        return verify_mod._c_tables(h, first, ctx.omega, count, p, poly._SEGMENT,
-                                    poly._CHUNK_POINTS)
-
-    if split:   # after an unsplit evaluation, whose cached tables must not serve
+    if split:   # after an unsplit evaluation, whose cached plans must not serve
         eval_fingerprint_progression(rep, start, count, grid=grid)
-        monkeypatch.setattr(poly, "_CHUNK_POINTS", 2 * tables()[0].length)
+        length = verify_mod._c_plan(h, first, ctx.omega, count, p)[0].length
+        monkeypatch.setattr(poly, "_CHUNK_POINTS", 2 * length)
     if g is not None:
-        plan, got_g, weights = tables()
-        shape = None if mode == "uncached" else (h // g, count)
-        assert (got_g, plan.plan[0], getattr(weights, "shape", None)) == (g, limbs, shape)
+        plan, got_g = verify_mod._c_plan(h, first, ctx.omega, count, p)
+        assert (got_g, plan.plan[0]) == (g, limbs)
         assert not split or (plan.block_rows == 2
                              and h // g > max(1, plan.block_rows // (grid * grid)))
     used = []
@@ -506,22 +497,17 @@ def test_segmented_c_term_through_the_engine(monkeypatch, ctx):
 
 def test_segmented_c_term_row_length_pins(monkeypatch):
     # g = 4 at t = n = 384 (rows on 2048 points) and at side 128 with 128
-    # points (on 640); the A/B plans run on 768 and 256 points. The cached
-    # weights are read-only, and a patched _SEGMENT gives fresh tables
+    # points (on 640); the A/B plans run on 768 and 256 points. A patched
+    # _SEGMENT gives a fresh plan
     for h, p in ((384, 147457), (128, 16411)):
         omega = 5
-        plan, g, weights = verify_mod._c_tables(h, 1, omega, h, p, poly._SEGMENT,
-                                                poly._CHUNK_POINTS)
+        plan, g = verify_mod._c_plan(h, 1, omega, h, p)
         assert (g, plan.length) == (4, {384: 2048, 128: 640}[h])
         assert poly.progression_plan(h, 1, omega, h, p).length == {384: 768, 128: 256}[h]
-        with pytest.raises(ValueError):
-            weights[0, 0] = 1
-    assert verify_mod._c_tables.cache_info().maxsize <= 16
-    before = verify_mod._c_tables(8, 1, 5, 100, 16411, poly._SEGMENT, poly._CHUNK_POINTS)
+    before, _ = verify_mod._c_plan(8, 1, 5, 100, 16411)
     monkeypatch.setattr(poly, "_SEGMENT", 16)
-    plan, g, _ = verify_mod._c_tables(8, 1, 5, 100, 16411, poly._SEGMENT,
-                                      poly._CHUNK_POINTS)
-    assert plan is not before[0] and plan is poly.progression_plan(8 * g, 1, 5, 100, 16411)
+    plan, g = verify_mod._c_plan(8, 1, 5, 100, 16411)
+    assert plan is not before and plan is poly.progression_plan(8 * g, 1, 5, 100, 16411)
     assert (g, [cnt for _, cnt, _ in plan.segments]) == (8, [64, 36])
 
 
