@@ -25,9 +25,9 @@ _SEGMENT = 1 << 15     # progression points per transform, unless rows are longe
 _FFT_LIMIT = 1 << 22   # longest transform the kernel allocates
 _CHUNK_POINTS = 1 << 15  # rows x transform length per batch: bounds the workspace
 # longest transform of a cached plan. Such a plan (one segment) holds and
-# pins at most 6 * 2^13 cells, 384 KiB at three limbs, so the 32 cached
-# plans stay within 12 MiB; longer plans, whose tables grow with the
-# count, are built per call
+# pins at most 6 * 2^13 cells, 384 KiB at three limbs, and its lead powers
+# at most 2^15 + 2^13 more, so the 32 cached plans stay within 22 MiB;
+# longer plans, whose tables grow with the count, are built per call
 _PLAN_LENGTH = 1 << 13
 
 
@@ -275,15 +275,22 @@ class ProgressionPlan:
     ratio^u0)^i * ratio^-T(i), post[u] = ratio^-T(u - u0) and the kernel
     ratio^T(k), whose spectrum the cached chirp table holds. The plan holds
     each segment's scale and the post-scale of every point, all read-only,
-    so one plan serves any number of callers (progression_plan caches
-    the short ones); raw() returns the unscaled Z of a block of rows, so a caller that
-    multiplies and sums the values of many rows applies post once, to the
-    sum. block_rows rows go through one batch of transforms.
+    so one plan serves any number of callers (progression_plan caches the
+    short ones); raw() returns the unscaled Z of a block of rows, so a
+    caller that multiplies and sums the values of many rows applies post
+    once, to the sum. block_rows rows go through one batch of transforms.
+
+    With lead, the plan also holds lead[k, u] = (x_u^n)^k for k <=
+    block_rows, read-only: one polynomial of J*n coefficients, cut into J
+    rows of n, is then summed from its rows' values by Horner's scheme in
+    x_u^n, a block of rows at a time.
     """
 
-    __slots__ = ("p", "n", "length", "plan", "spectrum", "segments", "post", "block_rows")
+    __slots__ = ("p", "n", "length", "plan", "spectrum", "segments", "post", "block_rows",
+                 "lead")
 
-    def __init__(self, n: int, first: int, ratio: int, count: int, p: int):
+    def __init__(self, n: int, first: int, ratio: int, count: int, p: int,
+                 lead: bool = False):
         ratio %= p
         if ratio == 0:
             raise UsageError("the chirp transform needs a nonzero ratio")
@@ -301,6 +308,11 @@ class ProgressionPlan:
             scale *= inv[:n]
             self.segments.append((u0, min(seg, count - u0), _frozen(reduce_in_place(scale, p))))
         self.post = _frozen(np.concatenate([inv[:cnt] for _, cnt, _ in self.segments]))
+        self.lead = None
+        if lead:
+            y = power_sequence(pow(ratio, n, p), count, p) * pow(first, n, p)
+            y = power_sequence(reduce_in_place(y, p), self.block_rows + 1, p)
+            self.lead = _frozen(np.ascontiguousarray(y.T))
 
     def raw(self, rows: np.ndarray) -> np.ndarray:
         """Z for every row of a 2-d int64 array of entries below p in
@@ -330,22 +342,23 @@ class ProgressionPlan:
         return out
 
 
-def progression_plan(n: int, first: int, ratio: int, count: int, p: int) -> ProgressionPlan:
+def progression_plan(n: int, first: int, ratio: int, count: int, p: int,
+                     lead: bool = False) -> ProgressionPlan:
     """The ProgressionPlan of these arguments. Plans on transforms of up to
     _PLAN_LENGTH points come from a bounded LRU whose key holds _SEGMENT
     and _CHUNK_POINTS as they read now, since a plan's segments and
     block_rows follow them; longer ones are built per call. The transform
     length is checked against _FFT_LIMIT before the lookup."""
-    args = (int(n), int(first) % p, int(ratio) % p, int(count), p)
+    args = (int(n), int(first) % p, int(ratio) % p, int(count), p, bool(lead))
     if count < 1 or _segment(n, count)[1] > _PLAN_LENGTH:
         return ProgressionPlan(*args)
     return _cached_plan(*args, _SEGMENT, _CHUNK_POINTS)
 
 
 @lru_cache(maxsize=32)
-def _cached_plan(n, first, ratio, count, p, segment, chunk_points) -> ProgressionPlan:
+def _cached_plan(n, first, ratio, count, p, lead, segment, chunk_points) -> ProgressionPlan:
     # segment and chunk_points only key the entry: the plan reads them itself
-    return ProgressionPlan(n, first, ratio, count, p)
+    return ProgressionPlan(n, first, ratio, count, p, lead)
 
 
 def progression_eval(coeffs, first: int, ratio: int, count: int, p: int) -> np.ndarray:

@@ -33,6 +33,7 @@ faster than the chirp at every count tried up to 256.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import log2
 
 import numpy as np
@@ -195,12 +196,20 @@ def kernel_path(stats: dict) -> str:
 
 
 def _c_plan(h: int, first: int, omega: int, count: int, p: int):
-    """Plan and g of C's term (see _c_values) for sub-blocks of side h at
-    x_u = first * omega^u, u < count. g is the power of two dividing h with
-    the least FFT work, (h/g) * segments * L * log2(L), among those whose
-    limb plan takes no more limbs than the A/B plans' (so stats["limbs"]
-    stays theirs)."""
-    limbs = progression_plan(h, first, omega, count, p).plan[0]
+    """Plan, with lead powers, and g of C's term (see _c_values) for
+    sub-blocks of side h at x_u = first * omega^u, u < count."""
+    g = _c_rows(h, count, p, _poly._SEGMENT, _poly._FFT_LIMIT)
+    return progression_plan(g * h, first, omega, count, p, lead=True), g
+
+
+@lru_cache(maxsize=64)
+def _c_rows(h: int, count: int, p: int, segment: int, fft_limit: int) -> int:
+    """g of C's term: the power of two dividing h with the least FFT work,
+    (h/g) * segments * L * log2(L), among those whose limb plan takes no
+    more limbs than the A/B plans' (so stats["limbs"] stays theirs).
+    segment and fft_limit (poly's _SEGMENT and _FFT_LIMIT) only key the
+    entry."""
+    limbs = _poly._limb_plan(p, _poly._segment(h, count)[1], h)[0]
     best, g = None, 1
     while h % g == 0:
         try:
@@ -213,8 +222,7 @@ def _c_plan(h: int, first: int, omega: int, count: int, p: int):
         if best is None or work < best[0]:
             best = (work, g)
         g *= 2
-    g = best[1]
-    return progression_plan(g * h, first, omega, count, p), g
+    return best[1]
 
 
 def _c_values(c: np.ndarray, grid: int, first: int, count: int, ctx: FieldCtx,
@@ -224,16 +232,13 @@ def _c_values(c: np.ndarray, grid: int, first: int, count: int, ctx: FieldCtx,
     column-major is one polynomial of h^2 coefficients, which runs on one
     plan as h/g rows of g*h, row J (columns g*J..g*J+g-1) weighted by
     (x_u^h)^(gJ). The blocks of at most budget rows are summed by Horner's
-    scheme in x_u^(gh), from the top block down, so only the powers up to
-    one block's are held; the sum is reduced after every block and
-    post-scaled once."""
+    scheme in x_u^(gh), from the top block down, on the plan's lead powers;
+    the sum is reduced after every block and post-scaled once."""
     p, h = ctx.p, len(c) // grid
     plan, g = _c_plan(h, first, ctx.omega, count, p)
     blocks = c.reshape(grid, h, grid, h // g, g)   # [a, i, b, J, e]
     step = max(1, min(plan.block_rows // (grid * grid), budget))
-    ys = power_sequence(pow(ctx.omega, g * h, p), count, p) * pow(first, g * h, p)
-    # pw[k, u] = (x_u^(gh))^k for k <= step
-    pw = np.ascontiguousarray(power_sequence(reduce_in_place(ys, p), step + 1, p).T)
+    pw = plan.lead   # pw[k, u] = (x_u^(gh))^k
     out = np.zeros((grid, grid, count), dtype=np.int64)
     for j0 in reversed(range(0, h // g, step)):
         # rows (J, a, b), coefficient e*h + i; by Horner, the sum of the
@@ -267,10 +272,10 @@ def eval_fingerprint_progression(
 
     Up to K_GEMM * bit_length(h) points the Vandermonde GEMMs of
     _gemm_values run; past that the chirp does, on the plans of
-    poly.progression_plan (cached up to a transform length), one per side. The raw kernel outputs of each
-    block of terms are multiplied and added to an int64 sum, which is
-    reduced after every block, and both post-scales are applied once to
-    the total. C's term of each sub-block is one polynomial of h^2
+    poly.progression_plan (cached up to a transform length), one per side.
+    The raw kernel outputs of each block of terms are multiplied and added
+    to an int64 sum, which is reduced after every block, and both
+    post-scales are applied once to the total. C's term of each sub-block is one polynomial of h^2
     coefficients, C's block read column-major, and _c_values evaluates it
     on its own plan in rows of g*h coefficients; it is subtracted at the
     end.

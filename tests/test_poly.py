@@ -220,9 +220,16 @@ def test_plan_cache_follows_segment_and_chunk(monkeypatch):
 
 
 def test_cached_tables_are_read_only():
-    plan = poly.progression_plan(20, 5, 10, 30, 147457)
-    tables = [plan.post, *(scale for _, _, scale in plan.segments), *plan.spectrum]
-    tables.append(poly._chirp(147457, 10, plan.length, plan.plan)[1])
+    p = 147457
+    plan = poly.progression_plan(20, 5, 10, 30, p)
+    assert plan.lead is None
+    lead = poly.progression_plan(20, 5, 10, 30, p, lead=True).lead
+    # lead[k, u] = (x_u^20)^k, x_u = 5 * 10^u, for k <= block_rows
+    want = [[pow(5 * pow(10, u, p), 20 * k, p) for u in range(30)]
+            for k in range(plan.block_rows + 1)]
+    assert lead.tolist() == want
+    tables = [plan.post, *(scale for _, _, scale in plan.segments), *plan.spectrum, lead]
+    tables.append(poly._chirp(p, 10, plan.length, plan.plan)[1])
     for table in tables:
         with pytest.raises(ValueError):
             table[0] = 1

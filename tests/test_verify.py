@@ -498,7 +498,7 @@ def test_segmented_c_term_through_the_engine(monkeypatch, ctx):
 def test_segmented_c_term_row_length_pins(monkeypatch):
     # g = 4 at t = n = 384 (rows on 2048 points) and at side 128 with 128
     # points (on 640); the A/B plans run on 768 and 256 points. A patched
-    # _SEGMENT gives a fresh plan
+    # _SEGMENT gives a fresh plan, and a lowered _FFT_LIMIT a fresh g
     for h, p in ((384, 147457), (128, 16411)):
         omega = 5
         plan, g = verify_mod._c_plan(h, 1, omega, h, p)
@@ -507,8 +507,12 @@ def test_segmented_c_term_row_length_pins(monkeypatch):
     before, _ = verify_mod._c_plan(8, 1, 5, 100, 16411)
     monkeypatch.setattr(poly, "_SEGMENT", 16)
     plan, g = verify_mod._c_plan(8, 1, 5, 100, 16411)
-    assert plan is not before and plan is poly.progression_plan(8 * g, 1, 5, 100, 16411)
+    assert plan is not before
+    assert plan is poly.progression_plan(8 * g, 1, 5, 100, 16411, lead=True)
     assert (g, [cnt for _, cnt, _ in plan.segments]) == (8, [64, 36])
+    monkeypatch.undo()
+    monkeypatch.setattr(poly, "_FFT_LIMIT", 512)   # rows of 4 columns need 640
+    assert verify_mod._c_plan(128, 1, 5, 128, 16411)[1] == 2
 
 
 _GEMM_CASES = [
