@@ -275,10 +275,10 @@ def eval_fingerprint_progression(
     poly.progression_plan (cached up to a transform length), one per side.
     The raw kernel outputs of each block of terms are multiplied and added
     to an int64 sum, which is reduced after every block, and both
-    post-scales are applied once to the total. C's term of each sub-block is one polynomial of h^2
-    coefficients, C's block read column-major, and _c_values evaluates it
-    on its own plan in rows of g*h coefficients; it is subtracted at the
-    end.
+    post-scales are applied once to the total. C's term of each sub-block
+    is one polynomial of h^2 coefficients, C's block read column-major, and
+    _c_values evaluates it on its own plan in rows of g*h coefficients; it
+    is subtracted at the end.
     stats["evaluations"] counts count times the _live_pairs;
     stats["gemm_points"] and stats["chirp_points"] count the values each
     path computed, count per sub-block, and stats["limbs"] keeps the most
