@@ -58,8 +58,8 @@ from .verify import (
     verify_product,
 )
 
-# most values Berlekamp-Massey takes: one interpreter step each, of O(L)
-# work for a locator of degree L <= count / 2
+# most values Berlekamp-Massey takes: at most one interpreter step each, of
+# O(L) work for a locator of degree L <= count / 2
 _BM_VALUES = 1 << 17
 
 
@@ -343,27 +343,73 @@ class PronyEngine(CorrectionEngine):
 def berlekamp_massey(values: np.ndarray, p: int) -> np.ndarray:
     """Shortest connection polynomial of a sequence over F_p (Massey 1969):
     coefficients c[0] = 1, ..., c[L] with sum_i c[i] * values[u - i] = 0
-    for L <= u < len(values). values are residues in [0, p), p < 2^31, so
-    every product is reduced before it is summed and nothing overflows
-    int64. Each array holds exactly its L + 1 coefficients: x^gap * b
-    never reaches past degree L, so one step costs O(L)."""
+    for L <= u < len(values). values are residues in [0, p), p < 2^31; they
+    are only read. Each array holds exactly its L + 1 coefficients: x^gap * b
+    never reaches past degree L, so one step costs O(L).
+
+    A zero discrepancy changes none of c, b and L; it only moves b one
+    place further up (gap, here u - last). So from a step u >= 2L, where the
+    next nonzero discrepancy is certain to change the length, the scan
+    checks the values ahead against the current c in windows of 1, 2, 4,
+    ... values (_discrepancies) and jumps to the first nonzero one, as in
+    the early termination of Kaltofen & Lee (JSC 2003). An L-sparse
+    sequence then takes about 2L interpreter steps plus O(log k) windows,
+    not k steps. The work stays O(kL): a window that finds a nonzero
+    discrepancy is followed by a length change, and a window only doubles
+    after one that was all zero, so a run of s zero discrepancies costs at
+    most 2s + 1 window values, each an O(L) dot."""
+    # L + 1 products of residues each at most (p - 1)^2 fit int64 up to this
+    budget = (_verify._I64_MAX - (p - 1)) // (p - 1) ** 2
     c = np.ones(1, dtype=np.int64)       # current connection polynomial
     b = np.ones(1, dtype=np.int64)       # the one before the last length change
-    length, gap, b_inv = 0, 1, 1
-    for u in range(len(values)):
-        d = int(reduce_in_place(c * values[u - length : u + 1][::-1], p).sum() % p)
-        if d == 0:
-            gap += 1
-            continue
-        prev, top = c, gap + len(b)
+    length, last, b_inv, u, k = 0, -1, 1, 0, len(values)
+    while u < k:
+        if 2 * length <= u:
+            u, d = _first_discrepancy(c, values, u, p, budget)
+            if d == 0:
+                break
+        else:
+            seg = values[u - length : u + 1]
+            if len(c) <= budget:
+                d = int(c @ seg[::-1]) % p
+            else:
+                d = int(_discrepancies(c, seg, p, budget)[0])
+            if d == 0:
+                u += 1
+                continue
+        prev, gap = c, u - last
+        top = gap + len(b)
         c = np.zeros(max(len(prev), top), dtype=np.int64)
         c[: len(prev)] = prev
         c[gap:top] = reduce_in_place(c[gap:top] - d * b_inv % p * b, p)
         if 2 * length <= u:
-            length, b, b_inv, gap = u + 1 - length, prev, pow(d, -1, p), 1
-        else:
-            gap += 1
+            length, b, b_inv, last = u + 1 - length, prev, pow(d, -1, p), u
+        u += 1
     return c
+
+
+def _first_discrepancy(c, values, u: int, p: int, budget: int) -> tuple[int, int]:
+    """(v, d): the first step v >= u whose discrepancy d against c is
+    nonzero, or (len(values), 0). Checks windows of 1, 2, 4, ... steps,
+    each holding at most _GEMM_CELLS products."""
+    width, cap = 1, max(1, _verify._GEMM_CELLS // len(c))
+    while u < len(values):
+        ds = _discrepancies(c, values[u - len(c) + 1 : u + width], p, budget)
+        hit = np.flatnonzero(ds)
+        if hit.size:
+            return u + int(hit[0]), int(ds[hit[0]])
+        u, width = u + len(ds), min(2 * width, cap)
+    return u, 0
+
+
+def _discrepancies(c, seg: np.ndarray, p: int, budget: int) -> np.ndarray:
+    """sum_i c[i] * seg[v + L - i] mod p for v < len(seg) - L, L = len(c) - 1:
+    one dot per step, in int64 when L + 1 products fit the budget, and
+    with each product reduced before the sum otherwise."""
+    if len(c) <= budget:
+        return np.convolve(seg, c, "valid") % p
+    rows = np.lib.stride_tricks.sliding_window_view(seg, len(c))
+    return reduce_in_place(rows * c[::-1], p).sum(axis=1) % p
 
 
 def sweep_values(coeffs: np.ndarray, ctx: FieldCtx, m: int):

@@ -93,3 +93,28 @@ def all_boolean_matrices(n: int):
             [[(bits >> (i * n + j)) & 1 for j in range(n)] for i in range(n)],
             dtype=np.int64,
         )
+
+
+def oracle_berlekamp_massey(values, p: int) -> np.ndarray:
+    """Massey (1969) one step per value: the discrepancy of every value is
+    its own reduced dot, and a zero one only moves b one place up. Returns
+    the L + 1 coefficients of the shortest connection polynomial, c[0] = 1,
+    as int64."""
+    c = np.ones(1, dtype=np.int64)
+    b = np.ones(1, dtype=np.int64)
+    length, gap, b_inv = 0, 1, 1
+    for u in range(len(values)):
+        window = np.asarray(values[u - length : u + 1], dtype=np.int64)[::-1]
+        d = int((c * window % p).sum() % p)
+        if d == 0:
+            gap += 1
+            continue
+        prev, top = c, gap + len(b)
+        c = np.zeros(max(len(prev), top), dtype=np.int64)
+        c[: len(prev)] = prev
+        c[gap:top] = (c[gap:top] - d * b_inv % p * b) % p
+        if 2 * length <= u:
+            length, b, b_inv, gap = u + 1 - length, prev, pow(d, -1, p), 1
+        else:
+            gap += 1
+    return c

@@ -10,6 +10,7 @@ What must hold, for a promise of t wrong entries:
   beyond the run ending in a result or a PromiseViolationError
 """
 
+import io
 import itertools
 from collections import Counter
 
@@ -36,7 +37,7 @@ import matverify.correct as correct_mod
 import matverify.verify as verify_mod
 from matverify.correct import berlekamp_massey
 
-from helpers import oracle_eval
+from helpers import oracle_berlekamp_massey, oracle_eval
 
 ENGINES = ("prony", "quadtree")
 
@@ -108,21 +109,124 @@ def test_berlekamp_massey_is_the_shortest_recurrence():
                 assert length == _shortest_recurrence(seq.tolist(), p), (seq, c)
 
 
+def _power_sum(coeffs, roots, k: int, p: int) -> np.ndarray:
+    """sum_e coeffs[e] * roots[e]^u mod p for u < k, by running powers."""
+    coeffs, cur, out = [int(d) for d in coeffs], [1] * len(roots), []
+    for _ in range(k):
+        out.append(sum(d * x for d, x in zip(coeffs, cur)) % p)
+        cur = [x * int(r) % p for x, r in zip(cur, roots)]
+    return np.array(out, dtype=np.int64)
+
+
 def test_berlekamp_massey_finds_the_error_locator():
-    # values of sum_e d_e * (w^e)^u at 2r points give prod_e (1 - w^e x)
-    p, w = 257, 3
+    # values of sum_e d_e * (w^e)^u at k >= 2r points give prod_e (1 - w^e x):
+    # 2^17 values (the _BM_VALUES cap) of a 4-term sum at a CRT prime run
+    # long doubling windows; r = 64 at k = 128 is the correct workload's
+    # shape; at 2^31 - 1 only L <= 1 fits int64, so the products of L = 5
+    # are reduced before they are summed
     rng = seeded_rng(72)
-    for r in (1, 2, 5, 9):
+    cases = [(257, 3, r, 2 * r) for r in (1, 2, 5, 9)] + [
+        (16411, 3, 4, correct_mod._BM_VALUES),
+        (16411, 3, 64, 128),
+        ((1 << 31) - 1, 7, 5, 100),
+    ]
+    for p, w, r, k in cases:   # w generates F_p^*, so the w^e are distinct
         exps = rng.choice(200, size=r, replace=False)
-        coeffs = rng.integers(1, p, r)
-        values = np.array(
-            [sum(int(d) * pow(w, int(e) * u, p) for d, e in zip(coeffs, exps)) % p
-             for u in range(2 * r)], dtype=np.int64)
+        roots = [pow(w, int(e), p) for e in exps]
+        values = _power_sum(rng.integers(1, p, r), roots, k, p)
         want = [1]
-        for e in exps:     # multiply by (1 - w^e x)
-            root = pow(w, int(e), p)
+        for root in roots:     # multiply by (1 - w^e x)
             want = [(x - root * y) % p for x, y in zip(want + [0], [0] + want)]
-        assert berlekamp_massey(values, p).tolist() == want
+        assert berlekamp_massey(values, p).tolist() == want, (p, r, k)
+
+
+def test_berlekamp_massey_matches_the_stepwise_oracle():
+    # the scan over zero discrepancies returns what one step per value does,
+    # on both sides of the int64 budget (2 products at 2^31 - 1): uniform
+    # values; L-sparse power sums, whose tails are zero runs; the same with
+    # one value past 2L moved, so a run ends and the scan resumes; all
+    # zeros; and zeros up to one last nonzero value
+    rng = seeded_rng(73)
+    for p in (2, 3, 17, 4099, 16411, 147457, (1 << 31) - 1):
+        for k in range(161):
+            size = int(rng.integers(1, 13))
+            sparse = _power_sum(rng.integers(1, p, size), rng.integers(1, p, size), k, p)
+            moved = sparse.copy()
+            if k > 2 * size:
+                u = int(rng.integers(2 * size, k))
+                moved[u] = (moved[u] + int(rng.integers(1, p))) % p
+            last = np.zeros(k, dtype=np.int64)
+            last[-1:] = rng.integers(1, p)
+            for values in (rng.integers(0, p, k), sparse, moved,
+                           np.zeros(k, dtype=np.int64), last):
+                got = berlekamp_massey(values, p)
+                want = oracle_berlekamp_massey(values, p)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (
+                    p, values.tolist())
+
+
+def test_berlekamp_massey_only_reads_its_values():
+    # PronyEngine.locate passes a slice of known[p], which the sweep later
+    # shifts, so Berlekamp-Massey must leave its values as they are
+    rng = seeded_rng(74)
+    for p in (16411, (1 << 31) - 1):
+        values = _power_sum(rng.integers(1, p, 5), rng.integers(1, p, 5), 128, p)
+        values[100] = (values[100] + 1) % p
+        before = values.copy()
+        values.flags.writeable = False
+        berlekamp_massey(values, p)
+        assert np.array_equal(values, before)
+
+
+def _pinned(run) -> tuple:
+    """Every field of the CorrectionResult run(trace) returns and its
+    trace, or the type, message and fields of the error it raises."""
+    trace = io.StringIO()
+    try:
+        res = run(trace)
+    except (PromiseViolationError, ResourceLimitError) as exc:
+        return type(exc), str(exc), vars(exc), trace.getvalue()
+    fields = dict(vars(res), product=res.product.data.tolist())
+    return fields, trace.getvalue()
+
+
+def test_prony_runs_are_pinned_to_the_stepwise_oracle(monkeypatch):
+    # seeded m = 128, t = 64 instances and a cancelling output-sensitive
+    # product give the same result, trace and error as with one step per
+    # value; the quadtree engine never calls Berlekamp-Massey
+    rng = seeded_rng(75)
+    m, t = 128, 64
+    runs = {}
+    a, b = rng.integers(-9, 10, (2, m, m))
+    truth = a @ b
+    for name, k in (("spread", 8), ("t_plus_1", t + 1)):
+        c = _with_errors(truth, _random_cells(rng, m, k), _random_deltas(rng, k))
+        runs[name] = lambda trace, c=c: correct_product(a, b, c, t, trace=trace)
+    wide_a, wide_b = rng.integers(-(1 << 20), (1 << 20) + 1, (2, m, m))
+    wide = wide_a @ wide_b
+    p1 = build_crt_basis(m, augment(wide_a, wide_b, wide).magnitude_bound()).fields[0].p
+    c = _with_errors(wide, _random_cells(rng, m, 4), _random_deltas(rng, 4, p1))
+    runs["p1_multiples"] = lambda trace: correct_product(wide_a, wide_b, c, t, trace=trace)
+    u = rng.integers(1, 5, (64, 1))
+    cancel_a, cancel_b = np.tile(u, (1, 64)), rng.integers(-4, 5, (64, 64))
+    cancel_b[-1] -= cancel_b.sum(axis=0)
+    cancel_b[-1, rng.choice(64, size=2, replace=False)] += 5
+    runs["osmm"] = lambda trace: multiply_output_sensitive(
+        cancel_a, cancel_b, int(np.count_nonzero(cancel_a @ cancel_b)), trace=trace)
+
+    want = {}
+    with monkeypatch.context() as patch:
+        calls = []
+        patch.setattr(correct_mod, "berlekamp_massey",
+                      lambda vals, p: calls.append(p) or oracle_berlekamp_massey(vals, p))
+        for name, run in runs.items():
+            calls.clear()
+            want[name] = _pinned(run)
+            assert calls, name
+    for name, run in runs.items():
+        assert _pinned(run) == want[name], name
+    assert want["t_plus_1"][0] is PromiseViolationError
+    assert "product" in want["osmm"][0] and want["p1_multiples"][0]["prime_passes"] == 2
 
 
 # -- the promise, on seeded fuzz ---------------------------------------------
