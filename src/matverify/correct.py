@@ -345,20 +345,21 @@ def berlekamp_massey(values: np.ndarray, p: int) -> np.ndarray:
     coefficients c[0] = 1, ..., c[L] with sum_i c[i] * values[u - i] = 0
     for L <= u < len(values). values are residues in [0, p), p < 2^31; they
     are only read. Each array holds exactly its L + 1 coefficients: x^gap * b
-    never reaches past degree L, so one step costs O(L).
+    never reaches past degree L. A discrepancy is one dot of c with the
+    reversed window, in int64 while L + 1 products of at most (p - 1)^2 fit
+    (at p = 2^31 - 1 only 2 do), with each product reduced first otherwise.
 
     A zero discrepancy changes none of c, b and L; it only moves b one
     place further up (gap, here u - last). So from a step u >= 2L, where the
-    next nonzero discrepancy is certain to change the length, the scan
-    checks the values ahead against the current c in windows of 1, 2, 4,
-    ... values (_discrepancies) and jumps to the first nonzero one, as in
-    the early termination of Kaltofen & Lee (JSC 2003). An L-sparse
+    next nonzero discrepancy is certain to change the length, the values
+    ahead are checked against the current c in windows of 1, 2, 4, ...
+    values (_first_discrepancy), and the scan jumps to the first nonzero
+    one: the early termination of Kaltofen & Lee (JSC 2003). An L-sparse
     sequence then takes about 2L interpreter steps plus O(log k) windows,
     not k steps. The work stays O(kL): a window that finds a nonzero
     discrepancy is followed by a length change, and a window only doubles
     after one that was all zero, so a run of s zero discrepancies costs at
     most 2s + 1 window values, each an O(L) dot."""
-    # L + 1 products of residues each at most (p - 1)^2 fit int64 up to this
     budget = (_verify._I64_MAX - (p - 1)) // (p - 1) ** 2
     c = np.ones(1, dtype=np.int64)       # current connection polynomial
     b = np.ones(1, dtype=np.int64)       # the one before the last length change
