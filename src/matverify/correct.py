@@ -371,7 +371,7 @@ def berlekamp_massey(values: np.ndarray, p: int) -> np.ndarray:
                 break
         else:
             seg = values[u - length : u + 1]
-            if len(c) <= budget:
+            if len(c) <= budget:     # one dot costs less than a convolution call
                 d = int(c @ seg[::-1]) % p
             else:
                 d = int(_discrepancies(c, seg, p, budget)[0])

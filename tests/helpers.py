@@ -104,8 +104,7 @@ def oracle_berlekamp_massey(values, p: int) -> np.ndarray:
     b = np.ones(1, dtype=np.int64)
     length, gap, b_inv = 0, 1, 1
     for u in range(len(values)):
-        window = np.asarray(values[u - length : u + 1], dtype=np.int64)[::-1]
-        d = int((c * window % p).sum() % p)
+        d = int((c * values[u - length : u + 1][::-1] % p).sum() % p)
         if d == 0:
             gap += 1
             continue

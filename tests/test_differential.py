@@ -205,8 +205,8 @@ def test_prony_runs_are_pinned_to_the_stepwise_oracle(monkeypatch):
     wide_a, wide_b = rng.integers(-(1 << 20), (1 << 20) + 1, (2, m, m))
     wide = wide_a @ wide_b
     p1 = build_crt_basis(m, augment(wide_a, wide_b, wide).magnitude_bound()).fields[0].p
-    c = _with_errors(wide, _random_cells(rng, m, 4), _random_deltas(rng, 4, p1))
-    runs["p1_multiples"] = lambda trace: correct_product(wide_a, wide_b, c, t, trace=trace)
+    c_p1 = _with_errors(wide, _random_cells(rng, m, 4), _random_deltas(rng, 4, p1))
+    runs["p1_multiples"] = lambda trace: correct_product(wide_a, wide_b, c_p1, t, trace=trace)
     u = rng.integers(1, 5, (64, 1))
     cancel_a, cancel_b = np.tile(u, (1, 64)), rng.integers(-4, 5, (64, 64))
     cancel_b[-1] -= cancel_b.sum(axis=0)
