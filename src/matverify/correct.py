@@ -360,7 +360,7 @@ def berlekamp_massey(values: np.ndarray, p: int) -> np.ndarray:
     discrepancy is followed by a length change, and a window only doubles
     after one that was all zero, so a run of s zero discrepancies costs at
     most 2s + 1 window values, each an O(L) dot."""
-    budget = (_verify._I64_MAX - (p - 1)) // (p - 1) ** 2
+    budget = (_poly._I64_MAX - (p - 1)) // (p - 1) ** 2
     c = np.ones(1, dtype=np.int64)       # current connection polynomial
     b = np.ones(1, dtype=np.int64)       # the one before the last length change
     length, last, b_inv, u, k = 0, -1, 1, 0, len(values)
@@ -378,12 +378,17 @@ def berlekamp_massey(values: np.ndarray, p: int) -> np.ndarray:
             if d == 0:
                 u += 1
                 continue
-        prev, gap = c, u - last
+        gap = u - last
         top = gap + len(b)
-        c = np.zeros(max(len(prev), top), dtype=np.int64)
-        c[: len(prev)] = prev
-        c[gap:top] = reduce_in_place(c[gap:top] - d * b_inv % p * b, p)
-        if 2 * length <= u:
+        grows = 2 * length <= u
+        if grows:   # the old c becomes b, and c reaches degree top - 1
+            prev, c = c, np.zeros(max(len(c), top), dtype=np.int64)
+            c[: len(prev)] = prev
+        # c[gap:top] -= d / d_last * b mod p: products below p^2 fit int64
+        part = c[gap:top]
+        np.subtract(part, d * b_inv % p * b, out=part)
+        np.remainder(part, p, out=part)
+        if grows:
             length, b, b_inv, last = u + 1 - length, prev, pow(d, -1, p), u
         u += 1
     return c
@@ -427,9 +432,11 @@ def sweep_values(coeffs: np.ndarray, ctx: FieldCtx, m: int):
             count = min(_poly._SEGMENT, total - e0)
             yield e0, progression_eval(coeffs, pow(omega, e0, p), omega, count, p)
         return
-    rows = power_sequence(power_sequence(omega, m, p), len(coeffs), p) * coeffs
-    reduce_in_place(rows, p)
-    cols = power_sequence(power_sequence(pow(omega, m, p), m, p), len(coeffs), p)
+    # the Vandermonde rows of omega^i and of (omega^m)^j, i, j < m, in one call
+    bases = np.concatenate([power_sequence(omega, m, p),
+                            power_sequence(pow(omega, m, p), m, p)])
+    table = power_sequence(bases, len(coeffs), p)
+    rows, cols = reduce_in_place(table[:m] * coeffs, p), table[m:]
     step = max(1, _verify._GEMM_CELLS // m)
     for j0 in range(0, m, step):
         yield m * j0, _matmul_mod(rows, cols[j0 : j0 + step].T, p).T.ravel()

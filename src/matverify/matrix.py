@@ -197,11 +197,16 @@ def square_matrices(*mats):
 
 def pad_to_pow2(a, b, c) -> tuple[IntMatrix, IntMatrix, IntMatrix, int]:
     """Zero-pad square same-size A, B, C to the next power of two. Padding
-    adds no nonzeroes to AB - C."""
+    adds no nonzeroes to AB - C. C comes back as a private copy, which the
+    correction engine writes; A and B, which it only reads, come back as
+    they are when n is a power of two already."""
     *mats, n = square_matrices(a, b, c)
     m = next_pow2(n)
     out = []
-    for src in mats:
+    for k, src in enumerate(mats):
+        if m == n and k < 2:
+            out.append(src)
+            continue
         buf = np.zeros((m, m), dtype=src.data.dtype)
         buf[:n, :n] = src.data
         out.append(IntMatrix._adopt(buf, max_abs=src.max_abs))

@@ -9,8 +9,10 @@ transforms up to _PLAN_LENGTH points in a second bounded LRU. The chirp
 and poly_mul run on one exact float64 FFT convolution of small-width
 limbs: both operands hold balanced residues in [-p/2, p/2], and the limb
 count follows from a rounding bound on their 2-norms. Moduli are below
-field.WORD = 2^31, so residue products fit in int64 and all arithmetic
-runs on int64 arrays."""
+field.WORD = 2^31, so residue products fit in int64. The chirp keeps its
+outputs, and the sums callers build from them, as integer-valued float64
+balanced residues (fold) while f64_rows(p) >= 1, and in int64 for the
+wider moduli."""
 
 from functools import lru_cache
 from math import sqrt
@@ -29,6 +31,45 @@ _CHUNK_POINTS = 1 << 15  # rows x transform length per batch: bounds the workspa
 # at most 2^15 + 2^13 more, so the 32 cached plans stay within 22 MiB;
 # longer plans, whose tables grow with the count, are built per call
 _PLAN_LENGTH = 1 << 13
+_I64_MAX = (1 << 63) - 1
+_F64_SUM = 1 << 50     # integer-valued float64 arrays below this fold exactly
+
+
+def f64_rows(p: int) -> int:
+    """How many products x * y, |x| <= p // 2 and |y| < p, one float64 sum
+    holds on top of a balanced residue mod p while every partial sum stays
+    below 2^50, where fold is exact. It is 0 from p(p - 1) > 2^51 - 2 (p
+    near 2^25.5) on, and there the chirp keeps int64 arithmetic."""
+    return (_F64_SUM - 1 - p // 2) // ((p - 1) * (p // 2))
+
+
+def fold(x: np.ndarray, p: int, tmp: np.ndarray | None = None) -> np.ndarray:
+    """x reduced mod p in place and returned, in the arithmetic of its
+    dtype: an int64 x into [0, p) by field.reduce_in_place, an
+    integer-valued float64 x, |x| < 2^50, to the balanced residues
+    x - p * rint(x / p) in [-(p-1)/2, (p-1)/2]. tmp, if given, is float64
+    scratch of x's shape.
+
+    The float64 form is exact for odd p < 2^31. The computed quotient q =
+    fl(x * fl(1/p)) is x/p times (1 + d), |d| <= 2^-52 + 2^-106 for its two
+    roundings, so it lies less than 2^50/p * 2^-52 = 1/(4p) from x/p. An
+    integer over an odd p is at least 1/(2p) from every half-integer, so q
+    rounds to the integer k nearest x/p. Then |p*k| <= |x| + p/2 < 2^53, so
+    p*k and x - p*k are computed exactly. (At p = 2, 1/p is exact, and a
+    tie leaves a residue of magnitude 1 = p/2.)"""
+    if x.dtype != np.float64:
+        return reduce_in_place(x, p)
+    q = np.multiply(x, 1.0 / p, out=tmp)
+    np.rint(q, out=q)
+    q *= p
+    x -= q
+    return x
+
+
+def residues(x: np.ndarray, p: int) -> np.ndarray:
+    """The integers of x (float64 or int64, |x| < 2^53) as int64 residues
+    in [0, p): x itself, reduced in place, when it is int64."""
+    return reduce_in_place(x.astype(np.int64, copy=False), p)
 
 
 class Poly:
@@ -119,14 +160,19 @@ def _balanced(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _limbs(x: np.ndarray, limbs: int, width: int) -> list[np.ndarray]:
-    """Limbs of x, low first, with sum_j limb_j * 2^(width*j) = x: x itself
-    for one limb. The low limbs are masked into [0, 2^width); the top limb
-    is an arithmetic shift, so it carries the sign of a balanced residue."""
+    """Limbs of the balanced residues x (int64 or float64), low first, with
+    sum_j limb_j * 2^(width*j) = x: x itself for one limb. They are float64
+    (exact, |x| < 2^31): each low limb is x - 2^width * floor(x / 2^width),
+    in [0, 2^width), and the floor carries on, so the top limb is the
+    arithmetic shift of x and keeps its sign."""
     if limbs == 1:
         return [x]
-    mask = (1 << width) - 1
-    low = [(x >> (width * j)) & mask for j in range(limbs - 1)]
-    return low + [x >> (width * (limbs - 1))]
+    out = []
+    for _ in range(limbs - 1):
+        high = np.floor(x * 2.0**-width)
+        out.append(x - high * 2.0**width)
+        x = high
+    return out + [x]
 
 
 def _limb_spectra(x: np.ndarray, length: int, plan: tuple[int, int],
@@ -135,29 +181,41 @@ def _limb_spectra(x: np.ndarray, length: int, plan: tuple[int, int],
     x (taken along the last axis), split by the (limbs, width) plan. work,
     if given, is a float64 array of shape (limbs,) + x.shape[:-1] +
     (length,), zero from column x.shape[-1] on: each limb is written into
-    its slice there, and the transform reads that in place of a padded
-    float64 copy of its own."""
+    its slot there, and the transform reads that in place of a padded
+    float64 copy of its own. x may be the head of work's first slot, as in
+    ProgressionPlan.raw; a single limb is then transformed where it is."""
     parts = _limbs(x, *plan)
     if work is not None:
         for slot, part in zip(work, parts):
-            slot[..., : part.shape[-1]] = part
+            if not np.may_share_memory(slot, part):
+                slot[..., : part.shape[-1]] = part
         parts = work
     return [np.fft.rfft(part, length) for part in parts]
 
 
 def _spectral_product(xs, ys, length: int, lo: int, hi: int, p: int,
-                      plan: tuple[int, int]) -> np.ndarray:
+                      plan: tuple[int, int], out: np.ndarray | None = None) -> np.ndarray:
     """Entries [lo, hi) mod p of the cyclic convolution of two balanced
     residue vectors (or batches of them) given by their limb spectra under
-    the (limbs, width) plan.
+    the (limbs, width) plan. They are written into out, if given, and it is
+    returned: as balanced float64 residues while f64_rows(p) >= 1, as int64
+    residues in [0, p) otherwise, out's dtype being that one. Without out
+    they come back as a new int64 array in [0, p).
 
     Output weight s sums the limb products with i + j = s; each weight is
-    transformed back, rounded, checked to lie within 1/4 of an integer, and
-    folded in with the factor 2^(width*s) mod p, all in place. xs has the
-    output's shape and is consumed: xs[i] takes the product of its last
-    weight, i + limbs - 1 (with one limb, the only one).
+    transformed back, rounded in place, checked once per output to lie
+    within 1/4 of an integer, and folded to balanced residues in float64,
+    exact since the limb plan keeps every weight below 2^47 (_limb_plan).
+    Weight s > 0 is then folded in with the factor 2^(width*s) mod p: in
+    float64 while f64_rows(p) >= 1, which bounds that product, at most
+    (p//2) * (p - 1), with the balanced sum it joins below 2^50; in int64
+    otherwise, where it stays below 2^30 * 2^31 + 2^31. xs has the output's
+    shape and is consumed: xs[i] takes the product of its last weight,
+    i + limbs - 1 (with one limb, the only one).
     """
     limbs, width = plan
+    floats = f64_rows(p) > 0
+    acc = tmp = None
     for s in range(2 * limbs - 1):
         i0 = max(0, s - limbs + 1)
         last = xs[i0] if s == i0 + limbs - 1 else None
@@ -165,18 +223,25 @@ def _spectral_product(xs, ys, length: int, lo: int, hi: int, p: int,
         for i in range(i0 + 1, min(s, limbs - 1) + 1):
             spec += xs[i] * ys[s - i]
         z = np.fft.irfft(spec, length)[..., lo:hi]
-        r = np.rint(z)
-        z -= r
-        if z.size and max(z.max(), -z.min()) >= 0.25:
+        v = np.rint(z, out=out if acc is None and floats else None)
+        tmp = np.subtract(z, v, out=tmp if s else None)   # contiguous, unlike z
+        if tmp.size and np.abs(tmp, out=tmp).max() >= 0.25:
             raise InternalCheckError(
                 f"FFT rounding residual above 1/4 (length {length}, p {p})"
             )
-        v = reduce_in_place(r.astype(np.int64), p)
-        if s:
+        fold(v, p, tmp)
+        if not floats:
+            v = v.astype(np.int64)
+        if acc is None:
+            acc = v
+        else:
             v *= pow(2, width * s, p)
-            v += out
-            reduce_in_place(v, p)
-        out = v
+            acc += v
+            fold(acc, p, tmp)
+    if out is None:
+        return residues(acc, p)
+    if acc is not out:   # the int64 form, balanced after a single limb
+        out[...] = reduce_in_place(acc, p)
     return out
 
 
@@ -284,10 +349,19 @@ class ProgressionPlan:
     block_rows, read-only: one polynomial of J*n coefficients, cut into J
     rows of n, is then summed from its rows' values by Horner's scheme in
     x_u^n, a block of rows at a time.
+
+    While f64_rows(p) >= 1 the plan works in float64: raw() returns
+    balanced residues, post and lead hold float64 copies of their residues
+    in [0, p), and the scales balanced residues, so every product of a raw
+    output or a row entry with a table entry is at most (p//2) * (p - 1),
+    and budget = f64_rows(p) such products fit one sum that fold reduces.
+    Past that, every table and raw() hold int64 residues in [0, p), and
+    budget counts the products of at most (p - 1)^2 that int64 holds on top
+    of a residue.
     """
 
     __slots__ = ("p", "n", "length", "plan", "spectrum", "segments", "post", "block_rows",
-                 "lead")
+                 "lead", "budget")
 
     def __init__(self, n: int, first: int, ratio: int, count: int, p: int,
                  lead: bool = False):
@@ -302,43 +376,63 @@ class ProgressionPlan:
         self.spectrum, inv = _chirp(p, ratio, length, self.plan)
         self.p, self.n, self.length = p, n, length
         self.block_rows = max(1, _CHUNK_POINTS // length)
+        dtype = np.float64 if f64_rows(p) else np.int64
+        self.budget = f64_rows(p) or (_I64_MAX - (p - 1)) // (p - 1) ** 2
         self.segments = []   # (u0, cnt, scale) for each segment of points
         for u0 in range(0, count, seg):
             scale = power_sequence(first * pow(ratio, u0, p), n, p)
             scale *= inv[:n]
-            self.segments.append((u0, min(seg, count - u0), _frozen(reduce_in_place(scale, p))))
-        self.post = _frozen(np.concatenate([inv[:cnt] for _, cnt, _ in self.segments]))
+            scale = reduce_in_place(scale, p) if dtype is np.int64 else _balanced(scale, p)
+            self.segments.append((u0, min(seg, count - u0), _frozen(scale.astype(dtype))))
+        post = np.concatenate([inv[:cnt] for _, cnt, _ in self.segments])
+        self.post = _frozen(post.astype(dtype))
         self.lead = None
         if lead:
             y = power_sequence(pow(ratio, n, p), count, p) * pow(first, n, p)
             y = power_sequence(reduce_in_place(y, p), self.block_rows + 1, p)
-            self.lead = _frozen(np.ascontiguousarray(y.T))
+            self.lead = _frozen(np.ascontiguousarray(y.T, dtype=dtype))
 
-    def raw(self, rows: np.ndarray) -> np.ndarray:
+    def raw(self, rows: np.ndarray, live: np.ndarray | None = None) -> np.ndarray:
         """Z for every row of a 2-d int64 array of entries below p in
-        magnitude, zero from column n on: shape (rows, count), in [0, p).
+        magnitude, zero from column n on: shape (rows, count), as the
+        plan's balanced float64 residues or int64 ones in [0, p) (post's
+        dtype). live, if given, is rows.any(axis=1), which a caller may
+        already hold.
 
-        Nonzero rows are scaled, balanced and correlated against the kernel
-        by batched float64 FFTs, block_rows at a time so the workspace stays
-        bounded; all-zero rows give zeros. Each block's rows go, reversed,
-        into one zero-padded float64 workspace of this call, sliced for a
-        short block, which the forward transforms read.
+        Live rows are scaled, balanced and correlated against the kernel by
+        batched float64 FFTs, block_rows at a time so the workspace stays
+        bounded; all-zero rows give zeros. Each block's rows are scaled,
+        reversed, into one zero-padded float64 workspace of this call,
+        sliced for a short block, and balanced and split into limbs there
+        for the forward transforms; the outputs are rounded into the
+        block's slice of the result. When every row is live, a block is a
+        slice of rows and of the result, so no index array copies either.
         """
         p, n = self.p, self.n
-        out = np.zeros((len(rows), len(self.post)), dtype=np.int64)
-        live = np.nonzero(rows.any(axis=1))[0]
+        out = np.zeros((len(rows), len(self.post)), dtype=self.post.dtype)
+        live = rows.any(axis=1) if live is None else live
+        idx = None if live.all() else np.flatnonzero(live)
+        total = len(rows) if idx is None else len(idx)
+        k = self.block_rows
         # columns n on stay zero; a block writes its rows' first n columns
-        work = np.zeros((self.plan[0], min(self.block_rows, live.size), self.length))
+        work = np.zeros((self.plan[0], min(k, total), self.length))
         for u0, cnt, scale in self.segments:
-            for r0 in range(0, live.size, self.block_rows):
-                idx = live[r0 : r0 + self.block_rows]
-                b = rows[idx, :n]   # a copy, by the index array
-                b *= scale
-                xs = _limb_spectra(_balanced(b, p)[:, ::-1], self.length, self.plan,
-                                   work[:, : len(idx)])
-                out[idx, u0 : u0 + cnt] = _spectral_product(
-                    xs, self.spectrum, self.length, n - 1, n - 1 + cnt, p, self.plan
-                )
+            for r0 in range(0, total, k):
+                pick = slice(r0, r0 + k) if idx is None else idx[r0 : r0 + k]
+                block = rows[pick, :n]
+                x = work[0, : len(block), :n]
+                if out.dtype == np.float64:   # |row * scale| <= (p - 1) * (p//2)
+                    y = block.astype(np.float64)
+                    y *= scale
+                    x[:, ::-1] = fold(y, p)
+                else:
+                    x[:, ::-1] = _balanced(block * scale, p)
+                xs = _limb_spectra(x, self.length, self.plan, work[:, : len(block)])
+                vals = out[pick, u0 : u0 + cnt]   # a copy for an index array
+                _spectral_product(xs, self.spectrum, self.length, n - 1, n - 1 + cnt, p,
+                                  self.plan, vals)
+                if idx is not None:
+                    out[pick, u0 : u0 + cnt] = vals
         return out
 
 
@@ -390,4 +484,4 @@ def progression_eval(coeffs, first: int, ratio: int, count: int, p: int) -> np.n
     plan = progression_plan(int(used[-1]) + 1, first, ratio, count, p)
     out = plan.raw(rows)
     out *= plan.post
-    return reduce_in_place(out, p).reshape(shape)
+    return residues(out, p).reshape(shape)

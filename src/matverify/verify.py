@@ -20,10 +20,10 @@ Measured on one core (OpenBLAS, numpy 2.4, least of 7 calls, 3 at n =
 "Timing"), the fingerprint of AB - C for entries in [-9, 9] at t points,
 GEMM / chirp in ms:
 
-    n = 128:  t = 16: 0.28 / 0.82    t = 128: 0.82 / 1.14
-    n = 384:  t = 48: 2.1 / 8.0      t = 384: 11.95 / 11.93
-    n = 512:  t = 64: 4.3 / 15.3     t = 512: 23.4 / 24.2
-    n = 1024: t = 128: 28 / 147      t = 1024: 185 / 251
+    n = 128:  t = 16: 0.22 / 0.58    t = 128: 0.56 / 0.80
+    n = 384:  t = 48: 1.5 / 4.8      t = 384: 7.3 / 7.8
+    n = 512:  t = 64: 3.0 / 8.7      t = 512: 19.2 / 15.2
+    n = 1024: t = 128: 19 / 98       t = 1024: 136 / 186
 
 so the crossover lies near t = n (n = 384, 512) or past it (n = 128,
 1024), and the cost bound, not the crossover, sets K_GEMM. The chirp runs
@@ -42,10 +42,9 @@ from .errors import ResourceLimitError, UsageError
 from .field import CrtBasis, FieldCtx, build_crt_basis, power_sequence, reduce_in_place
 from .matrix import _I64_SAFE, IntMatrix, augment, exact_dot, field_form, square_matrices
 from . import poly as _poly
-from .poly import progression_plan
+from .poly import fold, progression_plan, residues
 from .poly import progression_eval  # noqa: F401  perfbench's tracer patches it here
 
-_I64_MAX = (1 << 63) - 1
 _F64_EXACT = 1 << 53
 _LIMB_BITS = 16          # limb width of the GEMMs when one GEMM would round
 _GEMM_CELLS = 1 << 18    # cells per GEMM buffer, 2 MiB in float64: bounds the workspace
@@ -132,16 +131,25 @@ def _matmul_mod(x: np.ndarray, y: np.ndarray, p: int, bound=None) -> np.ndarray:
     return reduce_in_place(out, p)
 
 
-def _live_pairs(rep: FingerprintRep, grid: int) -> int:
-    """Live (term, sub-block) pairs, as many as (A | C), (B ; -I) has: inner
-    index k feeds sub-block (a, b) when both its halves are nonzero there,
-    column j of C the one in its column whose rows it is nonzero over."""
+def _live(rep: FingerprintRep, grid: int):
+    """Where rep's terms are nonzero on its grid x grid sub-blocks of side
+    h: left[k, a] (column k of L over the rows of grid row a), right[k, b]
+    (row k of R over the columns of grid column b), and cols[a, j] (column
+    j of C over the rows of grid row a; None without C)."""
     h = rep.side // grid
     left = rep.left_polys.reshape(-1, grid, h).any(axis=2)
     right = rep.right_polys.reshape(-1, grid, h).any(axis=2)
+    cols = None if rep.c is None else rep.c.reshape(grid, h, -1).any(axis=1)
+    return left, right, cols
+
+
+def _live_pairs(left: np.ndarray, right: np.ndarray, cols) -> int:
+    """Live (term, sub-block) pairs of the masks of _live, as many as
+    (A | C), (B ; -I) has: inner index k feeds sub-block (a, b) when both
+    its halves are nonzero there, column j of C the one in its column whose
+    rows it is nonzero over."""
     live = (left[:, :, None] & right[:, None, :]).sum()
-    cols = 0 if rep.c is None else rep.c.reshape(grid, h, -1).any(axis=1).sum()
-    return int(live + cols)
+    return int(live + (0 if cols is None else cols.sum()))
 
 
 def _gemm_values(rep: FingerprintRep, xs: np.ndarray, grid: int) -> np.ndarray:
@@ -225,32 +233,36 @@ def _c_rows(h: int, count: int, p: int, segment: int, fft_limit: int) -> int:
     return best[1]
 
 
-def _c_values(c: np.ndarray, grid: int, first: int, count: int, ctx: FieldCtx,
-              budget: int) -> np.ndarray:
+def _c_values(c: np.ndarray, cols: np.ndarray, grid: int, first: int, count: int,
+              ctx: FieldCtx) -> np.ndarray:
     """C's term of each sub-block (a, b) of side h = side // grid at x_u =
-    first * omega^u, in [0, p), shape (grid, grid, count): C's block read
-    column-major is one polynomial of h^2 coefficients, which runs on one
-    plan as h/g rows of g*h, row J (columns g*J..g*J+g-1) weighted by
-    (x_u^h)^(gJ). The blocks of at most budget rows are summed by Horner's
-    scheme in x_u^(gh), from the top block down, on the plan's lead powers;
-    the sum is reduced after every block and post-scaled once."""
+    first * omega^u, shape (grid, grid, count), in the arithmetic of its
+    plan (poly.fold), reduced: C's block read column-major is one
+    polynomial of h^2 coefficients, which runs on one plan as h/g rows of
+    g*h, row J (columns g*J..g*J+g-1) weighted by (x_u^h)^(gJ). cols is
+    _live's mask of C's columns. The blocks of at most plan.budget rows are
+    summed by Horner's scheme in x_u^(gh), from the top block down, on the
+    plan's lead powers; the sum is folded after every product and every
+    block, so each partial sum is a folded one plus at most plan.budget
+    products of a raw output and a lead power, and is post-scaled once."""
     p, h = ctx.p, len(c) // grid
     plan, g = _c_plan(h, first, ctx.omega, count, p)
     blocks = c.reshape(grid, h, grid, h // g, g)   # [a, i, b, J, e]
-    step = max(1, min(plan.block_rows // (grid * grid), budget))
+    live = cols.reshape(grid, grid, h // g, g).any(axis=3).transpose(2, 0, 1)  # [J, a, b]
+    step = max(1, min(plan.block_rows // (grid * grid), plan.budget))
     pw = plan.lead   # pw[k, u] = (x_u^(gh))^k
-    out = np.zeros((grid, grid, count), dtype=np.int64)
+    out = np.zeros((grid, grid, count), dtype=pw.dtype)
     for j0 in reversed(range(0, h // g, step)):
         # rows (J, a, b), coefficient e*h + i; by Horner, the sum of the
         # rows above moves up by step rows
         rows = blocks[:, :, :, j0 : j0 + step].transpose(3, 0, 2, 4, 1).reshape(-1, g * h)
-        z = plan.raw(rows).reshape(-1, grid, grid, count)
+        z = plan.raw(rows, live[j0 : j0 + step].ravel()).reshape(-1, grid, grid, count)
         out *= pw[step]
-        reduce_in_place(out, p)
-        out += (z * pw[: len(z), None, None]).sum(axis=0)
-        reduce_in_place(out, p)
+        fold(out, p)
+        out += np.einsum("jabu,ju->abu", z, pw[: len(z)])
+        fold(out, p)
     out *= plan.post
-    return reduce_in_place(out, p)
+    return fold(out, p)
 
 
 def eval_fingerprint_progression(
@@ -274,8 +286,11 @@ def eval_fingerprint_progression(
     _gemm_values run; past that the chirp does, on the plans of
     poly.progression_plan (cached up to a transform length), one per side.
     The raw kernel outputs of each block of terms are multiplied and added
-    to an int64 sum, which is reduced after every block, and both
-    post-scales are applied once to the total. C's term of each sub-block
+    to one sum in the plans' arithmetic (float64 balanced residues, or
+    int64 for the moduli where poly.f64_rows is 0), which is folded after
+    every block of at most plan.budget terms, so no partial sum leaves the
+    range where poly.fold is exact; both post-scales are applied once to
+    the total, and it becomes int64 residues in [0, p) once. C's term of each sub-block
     is one polynomial of h^2 coefficients, C's block read column-major, and
     _c_values evaluates it on its own plan in rows of g*h coefficients; it
     is subtracted at the end.
@@ -292,7 +307,8 @@ def eval_fingerprint_progression(
         raise UsageError("grid must divide the block side")
     side = rep.side // grid
     acc = np.zeros((grid, grid, count), dtype=np.int64)
-    pairs = _live_pairs(rep, grid)
+    left, right, cols = _live(rep, grid)
+    pairs = _live_pairs(left, right, cols)
     path = None
     if count and pairs:
         path = "gemm" if count <= K_GEMM * side.bit_length() else "chirp"
@@ -305,23 +321,22 @@ def eval_fingerprint_progression(
         ratio_r = pow(ctx.omega, side, p)
         plan_q = progression_plan(side, first, ctx.omega, count, p)
         plan_r = progression_plan(side, pow(first, side, p), ratio_r, count, p)
-        # a block holds at most as many products, each at most (p - 1)^2, as
-        # int64 holds on top of a sum reduced after the block before
-        budget = (_I64_MAX - (p - 1)) // (p - 1) ** 2
-        step = max(1, min(plan_q.block_rows // grid, budget))
+        # both plans share p, so one arithmetic and one budget
+        step = max(1, min(plan_q.block_rows // grid, plan_q.budget))
+        acc = np.zeros((grid, grid, count), dtype=plan_q.post.dtype)
         for k0 in range(0, len(rep.left_polys), step):
-            lq, rr = rep.left_polys[k0 : k0 + step], rep.right_polys[k0 : k0 + step]
-            zq = plan_q.raw(lq.reshape(-1, side)).reshape(-1, grid, 1, count)
-            zr = plan_r.raw(rr.reshape(-1, side)).reshape(-1, 1, grid, count)
-            acc += (zq * zr).sum(axis=0)
-            reduce_in_place(acc, p)
+            ks = slice(k0, k0 + step)
+            zq = plan_q.raw(rep.left_polys[ks].reshape(-1, side), left[ks].ravel())
+            zr = plan_r.raw(rep.right_polys[ks].reshape(-1, side), right[ks].ravel())
+            acc += np.einsum("kau,kbu->abu", zq.reshape(-1, grid, count),
+                             zr.reshape(-1, grid, count))
+            fold(acc, p)
         acc *= plan_r.post
-        reduce_in_place(acc, p)
+        fold(acc, p)
         acc *= plan_q.post
-        reduce_in_place(acc, p)
-        if rep.c is not None:
-            acc -= _c_values(rep.c, grid, first, count, ctx, budget)
-            reduce_in_place(acc, p)
+        if rep.c is not None:   # at most (p//2) * (p - 1) + p//2, or p^2 in int64
+            acc -= _c_values(rep.c, cols, grid, first, count, ctx)
+        acc = residues(acc, p)
         if stats is not None:   # both sides share one limb plan
             stats["limbs"] = max(stats.get("limbs", 0), plan_q.plan[0])
     if stats is not None:

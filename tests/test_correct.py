@@ -21,7 +21,7 @@ import matverify.correct as correct_mod
 import matverify.verify as verify_mod
 from matverify.correct import CorrectionEngine
 from matverify.verify import FingerprintRep, all_zeroes_test, eval_fingerprint_progression
-from matverify.matrix import SubmatrixId, augment, field_form
+from matverify.matrix import SubmatrixId, augment, field_form, next_pow2, pad_to_pow2
 
 from helpers import plant_errors
 
@@ -95,6 +95,32 @@ def test_correct_does_not_mutate_input():
     for engine in ENGINES:
         correct_product(a, b, bad, 3, engine=engine)
         assert all(np.array_equal(x, y) for x, y in zip((a, b, bad), keep))
+
+
+@pytest.mark.parametrize("n", [128, 96])
+@pytest.mark.parametrize("wrap", [False, True])
+def test_correction_reads_its_inputs_and_returns_a_product_of_its_own(n, wrap):
+    # at a power of two pad_to_pow2 adopts A and B as they are, and at
+    # n = 96 pads them; in both cases the engine writes only its own copy
+    # of C, so a, b and c_in keep their values, and the product shares no
+    # memory with c_in (nor with a or b)
+    rng = seeded_rng(43 + n)
+    a = rng.integers(-9, 10, (n, n))
+    b = rng.integers(-9, 10, (n, n))
+    truth = naive_multiply(a, b).data
+    bad = plant_errors(truth, 5, rng)
+    keep = [x.copy() for x in (a, b, bad)]
+    args = [IntMatrix(x) if wrap else x for x in (a, b, bad)]
+    for engine in ENGINES:
+        res = correct_product(*args, 8, engine=engine)
+        assert np.array_equal(res.product.data, truth) and res.correction_count == 5
+        given = [x.data if wrap else x for x in args]
+        assert all(np.array_equal(x, y) for x, y in zip(given, keep))
+        assert not any(np.shares_memory(res.product.data, x) for x in given)
+    a2, b2, c2, m = pad_to_pow2(*args)
+    assert m == next_pow2(n)
+    assert (a2.data is given[0] and b2.data is given[1]) == (m == n)
+    assert not np.shares_memory(c2.data, given[2])
 
 
 def test_promise_violation_raises_before_overrun():

@@ -314,6 +314,61 @@ def test_kernel_rejects_inexact_rounding(monkeypatch):
         poly_mul(f, f)
 
 
+# the largest modulus f64_rows accepts: odd, so fold is exact there
+_F64_LIMIT = 47453133
+
+
+def test_float_fold_is_exact_at_its_bound():
+    # integers just under 2^50 in magnitude, and those nearest a
+    # half-multiple of p there, fold at the largest modulus the float
+    # budget accepts to the balanced residues of exact integer arithmetic
+    p = _F64_LIMIT
+    assert poly.f64_rows(p) == 1 and poly.f64_rows(p + 2) == 0
+    top = (1 << 50) - 1
+    xs = [top, top - 1, 0, 1, p // 2, p // 2 + 1, p - 1, p, p + 1]
+    for k in (top // p - 1, top // p):
+        xs += [v for v in (k * p, k * p + p // 2, k * p + p // 2 + 1) if v <= top]
+    xs += seeded_rng(44).integers(-top, top + 1, 4000).tolist()
+    xs += [-x for x in xs]
+    x = np.array(xs, dtype=np.float64)
+    assert all(int(v) == w for v, w in zip(x, xs)) and np.abs(x).max() < 1 << 50
+    want = [(v + p // 2) % p - p // 2 for v in xs]
+    assert poly.fold(x.copy(), p).tolist() == want
+    assert poly.fold(x.copy(), p, np.empty_like(x)).tolist() == want
+    ints = np.array(xs, dtype=np.int64)
+    assert poly.fold(ints, p) is ints and ints.tolist() == [v % p for v in xs]
+
+
+@pytest.mark.parametrize("p", [3, 4099, 16411, 147457, 262147, 47453111, _F64_LIMIT])
+def test_float_budget_is_the_most_products_below_2_50(p):
+    # f64_rows(p) products of at most (p - 1) * (p//2) on top of a balanced
+    # residue stay below 2^50, and one more would not
+    rows, worst = poly.f64_rows(p), (p - 1) * (p // 2)
+    assert rows >= 1
+    assert p // 2 + rows * worst < 1 << 50 <= p // 2 + (rows + 1) * worst
+
+
+@pytest.mark.parametrize("p, dtype", [(47453111, np.float64), (47453149, np.int64)])
+def test_chirp_on_either_side_of_the_float_limit(p, dtype):
+    # the largest prime the float64 form takes, where rows of +-(p - 1)
+    # scaled by balanced residues reach (p - 1) * (p//2), just under 2^50,
+    # and the least prime above it, where plan and raw() stay in int64;
+    # both match Horner, over two segments and two row blocks
+    first, ratio, count, n = 5, 48271, 40, 30
+    plan = poly.ProgressionPlan(n, first, ratio, count, p, lead=True)
+    tables = [plan.post, plan.lead, *(scale for _, _, scale in plan.segments)]
+    assert all(table.dtype == dtype for table in tables)
+    assert dtype == np.int64 or (p - 1) * (p // 2) + p // 2 < 1 << 50
+    rows = seeded_rng(45).choice([p - 1, 1 - p, p // 2, -(p // 2), 1, 0], (70, n))
+    got = plan.raw(rows)
+    assert got.dtype == dtype
+    assert dtype == np.int64 or np.abs(got).max() <= p // 2
+    pts = [first * pow(ratio, u, p) % p for u in range(count)]
+    want = [[oracle_eval(r.tolist(), x, p) for x in pts] for r in rows]
+    assert np.array_equal(poly.residues(got * plan.post, p), want)
+    assert progression_eval(rows, first, ratio, count, p).tolist() == want
+
+
 def test_limb_plan_pins():
     # one limb serves t = n up to 512 at L = 1024, where the rows' support
     # is n; n = 513 needs L = 2048 and two limbs. Wider primes and the

@@ -24,6 +24,7 @@ from matverify import (
 )
 
 from matverify import poly
+from matverify.field import find_generator
 import matverify.verify as verify_mod
 
 from helpers import fingerprint_coeffs, oracle_eval, plant_errors, skew_pair
@@ -237,18 +238,60 @@ def test_accumulation_reduces_before_int64_overflows(monkeypatch, grid):
                           _expanded_oracle(wide, tall, ctx, grid, points))
 
 
-@pytest.mark.parametrize("grid, start", [(1, 0), (2, 5)])
-def test_accumulation_at_the_verify_prime(grid, start):
-    # n = t = 384 at the one CRT prime of the verify workload, against the
-    # exact AB - C: value(x) = sum_ij D_ij x^i (x^h)^j per sub-block of side h
+# the largest prime whose float64 budget (poly.f64_rows) holds one product,
+# and the least prime above it, whose chirp runs in int64
+_F64_TOP, _I64_LOW = 47453111, 47453149
+
+
+@pytest.mark.parametrize("grid", [1, 2])
+@pytest.mark.parametrize("p, dtype", [(_F64_TOP, np.float64), (_I64_LOW, np.int64)])
+def test_accumulation_on_either_side_of_the_float_limit(monkeypatch, p, dtype, grid):
+    # at the largest prime the float64 form takes, one product of a raw
+    # output and a table entry, on top of a folded sum, comes within 2^30
+    # of 2^50, so every block holds one term; the next prime runs in int64.
+    # Entries near p - 1 and C's columns reach those bounds; the values
+    # match the expanded fingerprint of the materialized pair either way
+    monkeypatch.setattr(verify_mod, "K_GEMM", 0)
+    ctx = FieldCtx(p, find_generator(p), order_lb=p - 1)
+    plan = poly.progression_plan(8 // grid, 1, ctx.omega, 40, p)
+    budget = poly.f64_rows(p) or ((1 << 63) - 1 - (p - 1)) // (p - 1) ** 2
+    assert (plan.post.dtype, plan.budget) == (dtype, budget)
+    assert (budget == 1) == (dtype == np.float64)
+    rng = seeded_rng(29)
+    side, k, count = 8, 24, 40
+    left = p - 1 - rng.integers(0, 3, (k, side))
+    right = rng.choice([p - 1, p // 2, p // 2 + 1, 1], (k, side))
+    left[::5, : side // 2] = 0
+    c = p - 1 - rng.integers(0, 3, (side, side))
+    c[:, 1::3] = 0
+    rep = FingerprintRep(ctx, side, left, right, c, p - 1)
+    vals = eval_fingerprint_progression(rep, 3, count, grid=grid)
+    wide, tall = augment(left.T, right, c).materialize()
+    points = [pow(ctx.omega, 3 + u, p) for u in range(count)]
+    assert vals.dtype == np.int64
+    assert np.array_equal(vals.reshape(grid, grid, count),
+                          _expanded_oracle(wide, tall, ctx, grid, points))
+
+
+@pytest.mark.parametrize("n, count, grid, start, prime", [
+    pytest.param(384, 384, 1, 0, 147457, id="1-0"),
+    pytest.param(384, 384, 2, 5, 147457, id="2-5"),
+    pytest.param(128, 128, 1, 0, 16411, id="n128-t128"),
+    pytest.param(64, 256, 1, 3, 4099, id="n64-t256"),
+])
+def test_accumulation_at_the_verify_prime(n, count, grid, start, prime):
+    # the chirp shapes of the benchmark at their first CRT prime: n = t =
+    # 384 (the verify workload), 128 points on side 128 and 256 on side 64,
+    # against the exact AB - C: value(x) = sum_ij D_ij x^i (x^h)^j per
+    # sub-block of side h
     rng = seeded_rng(27)
-    n, count = 384, 384
     a = rng.integers(-9, 10, (n, n))
     b = rng.integers(-9, 10, (n, n))
     c = rng.integers(-999, 1000, (n, n))
     pair = augment(a, b, c)
-    (ctx,) = build_crt_basis(n, pair.magnitude_bound()).fields
+    ctx = build_crt_basis(n, pair.magnitude_bound()).fields[0]
     p, h = ctx.p, n // grid
+    assert p == prime and count > verify_mod.K_GEMM * h.bit_length()   # on the chirp
     rep = _pair_rep(pair, ctx)
     vals = eval_fingerprint_progression(rep, start, count, grid=grid)
     d = (naive_multiply(a, b).data - c) % p
@@ -447,7 +490,7 @@ def test_segmented_c_term_matches_the_materialized_pair(
     used = []
     raw = poly.ProgressionPlan.raw
     monkeypatch.setattr(poly.ProgressionPlan, "raw",
-                        lambda plan, rows: used.append(plan) or raw(plan, rows))
+                        lambda plan, *args: used.append(plan) or raw(plan, *args))
     stats = {}
     vals = eval_fingerprint_progression(rep, start, count, stats, grid=grid)
     assert all(plan.block_rows == max(1, poly._CHUNK_POINTS // plan.length) for plan in used)
@@ -469,7 +512,7 @@ def test_segmented_c_term_follows_a_patched_segment(monkeypatch):
     used = []
     raw = poly.ProgressionPlan.raw
     monkeypatch.setattr(poly.ProgressionPlan, "raw",
-                        lambda plan, rows: used.append(plan) or raw(plan, rows))
+                        lambda plan, *args: used.append(plan) or raw(plan, *args))
     assert np.array_equal(eval_fingerprint_progression(rep, 2, 30), want)
     assert len(used) == 3
     assert all(max(cnt for _, cnt, _ in plan.segments) == 8 for plan in used)
