@@ -290,10 +290,10 @@ def eval_fingerprint_progression(
     int64 for the moduli where poly.f64_rows is 0), which is folded after
     every block of at most plan.budget terms, so no partial sum leaves the
     range where poly.fold is exact; both post-scales are applied once to
-    the total, and it becomes int64 residues in [0, p) once. C's term of each sub-block
-    is one polynomial of h^2 coefficients, C's block read column-major, and
-    _c_values evaluates it on its own plan in rows of g*h coefficients; it
-    is subtracted at the end.
+    the total, which becomes int64 residues in [0, p) once. C's term of
+    each sub-block is one polynomial of h^2 coefficients, C's block read
+    column-major, and _c_values evaluates it on its own plan in rows of
+    g*h coefficients; it is subtracted at the end.
     stats["evaluations"] counts count times the _live_pairs;
     stats["gemm_points"] and stats["chirp_points"] count the values each
     path computed, count per sub-block, and stats["limbs"] keeps the most
