@@ -52,11 +52,11 @@ def fold(x: np.ndarray, p: int, tmp: np.ndarray | None = None) -> np.ndarray:
 
     The float64 form is exact for odd p < 2^31. The computed quotient q =
     fl(x * fl(1/p)) is x/p times (1 + d), |d| <= 2^-52 + 2^-106 for its two
-    roundings, so it lies less than 2^50/p * 2^-52 = 1/(4p) from x/p. An
-    integer over an odd p is at least 1/(2p) from every half-integer, so q
-    rounds to the integer k nearest x/p. Then |p*k| <= |x| + p/2 < 2^53, so
-    p*k and x - p*k are computed exactly. (At p = 2, 1/p is exact, and a
-    tie leaves a residue of magnitude 1 = p/2.)"""
+    roundings, so it lies at most 2^50/p * (2^-52 + 2^-106), a hair over
+    1/(4p), from x/p. An integer over an odd p is at least 1/(2p) from
+    every half-integer, so q rounds to the integer k nearest x/p. Then
+    |p*k| <= |x| + p/2 < 2^53, so p*k and x - p*k are computed exactly. (At
+    p = 2, 1/p is exact, and a tie leaves a residue of magnitude 1 = p/2.)"""
     if x.dtype != np.float64:
         return reduce_in_place(x, p)
     q = np.multiply(x, 1.0 / p, out=tmp)

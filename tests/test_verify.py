@@ -213,8 +213,10 @@ def _sub_block_oracle(rep, start, count, grid):
 def test_accumulation_reduces_before_int64_overflows(monkeypatch, grid):
     # at p = 2^31 - 1 two products near (p - 1)^2 fill an int64, so the chirp
     # takes blocks of at most two products, in the sum over 24 live inner
-    # indices and in C's column loop after it, and reduces after each
+    # indices and in C's loop over its h rows of h (g = 1) after it, and
+    # reduces after each
     monkeypatch.setattr(verify_mod, "K_GEMM", 0)
+    monkeypatch.setattr(verify_mod, "_c_rows", lambda *args: 1)
     p = (1 << 31) - 1
     ctx = FieldCtx(p, 7, order_lb=p - 1)
     rng = seeded_rng(26)
@@ -249,9 +251,22 @@ def test_accumulation_on_either_side_of_the_float_limit(monkeypatch, p, dtype, g
     # at the largest prime the float64 form takes, one product of a raw
     # output and a table entry, on top of a folded sum, comes within 2^30
     # of 2^50, so every block holds one term; the next prime runs in int64.
-    # Entries near p - 1 and C's columns reach those bounds; the values
-    # match the expanded fingerprint of the materialized pair either way
+    # Entries near p - 1 and C's columns reach those bounds: every float64
+    # sum handed to fold stays below 2^50, the bound of its proof, and the
+    # largest passes 2^49. C runs as h rows of h (g = 1), so its Horner
+    # loop takes several blocks. The values match the expanded fingerprint
+    # of the materialized pair either way
     monkeypatch.setattr(verify_mod, "K_GEMM", 0)
+    monkeypatch.setattr(verify_mod, "_c_rows", lambda *args: 1)
+    fold, folded = poly.fold, [0.0]
+
+    def checked_fold(x, p, tmp=None):
+        if x.dtype == np.float64 and x.size:
+            folded.append(np.abs(x).max())
+        return fold(x, p, tmp)
+
+    monkeypatch.setattr(poly, "fold", checked_fold)
+    monkeypatch.setattr(verify_mod, "fold", checked_fold)
     ctx = FieldCtx(p, find_generator(p), order_lb=p - 1)
     plan = poly.progression_plan(8 // grid, 1, ctx.omega, 40, p)
     budget = poly.f64_rows(p) or ((1 << 63) - 1 - (p - 1)) // (p - 1) ** 2
@@ -271,6 +286,8 @@ def test_accumulation_on_either_side_of_the_float_limit(monkeypatch, p, dtype, g
     assert vals.dtype == np.int64
     assert np.array_equal(vals.reshape(grid, grid, count),
                           _expanded_oracle(wide, tall, ctx, grid, points))
+    assert max(folded) < 1 << 50
+    assert dtype == np.int64 or max(folded) > 1 << 49
 
 
 @pytest.mark.parametrize("n, count, grid, start, prime", [
