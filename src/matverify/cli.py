@@ -186,14 +186,16 @@ def cmd_verify(args, rep: _Report) -> int:
 
 
 def _run_correction(args, rep: _Report, osmm: bool) -> int:
+    # every input is parsed before the trace file is truncated or the
+    # clock starts, so a parse error leaves an old trace as it was
     a, b = read_matrix(args.a), read_matrix(args.b)
+    c = None if osmm else read_matrix(args.c)
     trace_file = open(args.trace, "w") if args.trace else None
     try:
         t0 = time.perf_counter()
         if osmm:
             result = multiply_output_sensitive(a, b, args.t, trace=trace_file)
         else:
-            c = read_matrix(args.c)
             result = correct_product(a, b, c, args.t, trace=trace_file)
         wall = time.perf_counter() - t0
     finally:

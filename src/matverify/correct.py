@@ -350,34 +350,35 @@ def berlekamp_massey(values: np.ndarray, p: int) -> np.ndarray:
     (at p = 2^31 - 1 only 2 do), with each product reduced first otherwise.
 
     A zero discrepancy changes none of c, b and L; it only moves b one
-    place further up (gap, here u - last). So from a step u >= 2L, where the
-    next nonzero discrepancy is certain to change the length, the values
-    ahead are checked against the current c in windows of 1, 2, 4, ...
-    values (_first_discrepancy), and the scan jumps to the first nonzero
-    one: the early termination of Kaltofen & Lee (JSC 2003). An L-sparse
-    sequence then takes about 2L interpreter steps plus O(log k) windows,
-    not k steps. The work stays O(kL): a window that finds a nonzero
-    discrepancy is followed by a length change, and a window only doubles
-    after one that was all zero, so a run of s zero discrepancies costs at
-    most 2s + 1 window values, each an O(L) dot."""
+    place further up (gap, here u - last). So when the discrepancy of a step
+    u >= 2L, where the next nonzero one is certain to change the length, is
+    zero, the values after it are checked against the current c in windows
+    of 1, 2, 4, ... values (_first_discrepancy), and the scan jumps to the
+    first nonzero one: the early termination of Kaltofen & Lee (JSC 2003).
+    A step whose own dot is nonzero, as nearly every step is when L is near
+    k/2, pays for no window. An L-sparse sequence takes about 2L
+    interpreter steps plus O(log k) windows, not k steps. The work stays
+    O(kL): a window that finds a nonzero discrepancy is followed by a
+    length change, and a window only doubles after one that was all zero,
+    so a run of s zero discrepancies costs at most 2s + 1 window values,
+    each an O(L) dot."""
     budget = (_poly._I64_MAX - (p - 1)) // (p - 1) ** 2
     c = np.ones(1, dtype=np.int64)       # current connection polynomial
     b = np.ones(1, dtype=np.int64)       # the one before the last length change
     length, last, b_inv, u, k = 0, -1, 1, 0, len(values)
     while u < k:
-        if 2 * length <= u:
-            u, d = _first_discrepancy(c, values, u, p, budget)
-            if d == 0:
-                break
+        seg = values[u - length : u + 1]
+        if len(c) <= budget:     # one dot costs less than a convolution call
+            d = int(c @ seg[::-1]) % p
         else:
-            seg = values[u - length : u + 1]
-            if len(c) <= budget:     # one dot costs less than a convolution call
-                d = int(c @ seg[::-1]) % p
-            else:
-                d = int(_discrepancies(c, seg, p, budget)[0])
-            if d == 0:
+            d = int(_discrepancies(c, seg, p, budget)[0])
+        if d == 0:
+            if 2 * length > u:
                 u += 1
                 continue
+            u, d = _first_discrepancy(c, values, u + 1, p, budget)
+            if d == 0:
+                break
         gap = u - last
         top = gap + len(b)
         grows = 2 * length <= u

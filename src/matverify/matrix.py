@@ -7,7 +7,7 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import MatrixParseError, ResourceLimitError, UsageError
+from .errors import InternalCheckError, MatrixParseError, ResourceLimitError, UsageError
 from .field import FieldCtx, exact_ints, reduce_mod
 
 ENTRY_CAP = 1 << 40    # parse-time bound on |entry|
@@ -27,7 +27,9 @@ class IntMatrix:
     @classmethod
     def _adopt(cls, arr: np.ndarray, max_abs=None) -> "IntMatrix":
         """An IntMatrix over arr, an int64 array taken without a copy: one
-        freshly built, or one that is only read while the result lives."""
+        freshly built, or one that is only read while the result lives. A
+        max_abs given here must bound every |entry|; it is taken unchecked,
+        so arr is not scanned."""
         m = cls.__new__(cls)
         m._take(arr, max_abs, copy=False)
         return m
@@ -37,7 +39,8 @@ class IntMatrix:
             raise UsageError("matrix must be 2-dimensional and nonempty")
         if arr.dtype.kind in "bi":
             arr = arr.astype(np.int64, copy=copy)
-            actual = max(int(arr.max()), -int(arr.min()), 0)
+            trusted = max_abs is not None and not copy    # see _adopt
+            actual = max_abs if trusted else max(int(arr.max()), -int(arr.min()), 0)
         else:   # exact Python ints, so unsigned values do not wrap
             flat = exact_ints(arr, "matrix entries")
             actual = max(abs(v) for v in flat)
@@ -98,7 +101,12 @@ def field_form(data: np.ndarray, p: int, max_abs: int | None = None):
 
 def read_matrix(path) -> IntMatrix:
     """Parse the text format: optional '#' comments, a 'ROWS COLS' header,
-    then ROWS lines of COLS signed decimal integers."""
+    then ROWS lines of COLS signed decimal integers, each below 2^40 in
+    magnitude. Tokens are read as int() reads them ('+3', '1_000' and
+    non-ASCII decimal digits included). Lines are checked in order, each
+    for its token count before its tokens, and the first bad token of the
+    first bad line is the one reported. Nothing is allocated from the
+    header's shape, so a bogus header fails with a line number."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
 
@@ -117,9 +125,7 @@ def read_matrix(path) -> IntMatrix:
     if rows < 1 or cols < 1:
         raise MatrixParseError("dimensions must be positive", idx + 1)
 
-    # nothing is allocated for the header's shape until every line holds
-    # its entries, so a bogus header fails with its line number
-    parsed = []
+    parsed, max_abs = [], 0
     for r in range(rows):
         ln = idx + 1 + r
         if ln >= len(lines):
@@ -127,20 +133,32 @@ def read_matrix(path) -> IntMatrix:
         toks = lines[ln].split()
         if len(toks) != cols:
             raise MatrixParseError(f"expected {cols} entries, got {len(toks)}", ln + 1)
-        row = []
-        for tok in toks:
-            try:
-                v = int(tok)
-            except ValueError:
-                raise MatrixParseError(f"non-integer token {tok!r}", ln + 1) from None
-            if not -ENTRY_CAP < v < ENTRY_CAP:
-                raise MatrixParseError("entry magnitude exceeds 2^40", ln + 1)
-            row.append(v)
-        parsed.append(np.array(row, dtype=np.int64))
+        try:
+            row = np.fromiter(map(int, toks), np.int64, cols)
+        except (ValueError, OverflowError):
+            raise _token_error(toks, ln + 1) from None
+        lo, hi = int(row.min()), int(row.max())
+        if not -ENTRY_CAP < lo <= hi < ENTRY_CAP:
+            raise _token_error(toks, ln + 1)
+        max_abs = max(max_abs, hi, -lo)
+        parsed.append(row)
     for extra in range(idx + 1 + rows, len(lines)):
         if lines[extra].strip():
             raise MatrixParseError("unexpected trailing content", extra + 1)
-    return IntMatrix._adopt(np.array(parsed))
+    return IntMatrix._adopt(np.array(parsed), max_abs)
+
+
+def _token_error(toks, line_no: int) -> MatrixParseError:
+    """The error of the first of a line's tokens that int() refuses or that
+    breaks the entry cap."""
+    for tok in toks:
+        try:
+            v = int(tok)
+        except ValueError:
+            return MatrixParseError(f"non-integer token {tok!r}", line_no)
+        if not -ENTRY_CAP < v < ENTRY_CAP:
+            return MatrixParseError("entry magnitude exceeds 2^40", line_no)
+    raise InternalCheckError(f"line {line_no} holds no bad token")
 
 
 def write_matrix(path, m: IntMatrix) -> None:

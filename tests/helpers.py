@@ -4,6 +4,8 @@ polynomial algebra. None of it imports the algorithms under test."""
 
 import numpy as np
 
+from matverify import MatrixParseError
+
 
 def oracle_primes(lo: int, hi: int) -> list[int]:
     out = []
@@ -117,3 +119,46 @@ def oracle_berlekamp_massey(values, p: int) -> np.ndarray:
         else:
             gap += 1
     return c
+
+
+def oracle_read_matrix(path) -> np.ndarray:
+    """The matrix file format walked one token at a time: the int64 array
+    of a file's entries, or the MatrixParseError of its first bad line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    idx = 0
+    while idx < len(lines) and lines[idx].lstrip().startswith("#"):
+        idx += 1
+    if idx >= len(lines) or not lines[idx].strip():
+        raise MatrixParseError("missing header", idx + 1)
+    head = lines[idx].split()
+    if len(head) != 2:
+        raise MatrixParseError("header must be 'ROWS COLS'", idx + 1)
+    try:
+        rows, cols = int(head[0]), int(head[1])
+    except ValueError:
+        raise MatrixParseError("header must hold two integers", idx + 1) from None
+    if rows < 1 or cols < 1:
+        raise MatrixParseError("dimensions must be positive", idx + 1)
+    parsed = []
+    for r in range(rows):
+        ln = idx + 1 + r
+        if ln >= len(lines):
+            raise MatrixParseError("unexpected end of file", ln + 1)
+        toks = lines[ln].split()
+        if len(toks) != cols:
+            raise MatrixParseError(f"expected {cols} entries, got {len(toks)}", ln + 1)
+        row = []
+        for tok in toks:
+            try:
+                v = int(tok)
+            except ValueError:
+                raise MatrixParseError(f"non-integer token {tok!r}", ln + 1) from None
+            if not -(1 << 40) < v < 1 << 40:
+                raise MatrixParseError("entry magnitude exceeds 2^40", ln + 1)
+            row.append(v)
+        parsed.append(row)
+    for extra in range(idx + 1 + rows, len(lines)):
+        if lines[extra].strip():
+            raise MatrixParseError("unexpected trailing content", extra + 1)
+    return np.array(parsed, dtype=np.int64)

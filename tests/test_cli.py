@@ -395,3 +395,17 @@ def test_trace_flag(workdir, capsys):
     log = open("t.log").read()
     assert log.count("pos=") == 2 and "prime=" in log and log.count(" L=2 ") == 2
     assert rep["engine"] == "prony"
+
+
+def test_correct_parses_c_before_it_opens_the_trace(workdir, capsys):
+    # a C that fails to parse is reported before the trace file is opened
+    # for writing, so an existing trace keeps its bytes
+    run(capsys, "--seed", 5, "gen", 4, 2)
+    Path("t.log").write_text("an earlier trace\n")
+    Path("C.mat").write_text("4 4\n1 2 3 4\n")
+    code = main(["--trace", "t.log", "correct", "A.mat", "B.mat", "C.mat", "2",
+                 "--out", "F.mat"])
+    assert code == 65
+    assert capsys.readouterr().err.startswith("error=parse detail=line 3:")
+    assert Path("t.log").read_text() == "an earlier trace\n"
+    assert not Path("F.mat").exists()

@@ -144,20 +144,23 @@ def test_berlekamp_massey_matches_the_stepwise_oracle():
     # the scan over zero discrepancies returns what one step per value does,
     # on both sides of the int64 budget (2 products at 2^31 - 1): uniform
     # values; L-sparse power sums, whose tails are zero runs; the same with
-    # one value past 2L moved, so a run ends and the scan resumes; all
-    # zeros; and zeros up to one last nonzero value
+    # one value past 2L moved, so a run ends and the scan resumes; dense
+    # power sums of k/2 terms, whose steps nearly all have a nonzero
+    # discrepancy (the osmm shape); all zeros; and zeros up to one last
+    # nonzero value
     rng = seeded_rng(73)
     for p in (2, 3, 17, 4099, 16411, 147457, (1 << 31) - 1):
         for k in range(161):
             size = int(rng.integers(1, 13))
             sparse = _power_sum(rng.integers(1, p, size), rng.integers(1, p, size), k, p)
+            dense = _power_sum(rng.integers(1, p, k // 2), rng.integers(1, p, k // 2), k, p)
             moved = sparse.copy()
             if k > 2 * size:
                 u = int(rng.integers(2 * size, k))
                 moved[u] = (moved[u] + int(rng.integers(1, p))) % p
             last = np.zeros(k, dtype=np.int64)
             last[-1:] = rng.integers(1, p)
-            for values in (rng.integers(0, p, k), sparse, moved,
+            for values in (rng.integers(0, p, k), sparse, moved, dense,
                            np.zeros(k, dtype=np.int64), last):
                 got = berlekamp_massey(values, p)
                 want = oracle_berlekamp_massey(values, p)

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matverify import (
     FieldCtx,
@@ -20,7 +22,7 @@ from matverify import (
     write_matrix,
 )
 
-from helpers import oracle_matmul
+from helpers import oracle_matmul, oracle_read_matrix
 
 
 def test_naive_golden():
@@ -110,6 +112,10 @@ def test_matrix_parse_errors(tmp_path, text):
     ("2 2\n1 2\n\n3 4\n", "line 3: expected 2 entries, got 0"),  # a blank line
     ("2 2\n1 2\n3 4\n5 6\n", "line 4: unexpected trailing content"),
     ("2 2\n1 -2\n +3 4 \n\n", [[1, -2], [3, 4]]),          # signs, spaces
+    ("1 1\n-9223372036854775808\n", "line 2: entry magnitude exceeds 2^40"),  # int64 min
+    ("1 2\n1099511627776 x\n", "line 2: entry magnitude exceeds 2^40"),  # the first
+    ("1 2\nx 1099511627776\n", "line 2: non-integer token 'x'"),        # bad token wins
+    ("2 2\n1 1099511627776\n3\n", "line 2: entry magnitude exceeds 2^40"),  # first line
 ])
 def test_parse_reads_tokens_as_int_does(tmp_path, text, want):
     # the line walk gives the values int() gives or the line-numbered error
@@ -121,6 +127,56 @@ def test_parse_reads_tokens_as_int_does(tmp_path, text, want):
         with pytest.raises(MatrixParseError) as err:
             read_matrix(path)
         assert str(err.value) == want
+
+
+_CAP = 1 << 40
+_EDGES = [_CAP - 1, _CAP, _CAP + 1, 1 << 63, (1 << 63) + 1]   # and their negatives
+
+
+@st.composite
+def _matrix_files(draw) -> str:
+    """Matrix files, most of them well formed: entries inside and just
+    outside the cap and int64, tokens int() reads unusually or refuses,
+    tabs, CRLF line ends, and short, long, missing and trailing lines."""
+    entry = st.one_of(
+        st.integers(-_CAP + 1, _CAP - 1).map(str),
+        st.integers(-9, 9).map(str),
+        st.sampled_from(_EDGES + [-v for v in _EDGES]).map(str),
+        st.sampled_from(["+3", "1_000", "\u0661\u0662", "1.5", "0x10", "#"]),
+    )
+    clean = draw(st.booleans())
+    if clean:
+        entry = st.integers(-_CAP + 1, _CAP - 1).map(str)
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    space = st.sampled_from([" ", "  ", "\t", " \t "])
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [draw(st.sampled_from(["", "# a comment" + end])) + f"{rows} {cols}"]
+    kept = rows if clean else rows + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    for _ in range(max(kept, 0)):
+        count = cols if clean else cols + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+        toks = [draw(entry) for _ in range(max(count, 0))]
+        lines.append(draw(st.sampled_from(["", " "])) + draw(space).join(toks))
+    tail = draw(st.sampled_from(["", "", end, end, end + end, end + "\t", end + "7"]))
+    return end.join(lines) + tail
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=_matrix_files())
+def test_parse_matches_the_token_walk(tmp_path_factory, text):
+    # read_matrix returns the array of the per-token line walk, or raises
+    # its error: the same message on the same line
+    path = tmp_path_factory.mktemp("parse") / "m.mat"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        want = oracle_read_matrix(path)
+    except MatrixParseError as exc:
+        with pytest.raises(MatrixParseError) as err:
+            read_matrix(path)
+        assert (str(err.value), err.value.line_no) == (str(exc), exc.line_no)
+        return
+    got = read_matrix(path)
+    assert got.data.dtype == np.int64 and np.array_equal(got.data, want)
+    assert got.max_abs == int(np.abs(want).max())
 
 
 def test_parse_error_carries_line_number(tmp_path):
